@@ -15,9 +15,8 @@ from .stochint import (INTEGRAND_CATALOG, DoubleIntegralTrace, IntegrandSpec,
 from .lilab import (ErgodicReport, Example36Report, GridMismatchError,
                     LilEstimate, MomentReport, TailBoundReport,
                     conditional_moment_fn, ergodic_liminf, example36_diag,
-                    example36_rate, moment_dominance, moment_identity,
-                    optimal_tail_lambda, ratio_sup, tail_bound_check,
-                    tail_bound_value)
+                    moment_dominance, moment_identity, optimal_tail_lambda,
+                    ratio_sup, tail_bound_check, tail_bound_value)
 from .market import (MarketParams, Payoff, bs_price, call, face_lift,
                      payoff_from_csv, piecewise_linear, put, simulate_gbm,
                      tabulated)

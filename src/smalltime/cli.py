@@ -71,6 +71,9 @@ _COMMON = {
     "out": ("str", ""),
 }
 
+# domains of the size keys, in every schema that has them
+_MINIMA = {"paths": 1, "chunk": 1, "nx": 16}
+
 _SCHEMAS = {
     "moment": {
         "d": ("int", 1), "lam": ("float", 0.5), "horizon": ("float", 0.5),
@@ -195,6 +198,10 @@ def load_config(path: str | None, overrides) -> RunConfig:
             if default is REQUIRED:
                 raise ConfigError(f"missing required key {key!r}", key=key)
             params[key] = default
+    for key, floor in _MINIMA.items():
+        if key in params and params[key] < floor:
+            raise ConfigError(f"key {key!r} must be at least {floor}, "
+                              f"got {params[key]}", key=key)
     seed = params.pop("seed")
     workers = params.pop("workers")
     out = params.pop("out")
@@ -243,15 +250,12 @@ def _run_tail(cfg: RunConfig):
     b = catalog_integrand(p["integrand"], p["d"])
     rep = tail_bound_check(spec, b, p["horizon"], p["alphas"], rule=p["rule"],
                            eta=p["eta"], workers=cfg.workers)
-    rows = [[r.alpha, r.lam, r.bound, r.empirical, r.std_err, r.violation]
-            for r in rep.rows]
-    results = {"rows": [{"alpha": r.alpha, "lam": r.lam, "bound": r.bound,
-                         "empirical": r.empirical, "std_err": r.std_err,
-                         "violation": r.violation} for r in rep.rows],
+    header = ["alpha", "lam", "bound", "empirical", "std_err", "violation"]
+    rows = [[getattr(r, key) for key in header] for r in rep.rows]
+    results = {"rows": [dict(zip(header, row)) for row in rows],
                "n_paths": rep.n_paths}
     checks = {"no_exceedance_above_bound": {"pass": not rep.any_violation}}
-    csvs = {"tail_bound.csv": (["alpha", "lam", "bound", "empirical",
-                                "std_err", "violation"], rows)}
+    csvs = {"tail_bound.csv": (header, rows)}
     return results, {}, checks, csvs
 
 
@@ -260,7 +264,7 @@ def _run_lil_sup(cfg: RunConfig):
     grid = geometric_grid(p["t0"], p["theta"], p["levels"])
     bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
     b = catalog_integrand(p["integrand"], p["d"])
-    trace = integrate_double(bundle, b)
+    trace = integrate_double(bundle, b, keep="outer")
     est = ratio_sup(trace, kind=p["kind"], absolute=p["absolute"])
     envelope = (1.0 + p["eta"]) ** 2 / p["theta"]
     viol = float(np.mean(est.per_path_sup > envelope))
@@ -410,10 +414,13 @@ def _run_hedge(cfg: RunConfig):
             "pass": rep.frac_nonnegative >= p["target_nonneg"],
             "frac_nonnegative": rep.frac_nonnegative,
             "target": p["target_nonneg"]}
-    rows = [[i, float(s_), float(x_), float(sf)] for i, (s_, x_, sf) in
-            enumerate(zip(rep.s_terminal, rep.x_terminal, rep.shortfall))]
-    csvs = {"shortfall.csv": (["path", "S_T", "X_T", "shortfall"], rows)}
-    return results, references, checks, csvs
+    return results, references, checks, {"shortfall.csv": _shortfall_csv(rep)}
+
+
+def _shortfall_csv(run):
+    return (["path", "S_T", "X_T", "shortfall"],
+            [[i, float(s_), float(x_), float(sf)] for i, (s_, x_, sf) in
+             enumerate(zip(run.s_terminal, run.x_terminal, run.shortfall))])
 
 
 def _run_gap(cfg: RunConfig):
@@ -424,7 +431,8 @@ def _run_gap(cfg: RunConfig):
     grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
     spec = BundleSpec(1, uniform_grid(p["horizon"], p["steps"]), p["paths"],
                       cfg.seed, chunk_size=p["chunk"])
-    rep = replication_gap(payoff, band, params, p["s0"], spec, grid=grid)
+    rep = replication_gap(payoff, band, params, p["s0"], spec, grid=grid,
+                          workers=cfg.workers)
     results = {"price_gap": rep.price_gap,
                "constrained_price": rep.constrained_price,
                "bs_price": rep.bs_price,
@@ -438,17 +446,11 @@ def _run_gap(cfg: RunConfig):
             "pass": rep.run_bs_funded.frac_negative >= p["bs_frac_neg_min"],
             "frac_negative": rep.run_bs_funded.frac_negative,
             "min": p["bs_frac_neg_min"]}
-    csvs = {}
-    for tag, run in (("constrained", rep.run_constrained),
-                     ("bs_funded", rep.run_bs_funded)):
-        rows = [[i, float(s_), float(x_), float(sf)] for i, (s_, x_, sf) in
-                enumerate(zip(run.s_terminal, run.x_terminal, run.shortfall))]
-        csvs[f"shortfall_{tag}.csv"] = (["path", "S_T", "X_T", "shortfall"], rows)
-    return results, references_gap(rep), checks, csvs
-
-
-def references_gap(rep):
-    return {"constrained_price": rep.constrained_price, "bs_price": rep.bs_price}
+    csvs = {"shortfall_constrained.csv": _shortfall_csv(rep.run_constrained),
+            "shortfall_bs_funded.csv": _shortfall_csv(rep.run_bs_funded)}
+    references = {"constrained_price": rep.constrained_price,
+                  "bs_price": rep.bs_price}
+    return results, references, checks, csvs
 
 
 _RUNNERS = {

@@ -172,6 +172,15 @@ def simulate_hedge(source, s0: float, x0: float, strategy: StrategySpec,
     at the horizon.  Queries off the solved surface clamp the price into
     the surface's range (exits are vanishingly rare on the default grids).
     """
+    return _simulate_fundings(source, s0, (x0,), strategy, payoff, band,
+                              params, workers)[0]
+
+
+def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
+                       workers) -> list:
+    """simulate_hedge for several initial capitals in one pass: holdings do
+    not depend on the capital, so each capital's wealth is one row of a
+    (len(x0s), P) array, with the bits a run of that capital alone gives."""
     sol = strategy.solution
     drift_field = strategy._drift_field
     if strategy.y0 is not None:
@@ -188,7 +197,7 @@ def simulate_hedge(source, s0: float, x0: float, strategy: StrategySpec,
         s_paths = simulate_gbm(chunk, s0, params)
         p = s_paths.shape[0]
         y = np.full(p, y0_used)
-        x = np.full(p, float(x0))
+        x = np.repeat(np.array(x0s, dtype=float)[:, None], p, axis=1)
         clamps = 0
         steps = 0
         a_max = 0.0
@@ -228,15 +237,15 @@ def simulate_hedge(source, s0: float, x0: float, strategy: StrategySpec,
         clamp_events += clamps
         total_steps += steps
         alpha_max = max(alpha_max, a_max)
-    shortfall = np.concatenate(shortfalls)
-    return HedgeReport(shortfall=shortfall,
-                       s_terminal=np.concatenate(s_terms),
-                       x_terminal=np.concatenate(x_terms),
-                       x0=float(x0), y0=y0_used,
-                       clamp_events=clamp_events,
-                       clamp_rate=clamp_events / max(total_steps, 1),
-                       alpha_max=alpha_max,
-                       quantiles=_summary_quantiles(shortfall))
+    s_terminal = np.concatenate(s_terms)
+    return [HedgeReport(shortfall=sf, s_terminal=s_terminal, x_terminal=x_t,
+                        x0=float(x0), y0=y0_used,
+                        clamp_events=clamp_events,
+                        clamp_rate=clamp_events / max(total_steps, 1),
+                        alpha_max=alpha_max,
+                        quantiles=_summary_quantiles(sf))
+            for x0, sf, x_t in zip(x0s, np.concatenate(shortfalls, axis=1),
+                                   np.concatenate(x_terms, axis=1))]
 
 
 @dataclass
@@ -252,17 +261,19 @@ class GapReport:
 
 
 def replication_gap(payoff: Payoff, band: GammaBand, params: MarketParams,
-                    s0: float, source, grid: PdeGrid | None = None) -> GapReport:
+                    s0: float, source, grid: PdeGrid | None = None,
+                    workers: int = 1) -> GapReport:
     """Simulate the surface strategy funded at the constrained price and at
     the unconstrained lognormal price, and report both shortfall
-    distributions together with the price gap."""
+    distributions together with the price gap.  Both fundings share one
+    simulation."""
     if grid is None:
         grid = PdeGrid.around_spot(s0, params)
     sol = solve_dpe(payoff, band, params, grid)
     v0 = float(greeks(sol, 0.0, s0)[0])
     bs0 = float(bs_price(payoff, s0, 0.0, params))
     strategy = StrategySpec.from_dpe(sol)
-    run_v = simulate_hedge(source, s0, v0, strategy, payoff, band, params)
-    run_bs = simulate_hedge(source, s0, bs0, strategy, payoff, band, params)
+    run_v, run_bs = _simulate_fundings(source, s0, (v0, bs0), strategy, payoff,
+                                       band, params, workers)
     return GapReport(price_gap=v0 - bs0, constrained_price=v0, bs_price=bs0,
                      run_constrained=run_v, run_bs_funded=run_bs)

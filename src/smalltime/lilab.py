@@ -13,12 +13,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtr
 
 from .matcore import DomainError, INV_E, lil_normalizer
 from .paths import BrownianBundle, as_chunks, map_chunks_ordered
 from .stochint import (EXP_MINUS_E, DoubleIntegralTrace, IntegrandSpec,
-                       catalog_integrand, integrate_double)
+                       _lll_inverse, catalog_integrand, integrate_double)
 
 
 class GridMismatchError(ValueError):
@@ -164,7 +164,7 @@ def moment_dominance(source, b: IntegrandSpec, lam: float, horizon: float,
     def one(chunk):
         if abs(chunk.grid.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("bundle grid must end at the moment horizon")
-        trace = integrate_double(chunk, b)
+        trace = integrate_double(chunk, b, keep="last")
         x = np.exp(2.0 * lam * trace.final_outer())
         return x.size, float(np.sum(x)), float(np.sum(x * x)), chunk.dim
 
@@ -267,8 +267,8 @@ def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
     def one(chunk):
         if abs(chunk.grid.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("bundle grid must end at the tail-bound horizon")
-        trace = integrate_double(chunk, b)
-        sup2v = np.maximum(2.0 * trace.outer.max(axis=1), 0.0)
+        trace = integrate_double(chunk, b, keep="last")
+        sup2v = np.maximum(2.0 * trace.outer_sup, 0.0)
         cnt = np.array([int(np.sum(sup2v >= a)) for a in alphas], dtype=np.int64)
         return sup2v.size, cnt, chunk.dim
 
@@ -344,7 +344,7 @@ def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     freq_by_n = freq.mean(axis=0)
     if d == 1:
         b0 = abs(float(mat[0, 0]))
-        reference = 1.0 if b0 == 0.0 else float(chi2.cdf(delta / b0, df=1))
+        reference = 1.0 if b0 == 0.0 else float(chdtr(1, delta / b0))
     else:
         sym = 0.5 * (mat + mat.T)
         evals = np.linalg.eigvalsh(sym)
@@ -404,10 +404,10 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
         t = refined.grid.points
         t_min = min(t_min, float(t[0]))
         grid_meta = {"kind": refined.grid.kind, **refined.grid.meta}
-        trace = integrate_double(refined, b)
+        trace = integrate_double(refined, b, keep="outer")
         rate = example36_rate_fn(t)
         sups_full.append((trace.outer / rate[None, :]).max(axis=1))
-        bvals = np.array([_b36(tk) for tk in t])
+        bvals = np.array([_lll_inverse(tk) for tk in t])
         w2 = refined.paths[:, 0, :] ** 2
         sups_proxy.append((0.5 * w2 * bvals[None, :] / rate[None, :]).max(axis=1))
         sups_wh.append((w2 / lil_normalizer(t)[None, :]).max(axis=1))
@@ -421,15 +421,6 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
                            wsq_h_sup=np.concatenate(sups_wh),
                            consistency_median=float(np.median(rel)),
                            t_min=t_min)
-
-
-# operation-map name for the same diagnostic
-example36_rate = example36_diag
-
-
-def _b36(t: float) -> float:
-    from .stochint import _lll_inverse
-    return _lll_inverse(t)
 
 
 def cutoff_max_medians(times: np.ndarray, stat: np.ndarray, cutoffs) -> list:

@@ -165,13 +165,9 @@ class BrownianBundle:
         standard normal; the pooled squared mean has standard error
         sqrt(2/n).
         """
-        t = self.grid.points
-        w = self.paths
-        if t[0] > 0.0:
-            t = np.concatenate(([0.0], t))
-            w = np.concatenate((np.zeros(w.shape[:2] + (1,)), w), axis=2)
-        dt = np.diff(t)
-        dw = np.diff(w, axis=2)
+        origin = {} if self.grid.points[0] == 0.0 else {"prepend": 0.0}
+        dt = np.diff(self.grid.points, **origin)
+        dw = np.diff(self.paths, axis=2, **origin)
         z = dw / np.sqrt(dt)
         n = z.size
         s2 = float(np.mean(z * z))

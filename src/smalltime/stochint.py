@@ -254,7 +254,10 @@ class DoubleIntegralTrace:
     """Per-path inner and outer integral values along the grid.
 
     qv_inner[j] tracks the bracket of the j-th inner component,
-    sum_l b_jl^2 dt; qv_outer tracks |Y|^2 dt.
+    sum_l b_jl^2 dt; qv_outer tracks |Y|^2 dt.  Traces integrated with
+    keep="outer" hold V only; the other fields have no columns.  Traces
+    integrated with keep="last" hold V(T) in one column, have times [T],
+    and carry outer_sup, the per-path max of V over the grid.
     """
 
     times: np.ndarray
@@ -263,6 +266,7 @@ class DoubleIntegralTrace:
     qv_inner: np.ndarray
     qv_outer: np.ndarray
     grid_meta: dict = field(default_factory=dict)
+    outer_sup: np.ndarray | None = None
 
     @property
     def path_count(self) -> int:
@@ -277,6 +281,8 @@ class DoubleIntegralTrace:
 
     def to_csv(self, path) -> None:
         from .reports import write_csv
+        if self.inner.shape[1] != self.times.size:
+            raise ValueError("CSV export needs a trace integrated with keep='trace'")
         d = self.dim
         header = ["path", "time", "V"] + [f"Y_{j + 1}" for j in range(d)] + ["qv"]
         rows = []
@@ -287,19 +293,11 @@ class DoubleIntegralTrace:
         write_csv(path, header, rows)
 
 
-def _with_origin(bundle: BrownianBundle):
-    t = bundle.grid.points
-    w = bundle.paths
-    if t[0] == 0.0:
-        return t, w, True
-    t_full = np.concatenate(([0.0], t))
-    w_full = np.concatenate((np.zeros(w.shape[:2] + (1,)), w), axis=2)
-    return t_full, w_full, False
-
-
 def _apply(mat, vec):
     """mat @ vec for mat of shape (d, d) or (P, d, d) and vec of shape (P, d)."""
     if mat.ndim == 2:
+        if vec.shape[0] == 1:  # a lone row would round as a BLAS vector product
+            return (np.repeat(vec, 2, axis=0) @ mat.T)[:1]
         return vec @ mat.T
     return np.einsum("pij,pj->pi", mat, vec)
 
@@ -308,54 +306,91 @@ def _row_sq(mat):
     return (mat * mat).sum(axis=-1)
 
 
-def _kahan(acc, comp, inc):
-    y = inc - comp
-    t = acc + y
-    comp = (t - acc) - y
-    return t, comp
+def _left_point(bundle: BrownianBundle, step, n_sums: int, states=(),
+                keep: str = "trace"):
+    """The left-point stepping kernel behind every integral in this module.
+
+    It walks a contiguous time-major (N, P, d) copy of the path values,
+    with W(0) = 0 prepended when the grid lacks the origin.  At step k,
+    step(t_k, dt, w_k, dw, inc) writes n_sums increments of shape (P,)
+    into the rows of inc, which join running sums by compensated
+    summation, and updates the arrays in `states` in place.  keep says
+    what is returned as (sums, states, sup): "trace" every sum and state
+    at every grid time, "outer" the first sum at every grid time, "last"
+    the first sum at T (one column) and its running max over the grid.
+    """
+    if keep not in ("trace", "outer", "last"):
+        raise ValueError(f"keep must be 'trace', 'outer' or 'last', got {keep!r}")
+    t = bundle.grid.points
+    p, d, n_out = bundle.paths.shape
+    start = 0 if t[0] == 0.0 else 1
+    w = np.empty((start + n_out, p, d))
+    w[0] = 0.0
+    w[start:] = bundle.paths.transpose(2, 0, 1)
+    if start:
+        t = np.concatenate(([0.0], t))
+
+    acc, comp, adj, total, inc = (np.zeros((n_sums, p)) for _ in range(5))
+    dw = np.empty((p, d))
+    series = [np.zeros((p, n_out)) for _ in range({"trace": n_sums, "outer": 1}.get(keep, 0))]
+    state_series = [np.zeros((p, n_out) + s.shape[1:]) for s in states] if keep == "trace" else []
+    sup = np.full(p, -np.inf) if keep == "last" else None
+    for k, (t_k, dt) in enumerate(zip(t, np.diff(t))):
+        np.subtract(w[k + 1], w[k], out=dw)
+        step(t_k, dt, w[k], dw, inc)
+        # Kahan: adj = inc - comp, acc' = acc + adj, comp' = (acc' - acc) - adj
+        np.subtract(inc, comp, out=adj)
+        np.add(acc, adj, out=total)
+        np.subtract(total, acc, out=comp)
+        comp -= adj
+        acc, total = total, acc
+        for rec, value in zip(series, acc):
+            rec[:, k + 1 - start] = value
+        for rec, value in zip(state_series, states):
+            rec[:, k + 1 - start] = value
+        if sup is not None:
+            np.maximum(sup, acc[0], out=sup)
+    return series or [acc[0][:, None]], state_series, sup
 
 
-def integrate_double(bundle: BrownianBundle, b: IntegrandSpec) -> DoubleIntegralTrace:
+def integrate_double(bundle: BrownianBundle, b: IntegrandSpec,
+                     keep: str = "trace") -> DoubleIntegralTrace:
     """Left-point double integral V(t) of (integral of b dW)^T dW.
 
     Grids that do not contain 0 get an implicit origin with W(0) = 0 and
     Y(0) = V(0) = 0; output arrays align with the bundle's grid points.
+    keep="trace" stores every field at every grid time; "outer" stores V
+    at every grid time; "last" stores V(T) and the per-path max of V over
+    the grid (outer_sup).  Fields not stored have no columns, and stored
+    values are the same bits in every mode.
     """
     if b.dim != bundle.dim:
         raise ValueError("integrand dimension does not match the bundle")
-    t_full, w_full, has_origin = _with_origin(bundle)
-    n_out = bundle.grid.size
     p, d = bundle.path_count, bundle.dim
-    inner = np.zeros((p, n_out, d))
-    outer = np.zeros((p, n_out))
-    qv_in = np.zeros((p, n_out, d))
-    qv_out = np.zeros((p, n_out))
-
+    full = keep == "trace"
     y = np.zeros((p, d))
-    v = np.zeros(p)
-    v_comp = np.zeros(p)
     qi = np.zeros((p, d))
-    qo = np.zeros(p)
-    qo_comp = np.zeros(p)
-    offset = 0 if has_origin else -1
-    for k in range(t_full.size - 1):
-        t_k = t_full[k]
-        dt = t_full[k + 1] - t_full[k]
-        dw = w_full[:, :, k + 1] - w_full[:, :, k]
-        mat = b.eval(t_k, w_full[:, :, k])
-        v, v_comp = _kahan(v, v_comp, np.einsum("pi,pi->p", y, dw))
-        qo, qo_comp = _kahan(qo, qo_comp, (y * y).sum(axis=1) * dt)
-        y = y + _apply(mat, dw)
-        qi = qi + _row_sq(mat) * dt
-        out = k + 1 + offset
-        outer[:, out] = v
-        inner[:, out] = y
-        qv_in[:, out] = qi
-        qv_out[:, out] = qo
+
+    def step(t_k, dt, w_k, dw, inc):
+        nonlocal y, qi
+        mat = b.eval(t_k, w_k)
+        np.einsum("pi,pi->p", y, dw, out=inc[0])
+        if full:  # brackets: the outer one from Y before its update
+            np.multiply((y * y).sum(axis=1), dt, out=inc[1])
+            qi += _row_sq(mat) * dt
+        y += _apply(mat, dw)
+
+    sums, states, sup = _left_point(bundle, step, 2 if full else 1, (y, qi), keep)
+    if full:
+        (outer, qv_out), (inner, qv_in) = sums, states
+    else:
+        (outer,) = sums
+        inner, qv_in, qv_out = np.empty((p, 0, d)), np.empty((p, 0, d)), np.empty((p, 0))
+    times = bundle.grid.points[-1:] if keep == "last" else bundle.grid.points
     meta = {"kind": bundle.grid.kind, **bundle.grid.meta}
-    return DoubleIntegralTrace(times=bundle.grid.points.copy(), inner=inner,
-                               outer=outer, qv_inner=qv_in, qv_outer=qv_out,
-                               grid_meta=meta)
+    return DoubleIntegralTrace(times=times.copy(), inner=inner, outer=outer,
+                               qv_inner=qv_in, qv_outer=qv_out,
+                               grid_meta=meta, outer_sup=sup)
 
 
 def closed_form_constant(bundle: BrownianBundle, beta) -> np.ndarray:
@@ -382,15 +417,10 @@ def closed_form_trace(bundle: BrownianBundle, beta) -> DoubleIntegralTrace:
     row_sq = _row_sq(mat)
     qv_in = row_sq[None, None, :] * t[None, :, None]
     y_sq = (inner * inner).sum(axis=2)
-    t_full = t if t[0] == 0.0 else np.concatenate(([0.0], t))
-    dt = np.diff(t_full)
     y_prev = np.zeros_like(y_sq)
-    if t[0] == 0.0:
-        y_prev[:, 1:] = y_sq[:, :-1]
-        qv_out = np.cumsum(y_prev * np.concatenate(([0.0], dt)), axis=1)
-    else:
-        y_prev[:, 1:] = y_sq[:, :-1]
-        qv_out = np.cumsum(y_prev * dt[None, :], axis=1)
+    y_prev[:, 1:] = y_sq[:, :-1]
+    # interval lengths ending at each grid time, from the implicit origin
+    qv_out = np.cumsum(y_prev * np.diff(t, prepend=0.0)[None, :], axis=1)
     meta = {"kind": bundle.grid.kind, **bundle.grid.meta}
     return DoubleIntegralTrace(times=t.copy(), inner=inner, outer=outer,
                                qv_inner=np.broadcast_to(qv_in, inner.shape).copy(),
@@ -425,52 +455,31 @@ def integrate_double_martingale(bundle: BrownianBundle, b: IntegrandSpec,
     """
     if b.dim != bundle.dim or m.dim != bundle.dim:
         raise ValueError("integrand dimensions must match the bundle")
-    t_full, w_full, has_origin = _with_origin(bundle)
     p, d = bundle.path_count, bundle.dim
-    n_out = bundle.grid.size
-
     m0 = m.eval(0.0, np.zeros((1, d)))
     if m0.ndim == 3:
         m0 = m0[0]
-
-    x = np.zeros((p, n_out))
-    cpc = np.zeros((p, n_out))
-    r1 = np.zeros((p, n_out))
-    r2 = np.zeros((p, n_out))
-
     y_x = np.zeros((p, d))      # inner of X: int b m dW
     y_c = np.zeros((p, d))      # inner of the c piece
     y_a = np.zeros((p, d))      # inner of R1: int b (m - m0) dW
-    acc = {k: (np.zeros(p), np.zeros(p)) for k in ("x", "c", "r1", "r2")}
-    offset = 0 if has_origin else -1
-    for k in range(t_full.size - 1):
-        t_k = t_full[k]
-        dw = w_full[:, :, k + 1] - w_full[:, :, k]
-        bk = b.eval(t_k, w_full[:, :, k])
-        mk = m.eval(t_k, w_full[:, :, k])
-        dm = _apply(mk, dw)
+
+    def step(t_k, dt, w_k, dw, inc):
+        nonlocal y_x, y_c, y_a
+        bk = b.eval(t_k, w_k)
+        dm = _apply(m.eval(t_k, w_k), dw)
         dm0 = _apply(m0, dw)
         ddev = dm - dm0
-
-        acc["x"] = _kahan(*acc["x"], np.einsum("pi,pi->p", y_x, dm))
-        acc["c"] = _kahan(*acc["c"], np.einsum("pi,pi->p", y_c, dw))
-        acc["r1"] = _kahan(*acc["r1"], np.einsum("pi,pi->p", y_a, dm0))
-        acc["r2"] = _kahan(*acc["r2"], np.einsum("pi,pi->p", y_x, ddev))
-
+        for row, (y, dv) in enumerate(((y_x, dm), (y_c, dw), (y_a, dm0), (y_x, ddev))):
+            np.einsum("pi,pi->p", y, dv, out=inc[row])
         if bk.ndim == 2:
             ck = m0.T @ bk @ m0
         else:
             ck = np.einsum("ij,pjk,kl->pil", m0.T, bk, m0)
-        y_x = y_x + _apply(bk, dm)
-        y_c = y_c + _apply(ck, dw)
-        y_a = y_a + _apply(bk, ddev)
+        y_x += _apply(bk, dm)
+        y_c += _apply(ck, dw)
+        y_a += _apply(bk, ddev)
 
-        out = k + 1 + offset
-        x[:, out] = acc["x"][0]
-        cpc[:, out] = acc["c"][0]
-        r1[:, out] = acc["r1"][0]
-        r2[:, out] = acc["r2"][0]
-
+    (x, cpc, r1, r2), _, _ = _left_point(bundle, step, 4)
     recon = np.abs(x - (cpc + r1 + r2)) / (1.0 + np.abs(x))
     meta = {"kind": bundle.grid.kind, **bundle.grid.meta}
     return MartingaleDecomposition(times=bundle.grid.points.copy(), x=x,
@@ -495,23 +504,14 @@ def drift_integral(bundle: BrownianBundle, a: VectorSpec, m: IntegrandSpec,
         raise ValueError("eps must lie in (0, 1]")
     if a.dim != bundle.dim or m.dim != bundle.dim:
         raise ValueError("process dimensions must match the bundle")
-    t_full, w_full, has_origin = _with_origin(bundle)
-    p = bundle.path_count
-    n_out = bundle.grid.size
-    x = np.zeros((p, n_out))
-    ia = np.zeros((p, bundle.dim))
-    v = np.zeros(p)
-    v_comp = np.zeros(p)
-    offset = 0 if has_origin else -1
-    for k in range(t_full.size - 1):
-        t_k = t_full[k]
-        dt = t_full[k + 1] - t_full[k]
-        dw = w_full[:, :, k + 1] - w_full[:, :, k]
-        mk = m.eval(t_k, w_full[:, :, k])
-        dm = _apply(mk, dw)
-        v, v_comp = _kahan(v, v_comp, np.einsum("pi,pi->p", ia, dm))
-        ia = ia + a.eval(t_k)[None, :] * dt
-        x[:, k + 1 + offset] = v
+    ia = np.zeros((bundle.path_count, bundle.dim))
+
+    def step(t_k, dt, w_k, dw, inc):
+        nonlocal ia
+        np.einsum("pi,pi->p", ia, _apply(m.eval(t_k, w_k), dw), out=inc[0])
+        ia += a.eval(t_k)[None, :] * dt
+
+    (x,), _, _ = _left_point(bundle, step, 1)
     t = bundle.grid.points
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.where(t > 0.0, t ** (-1.5 + eps), 0.0)

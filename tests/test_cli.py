@@ -60,6 +60,46 @@ def test_float_list_and_inf_parsing(tmp_path):
     assert math.isinf(cfg2.params["upper"])
 
 
+def _assert_size_key_rejected(tmp_path, capsys, experiment, key, value):
+    args = [f"--experiment={experiment}", f"--{key}={value}",
+            f"--out={tmp_path}/never"]
+    with pytest.raises(ConfigError) as err:
+        load_config(None, args)
+    assert err.value.key == key
+    for command in ("run", "validate-config"):
+        assert main([command] + args) == 2
+        assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
+def test_paths_below_one_is_a_config_error(tmp_path, capsys):
+    _assert_size_key_rejected(tmp_path, capsys, "moment", "paths", 0)
+
+
+def test_chunk_below_one_is_a_config_error(tmp_path, capsys):
+    _assert_size_key_rejected(tmp_path, capsys, "tail-bound", "chunk", 0)
+
+
+def test_nx_below_sixteen_is_a_config_error(tmp_path, capsys):
+    _assert_size_key_rejected(tmp_path, capsys, "dpe-price", "nx", 8)
+    cfg = load_config(None, ["--experiment=dpe-price", "--nx=16"])
+    assert cfg.params["nx"] == 16
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import smalltime
+    env = dict(os.environ, PYTHONPATH=str(Path(smalltime.__file__).parents[1]))
+    code = "import sys, smalltime.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.strip() == "False"
+
+
 # --------------------------------------------------------------------- runs
 
 def test_moment_run_writes_summary_and_checks(tmp_path):

@@ -111,6 +111,25 @@ def test_replication_gap_binding_upper_bound():
     assert rep.run_bs_funded.frac_negative >= 0.2
 
 
+def test_replication_gap_fundings_match_separate_runs():
+    grid = PdeGrid.around_spot(100.0, PARAMS, nx=200)
+    spec = BundleSpec(1, uniform_grid(1.0, 100), 300, seed=29, chunk_size=120)
+    gap = replication_gap(call(100.0), BAND, PARAMS, 100.0, spec, grid=grid)
+    strat = StrategySpec.from_dpe(solve_dpe(call(100.0), BAND, PARAMS, grid))
+    for run, x0 in ((gap.run_constrained, gap.constrained_price),
+                    (gap.run_bs_funded, gap.bs_price)):
+        alone = simulate_hedge(spec, 100.0, x0, strat, call(100.0), BAND, PARAMS)
+        for name in ("shortfall", "s_terminal", "x_terminal"):
+            assert np.array_equal(getattr(run, name), getattr(alone, name))
+        assert run.quantiles == alone.quantiles
+        assert run.clamp_events == alone.clamp_events and run.x0 == alone.x0
+    threaded = replication_gap(call(100.0), BAND, PARAMS, 100.0, spec, grid=grid,
+                               workers=3)
+    assert np.array_equal(threaded.run_bs_funded.x_terminal,
+                          gap.run_bs_funded.x_terminal)
+    assert threaded.run_constrained.quantiles == gap.run_constrained.quantiles
+
+
 def test_lower_constraint_gap_on_concave_payoff():
     # capped payoff min(s, K): the lower bound binds where v_ss < 0
     from smalltime.market import piecewise_linear

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from smalltime.lilab import (GridMismatchError, conditional_moment_fn,
@@ -145,6 +147,31 @@ def test_moment_dominance_workers_do_not_change_result():
     r1 = moment_dominance(spec, catalog_integrand("identity", 1), 0.5, 0.5, workers=1)
     r2 = moment_dominance(spec, catalog_integrand("identity", 1), 0.5, 0.5, workers=3)
     assert r1.mc_mean == r2.mc_mean and r1.std_err == r2.std_err
+
+
+@settings(max_examples=15, deadline=None)
+@given(name=st.sampled_from(["identity", "rotation", "tanh_w", "clamp_w", "zero"]),
+       d=st.integers(1, 3), paths=st.integers(2, 40), chunk=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_and_tail_reductions_ignore_chunking_and_workers(name, d, paths,
+                                                                chunk, seed):
+    d = max(d, 2) if name == "rotation" else d
+    b = catalog_integrand(name, d)
+    grid = uniform_grid(0.2, 10)
+    alphas = [0.0, 0.05, 0.2, 1.0]
+    whole = BundleSpec(d, grid, paths, seed, chunk_size=paths)
+    ref_moment = moment_dominance(whole, b, 0.5, 0.2)
+    ref_tail = tail_bound_check(whole, b, 0.2, alphas)
+    chunked = BundleSpec(d, grid, paths, seed, chunk_size=chunk)
+    runs = [(moment_dominance(chunked, b, 0.5, 0.2, workers=w),
+             tail_bound_check(chunked, b, 0.2, alphas, workers=w)) for w in (1, 2, 3)]
+    for moment, tail in runs:
+        assert moment == runs[0][0]
+        assert tail == ref_tail
+    # per-path values do not depend on the chunking (test_stochint), but the
+    # moment adds chunk sums, so chunk_size may move the last bits of its mean
+    assert runs[0][0].mc_mean == pytest.approx(ref_moment.mc_mean, rel=1e-13, abs=0.0)
+    assert runs[0][0].n_paths == ref_moment.n_paths == paths
 
 
 # ----------------------------------------------------------------- tail bound

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalltime.matcore import DomainError, SymMatrix
 from smalltime.paths import (BrownianBundle, TimeGrid, geometric_grid,
@@ -275,3 +277,56 @@ def test_trace_csv_export(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "path,time,V,Y_1,Y_2,qv"
     assert len(lines) == 1 + 2 * 3
+
+
+# ------------------------------------------------------------ keep= modes
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["identity", "rotation", "linear_time", "example36",
+                             "tanh_w", "clamp_w"]),
+       geometric=st.booleans(), d=st.integers(1, 3), paths=st.integers(1, 30),
+       steps=st.integers(1, 25), seed=st.integers(0, 2 ** 32 - 1))
+def test_keep_modes_match_the_trace_bit_for_bit(name, geometric, d, paths, steps,
+                                                 seed):
+    # uniform grids hold the origin, geometric grids start above it
+    d = max(d, 2) if name == "rotation" else d
+    grid = geometric_grid(1e-2, 0.5, steps) if geometric else uniform_grid(0.05, steps)
+    b = sample_bundle(d, grid, paths, seed=seed)
+    spec = catalog_integrand(name, d)
+    full = integrate_double(b, spec)
+    outer = integrate_double(b, spec, keep="outer")
+    last = integrate_double(b, spec, keep="last")
+    assert np.array_equal(outer.outer, full.outer)
+    assert np.array_equal(outer.times, full.times)
+    assert np.array_equal(last.outer, full.outer[:, -1:])
+    assert np.array_equal(last.final_outer(), full.final_outer())
+    assert np.array_equal(last.outer_sup, full.outer.max(axis=1))
+    assert np.array_equal(last.times, full.times[-1:])
+    for tr in (outer, last):
+        assert tr.inner.shape == (paths, 0, d) and tr.qv_inner.shape == (paths, 0, d)
+        assert tr.qv_outer.shape == (paths, 0) and tr.dim == d
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["rotation", "linear_time", "tanh_w"]),
+       d=st.integers(2, 3), paths=st.integers(2, 20), cut=st.integers(1, 19),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_integration_is_the_same_whatever_the_chunking(name, d, paths, cut, seed):
+    cut = min(cut, paths - 1)
+    grid = uniform_grid(0.05, 12)
+    spec = catalog_integrand(name, d)
+    whole = integrate_double(sample_bundle(d, grid, paths, seed=seed), spec)
+    parts = [integrate_double(sample_bundle(d, grid, n, seed=seed, first_path=f), spec)
+             for f, n in ((0, cut), (cut, paths - cut))]
+    for field_name in ("inner", "outer", "qv_inner", "qv_outer"):
+        joined = np.concatenate([getattr(tr, field_name) for tr in parts])
+        assert np.array_equal(joined, getattr(whole, field_name)), field_name
+
+
+def test_keep_mode_is_validated_and_partial_traces_refuse_csv(tmp_path):
+    b = sample_bundle(1, uniform_grid(1.0, 4), 3, seed=21)
+    with pytest.raises(ValueError, match="keep"):
+        integrate_double(b, catalog_integrand("identity", 1), keep="sup")
+    last = integrate_double(b, catalog_integrand("identity", 1), keep="last")
+    with pytest.raises(ValueError, match="keep='trace'"):
+        last.to_csv(tmp_path / "last.csv")
