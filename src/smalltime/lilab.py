@@ -165,20 +165,18 @@ def moment_dominance(source, b: IntegrandSpec, lam: float, horizon: float,
         if abs(chunk.grid.horizon - horizon) > 1e-12 * max(1.0, horizon):
             raise ValueError("bundle grid must end at the moment horizon")
         trace = integrate_double(chunk, b, keep="last")
-        x = np.exp(2.0 * lam * trace.final_outer())
-        return x.size, float(np.sum(x)), float(np.sum(x * x)), chunk.dim
+        return np.exp(2.0 * lam * trace.final_outer()), chunk.dim
 
-    n = 0
-    total = 0.0
-    total_sq = 0.0
+    xs = []
     dim = None
-    for size, s1, s2, d in map_chunks_ordered(one, as_chunks(source), workers):
-        n += size
-        total += s1
-        total_sq += s2
-        dim = d
-    mean = total / n
-    var = max(total_sq - n * mean * mean, 0.0) / max(n - 1, 1)
+    for x, dim in map_chunks_ordered(one, as_chunks(source), workers):
+        xs.append(x)
+    # exactly rounded sums of the per-path values: the same bits however
+    # the paths are chunked
+    x = np.concatenate(xs)
+    n = x.size
+    mean = math.fsum(x.tolist()) / n
+    var = max(math.fsum((x * x).tolist()) - n * mean * mean, 0.0) / max(n - 1, 1)
     se = math.sqrt(var / n)
     closed = moment_identity(lam, horizon, dim)
     margin = (closed - mean) / se if se > 0.0 else math.inf
@@ -318,8 +316,9 @@ def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     """Running frequency of Y(n) <= delta for Y(n) = e^n |W(e^-n)^T beta W(e^-n)|.
 
     Needs the e^-n grid.  The bundle-average frequency should approach
-    P[Y(0) <= delta], computed exactly through the chi-square law for
-    scalar beta and by a large deterministic reference sample otherwise.
+    P[Y(0) <= delta], computed exactly through the chi-square law when the
+    symmetric part of beta is a multiple of the identity, and by a large
+    deterministic reference sample otherwise.
     """
     meta = bundle.grid.meta
     if (bundle.grid.kind != "geometric"
@@ -342,12 +341,11 @@ def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     hits = (y <= delta).astype(float)
     freq = np.cumsum(hits, axis=1) / np.arange(1, n_levels + 1)[None, :]
     freq_by_n = freq.mean(axis=0)
-    if d == 1:
-        b0 = abs(float(mat[0, 0]))
-        reference = 1.0 if b0 == 0.0 else float(chdtr(1, delta / b0))
+    evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    if np.all(evals == evals[0]):  # Y(0) is |b0| times a chi-square with d degrees
+        b0 = abs(float(evals[0]))
+        reference = 1.0 if b0 == 0.0 else float(chdtr(d, delta / b0))
     else:
-        sym = 0.5 * (mat + mat.T)
-        evals = np.linalg.eigvalsh(sym)
         rng = np.random.default_rng(1414213562)
         z = rng.standard_normal((2_000_000, d))
         sample = np.abs((z * z) @ evals)
@@ -393,7 +391,8 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
     sups_full, sups_proxy, sups_wh = [], [], []
     grid_meta = None
     t_min = math.inf
-    for chunk in as_chunks(source):
+    for realise in as_chunks(source):
+        chunk = realise()
         if chunk.dim != 1:
             raise ValueError("the anomalous-rate diagnostic is one-dimensional")
         if np.any(chunk.grid.points >= EXP_MINUS_E):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtri
@@ -23,6 +24,10 @@ _TAG_FORWARD = 1
 _TAG_GEOMETRIC = 2
 _TAG_BISECT = 3
 
+# forward sampling works through blocks of about this many path values, so
+# hashing, scaling and summing a block stay in cache
+_SAMPLE_VALUES = 1 << 17
+
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
@@ -32,28 +37,48 @@ _SHIFT31 = np.uint64(31)
 _SHIFT11 = np.uint64(11)
 
 
-def _mix64(z):
-    # uint64 arithmetic wraps mod 2^64 by design
-    z = (z ^ (z >> _SHIFT30)) * _M1
-    z = (z ^ (z >> _SHIFT27)) * _M2
-    return z ^ (z >> _SHIFT31)
+def _mix64(z, tmp):
+    """The splitmix64 finalizer applied to z in place; tmp is scratch of
+    z's shape.  uint64 arithmetic wraps mod 2^64 by design."""
+    for shift, mult in ((_SHIFT30, _M1), (_SHIFT27, _M2), (_SHIFT31, None)):
+        np.right_shift(z, shift, out=tmp)
+        np.bitwise_xor(z, tmp, out=z)
+        if mult is not None:
+            np.multiply(z, mult, out=z)
+    return z
 
 
-def _normals(seed, tag, path_idx, step_idx, coord_idx):
+def _normals(seed, tag, path_idx, step_idx, coord_idx, out=None):
     """Standard normals keyed by (seed, tag, path, step, coord).
 
     The component arrays broadcast against each other; the result has the
-    broadcast shape.  Uniform bits go through the inverse normal CDF, which
-    is deterministic for a fixed math library.
+    broadcast shape and is written into `out` (float64, any strides) when
+    given.  Uniform bits go through the inverse normal CDF, which is
+    deterministic for a fixed math library.
     """
+    words = [np.asarray(c, dtype=np.uint64) for c in (tag, path_idx, step_idx, coord_idx)]
+    shape = np.broadcast_shapes(*(w.shape for w in words))
+    if out is None:
+        out = np.empty(shape)
+    full, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h = _mix64(np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF) + _GOLD)
-        for comp in (tag, path_idx, step_idx, coord_idx):
-            word = np.asarray(comp, dtype=np.uint64)
-            h = _mix64(h ^ (word * _GOLD + _M2))
-        h = _mix64(h + _GOLD)
-    u = ((h >> _SHIFT11).astype(np.float64) + 0.5) * (2.0 ** -53)
-    return ndtri(u)
+        h = np.full((), int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+        np.add(h, _GOLD, out=h)
+        _mix64(h, np.empty_like(h))
+        for word in words:
+            # the hash grows to the broadcast shape one component at a time
+            key = word * _GOLD + _M2
+            if np.broadcast_shapes(h.shape, key.shape) == shape:
+                h = np.bitwise_xor(h, key, out=full)
+            else:
+                h = np.asarray(h ^ key)
+            _mix64(h, tmp if h is full else np.empty_like(h))
+        _mix64(np.add(h, _GOLD, out=full), tmp)
+    np.right_shift(full, _SHIFT11, out=full)
+    out[...] = full
+    out += 0.5
+    out *= 2.0 ** -53
+    return ndtri(out, out=out)
 
 
 @dataclass
@@ -209,12 +234,19 @@ def _sample_forward(dim, t, pids, seed):
     has_origin = t[0] == 0.0
     t_full = t if has_origin else np.concatenate(([0.0], t))
     n_steps = t_full.size - 1
-    z = _normals(seed, np.uint64(_TAG_FORWARD),
-                 pids[:, None, None],
-                 np.arange(n_steps, dtype=np.uint64)[None, None, :],
-                 np.arange(dim, dtype=np.uint64)[None, :, None])
-    dw = z * np.sqrt(np.diff(t_full))[None, None, :]
-    w_full = np.concatenate((np.zeros((pids.size, dim, 1)), np.cumsum(dw, axis=2)), axis=2)
+    steps = np.arange(n_steps, dtype=np.uint64)[None, None, :]
+    coords = np.arange(dim, dtype=np.uint64)[None, :, None]
+    sqrt_dt = np.sqrt(np.diff(t_full))
+    w_full = np.empty((pids.size, dim, t_full.size))
+    w_full[:, :, 0] = 0.0
+    rows = max(1, _SAMPLE_VALUES // max(1, dim * n_steps))
+    for i in range(0, pids.size, rows):
+        # normals, increments and running sums of a block of paths, in place
+        blk = w_full[i:i + rows, :, 1:]
+        _normals(seed, np.uint64(_TAG_FORWARD), pids[i:i + rows, None, None],
+                 steps, coords, blk)
+        np.multiply(blk, sqrt_dt, out=blk)
+        np.cumsum(blk, axis=2, out=blk)
     return w_full if has_origin else w_full[:, :, 1:]
 
 
@@ -303,41 +335,48 @@ class BundleSpec:
     chunk_size: int = 10_000
 
     def chunks(self):
-        done = 0
-        while done < self.path_count:
-            take = min(self.chunk_size, self.path_count - done)
-            yield sample_bundle(self.dim, self.grid, take, self.seed, first_path=done)
-            done += take
+        """Zero-argument realisers, one per chunk in path order; calling one
+        samples its chunk on whichever thread calls it."""
+        for first in range(0, self.path_count, self.chunk_size):
+            take = min(self.chunk_size, self.path_count - first)
+            yield partial(sample_bundle, self.dim, self.grid, take, self.seed,
+                          first_path=first)
 
 
 def as_chunks(source):
-    """Iterate path chunks of a BrownianBundle or BundleSpec."""
+    """Chunk realisers of a BrownianBundle (one, returning it) or a BundleSpec."""
     if isinstance(source, BrownianBundle):
-        return iter((source,))
+        return iter((lambda: source,))
     if isinstance(source, BundleSpec):
         return source.chunks()
     raise TypeError("expected a BrownianBundle or BundleSpec")
 
 
-def map_chunks_ordered(fn, chunk_iter, workers: int = 1):
-    """Apply fn to each chunk, yielding results in chunk order.
+def map_chunks_ordered(fn, realisers, workers: int = 1):
+    """fn of each chunk, yielding results in chunk order.
 
-    With workers > 1 the chunks run on a thread pool (the kernels are numpy
-    code that releases the GIL) with a bounded number in flight; the yield
-    order stays the submission order, so downstream reductions are
-    independent of the worker count.
+    Each task realises its chunk and applies fn to it.  With workers > 1
+    the tasks run on a pool of that many threads (the kernels are numpy
+    calls over whole blocks that release the GIL), so sampling overlaps
+    integration; at most workers+1 chunks are realised and not yet yielded
+    at once.  One worker runs the tasks on the calling thread, which saves
+    the pool thread's own allocation arena.  The yield order is the
+    submission order, so downstream reductions are independent of the
+    worker count.
     """
+    def task(realise):
+        return fn(realise())
+
     if workers <= 1:
-        for chunk in chunk_iter:
-            yield fn(chunk)
+        yield from map(task, realisers)
         return
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         pending = deque()
-        for chunk in chunk_iter:
-            pending.append(pool.submit(fn, chunk))
-            if len(pending) > workers + 1:
+        for realise in realisers:
+            if len(pending) > workers:
                 yield pending.popleft().result()
+            pending.append(pool.submit(task, realise))
         while pending:
             yield pending.popleft().result()

@@ -36,7 +36,9 @@ class IntegrandSpec:
     Three variants: a constant matrix, a deterministic function of time
     from the catalog, or a progressively measurable functional of the path
     evaluated as b(t) = f(t, W(t)).  Path functionals only ever see the
-    current path value, so lookahead is impossible by construction.
+    current path value, so lookahead is impossible by construction.  The
+    integrators call path_fn(t, w) on many rows at once: w has shape
+    (R, d) and t holds the R rows' times.
     """
 
     kind: str
@@ -293,6 +295,12 @@ class DoubleIntegralTrace:
         write_csv(path, header, rows)
 
 
+# a block of the left-point kernel spans about this many path values
+# (steps x paths x dimension), so each numpy call covers many steps while
+# the block's working arrays stay in cache
+_BLOCK_VALUES = 1 << 16
+
+
 def _apply(mat, vec):
     """mat @ vec for mat of shape (d, d) or (P, d, d) and vec of shape (P, d)."""
     if mat.ndim == 2:
@@ -306,16 +314,57 @@ def _row_sq(mat):
     return (mat * mat).sum(axis=-1)
 
 
-def _left_point(bundle: BrownianBundle, step, n_sums: int, states=(),
-                keep: str = "trace"):
+def _eval_block(spec: IntegrandSpec, t, w):
+    """b at the left points of a block of steps, t of shape (B,), w (B, P, d).
+
+    Gives the (d, d) matrix of a constant integrand, a list of B (d, d)
+    matrices for a function of time, and (B*P, d, d) for a path
+    functional, evaluated on every row at once with one time per row.
+    """
+    if spec.kind == "constant":
+        return spec.matrix
+    if spec.kind == "time":
+        return [spec.eval(t_k, None) for t_k in t]
+    n, p, d = w.shape
+    return spec.path_fn(np.repeat(t, p), w.reshape(n * p, d))
+
+
+def _apply_block(mat, v):
+    """mat @ v row by row, v of shape (B, P, d), mat from _eval_block; the
+    bits are those of one _apply per step."""
+    if isinstance(mat, list):
+        return np.stack([_apply(m_k, v_k) for m_k, v_k in zip(mat, v)])
+    n, p, d = v.shape
+    return _apply(mat, v.reshape(n * p, d)).reshape(n, p, d)
+
+
+def _running(carry, incs):
+    """carry followed by its running sums with the B rows of incs, formed by
+    the same sequential adds as carry += inc step by step: row k is the
+    state before step k, row B the state after the block, which is also
+    written back into carry."""
+    s = np.empty((len(incs) + 1,) + carry.shape)
+    s[0] = carry
+    s[1:] = incs
+    np.cumsum(s, axis=0, out=s)
+    carry[...] = s[-1]
+    return s
+
+
+def _left_point(bundle: BrownianBundle, block, n_sums: int, keep: str = "trace"):
     """The left-point stepping kernel behind every integral in this module.
 
     It walks a contiguous time-major (N, P, d) copy of the path values,
-    with W(0) = 0 prepended when the grid lacks the origin.  At step k,
-    step(t_k, dt, w_k, dw, inc) writes n_sums increments of shape (P,)
-    into the rows of inc, which join running sums by compensated
-    summation, and updates the arrays in `states` in place.  keep says
-    what is returned as (sums, states, sup): "trace" every sum and state
+    with W(0) = 0 prepended when the grid lacks the origin, in blocks of B
+    steps (B from _BLOCK_VALUES).  For each block it forms all B
+    increments dW with one subtraction and calls
+    block(cols, t, dt, w, dw, inc): t and dt are the block's left times and
+    step lengths, (B,); w the left path values and dw the increments,
+    (B, P, d); cols the slice of output columns the block's steps end at.
+    The callback writes the n_sums increments of every step into inc,
+    (n_sums, B, P), and keeps its own states.  Only the compensated
+    (Kahan) summation of those increments steps through time one step at
+    a time.  keep says what is returned as (sums, sup): "trace" every sum
     at every grid time, "outer" the first sum at every grid time, "last"
     the first sum at T (one column) and its running max over the grid.
     """
@@ -329,28 +378,32 @@ def _left_point(bundle: BrownianBundle, step, n_sums: int, states=(),
     w[start:] = bundle.paths.transpose(2, 0, 1)
     if start:
         t = np.concatenate(([0.0], t))
+    dt = np.diff(t)
+    size = max(1, _BLOCK_VALUES // (p * d))
 
-    acc, comp, adj, total, inc = (np.zeros((n_sums, p)) for _ in range(5))
-    dw = np.empty((p, d))
+    acc, comp, adj, total = (np.zeros((n_sums, p)) for _ in range(4))
+    inc = np.empty((n_sums, size, p))
+    dw = np.empty((size, p, d))
     series = [np.zeros((p, n_out)) for _ in range({"trace": n_sums, "outer": 1}.get(keep, 0))]
-    state_series = [np.zeros((p, n_out) + s.shape[1:]) for s in states] if keep == "trace" else []
     sup = np.full(p, -np.inf) if keep == "last" else None
-    for k, (t_k, dt) in enumerate(zip(t, np.diff(t))):
-        np.subtract(w[k + 1], w[k], out=dw)
-        step(t_k, dt, w[k], dw, inc)
-        # Kahan: adj = inc - comp, acc' = acc + adj, comp' = (acc' - acc) - adj
-        np.subtract(inc, comp, out=adj)
-        np.add(acc, adj, out=total)
-        np.subtract(total, acc, out=comp)
-        comp -= adj
-        acc, total = total, acc
-        for rec, value in zip(series, acc):
-            rec[:, k + 1 - start] = value
-        for rec, value in zip(state_series, states):
-            rec[:, k + 1 - start] = value
-        if sup is not None:
-            np.maximum(sup, acc[0], out=sup)
-    return series or [acc[0][:, None]], state_series, sup
+    for k0 in range(0, dt.size, size):
+        k1 = min(k0 + size, dt.size)
+        n = k1 - k0
+        np.subtract(w[k0 + 1:k1 + 1], w[k0:k1], out=dw[:n])
+        block(slice(k0 + 1 - start, k1 + 1 - start), t[k0:k1], dt[k0:k1],
+              w[k0:k1], dw[:n], inc[:, :n])
+        for j in range(n):
+            # Kahan: adj = inc - comp, acc' = acc + adj, comp' = (acc' - acc) - adj
+            np.subtract(inc[:, j], comp, out=adj)
+            np.add(acc, adj, out=total)
+            np.subtract(total, acc, out=comp)
+            comp -= adj
+            acc, total = total, acc
+            for rec, value in zip(series, acc):
+                rec[:, k0 + j + 1 - start] = value
+            if sup is not None:
+                np.maximum(sup, acc[0], out=sup)
+    return series or [acc[0][:, None]], sup
 
 
 def integrate_double(bundle: BrownianBundle, b: IntegrandSpec,
@@ -368,24 +421,25 @@ def integrate_double(bundle: BrownianBundle, b: IntegrandSpec,
         raise ValueError("integrand dimension does not match the bundle")
     p, d = bundle.path_count, bundle.dim
     full = keep == "trace"
-    y = np.zeros((p, d))
-    qi = np.zeros((p, d))
+    shape = (p, bundle.grid.size if full else 0, d)
+    inner, qv_in = np.zeros(shape), np.zeros(shape)
+    y, qi = np.zeros((p, d)), np.zeros((p, d))
 
-    def step(t_k, dt, w_k, dw, inc):
-        nonlocal y, qi
-        mat = b.eval(t_k, w_k)
-        np.einsum("pi,pi->p", y, dw, out=inc[0])
+    def block(cols, t, dt, w, dw, inc):
+        mat = _eval_block(b, t, w)
+        ys = _running(y, _apply_block(mat, dw))
+        np.einsum("kpi,kpi->kp", ys[:-1], dw, out=inc[0])
         if full:  # brackets: the outer one from Y before its update
-            np.multiply((y * y).sum(axis=1), dt, out=inc[1])
-            qi += _row_sq(mat) * dt
-        y += _apply(mat, dw)
+            np.multiply((ys[:-1] * ys[:-1]).sum(axis=-1), dt[:, None], out=inc[1])
+            rs = _row_sq(np.asarray(mat))
+            if rs.ndim == 2:  # one row per step, or per step and path
+                rs = rs.reshape(len(t), -1, d)
+            qs = _running(qi, rs * dt[:, None, None])
+            inner[:, cols] = ys[1:].transpose(1, 0, 2)
+            qv_in[:, cols] = qs[1:].transpose(1, 0, 2)
 
-    sums, states, sup = _left_point(bundle, step, 2 if full else 1, (y, qi), keep)
-    if full:
-        (outer, qv_out), (inner, qv_in) = sums, states
-    else:
-        (outer,) = sums
-        inner, qv_in, qv_out = np.empty((p, 0, d)), np.empty((p, 0, d)), np.empty((p, 0))
+    sums, sup = _left_point(bundle, block, 2 if full else 1, keep)
+    outer, qv_out = sums if full else (sums[0], np.empty((p, 0)))
     times = bundle.grid.points[-1:] if keep == "last" else bundle.grid.points
     meta = {"kind": bundle.grid.kind, **bundle.grid.meta}
     return DoubleIntegralTrace(times=times.copy(), inner=inner, outer=outer,
@@ -463,23 +517,24 @@ def integrate_double_martingale(bundle: BrownianBundle, b: IntegrandSpec,
     y_c = np.zeros((p, d))      # inner of the c piece
     y_a = np.zeros((p, d))      # inner of R1: int b (m - m0) dW
 
-    def step(t_k, dt, w_k, dw, inc):
-        nonlocal y_x, y_c, y_a
-        bk = b.eval(t_k, w_k)
-        dm = _apply(m.eval(t_k, w_k), dw)
-        dm0 = _apply(m0, dw)
+    def block(cols, t, dt, w, dw, inc):
+        bk = _eval_block(b, t, w)
+        dm = _apply_block(_eval_block(m, t, w), dw)
+        dm0 = _apply_block(m0, dw)
         ddev = dm - dm0
-        for row, (y, dv) in enumerate(((y_x, dm), (y_c, dw), (y_a, dm0), (y_x, ddev))):
-            np.einsum("pi,pi->p", y, dv, out=inc[row])
-        if bk.ndim == 2:
+        if isinstance(bk, list):
+            ck = [m0.T @ b_k @ m0 for b_k in bk]
+        elif bk.ndim == 2:
             ck = m0.T @ bk @ m0
         else:
             ck = np.einsum("ij,pjk,kl->pil", m0.T, bk, m0)
-        y_x += _apply(bk, dm)
-        y_c += _apply(ck, dw)
-        y_a += _apply(bk, ddev)
+        xs = _running(y_x, _apply_block(bk, dm))[:-1]
+        cs = _running(y_c, _apply_block(ck, dw))[:-1]
+        as_ = _running(y_a, _apply_block(bk, ddev))[:-1]
+        for row, (ys, dv) in enumerate(((xs, dm), (cs, dw), (as_, dm0), (xs, ddev))):
+            np.einsum("kpi,kpi->kp", ys, dv, out=inc[row])
 
-    (x, cpc, r1, r2), _, _ = _left_point(bundle, step, 4)
+    (x, cpc, r1, r2), _ = _left_point(bundle, block, 4)
     recon = np.abs(x - (cpc + r1 + r2)) / (1.0 + np.abs(x))
     meta = {"kind": bundle.grid.kind, **bundle.grid.meta}
     return MartingaleDecomposition(times=bundle.grid.points.copy(), x=x,
@@ -506,12 +561,12 @@ def drift_integral(bundle: BrownianBundle, a: VectorSpec, m: IntegrandSpec,
         raise ValueError("process dimensions must match the bundle")
     ia = np.zeros((bundle.path_count, bundle.dim))
 
-    def step(t_k, dt, w_k, dw, inc):
-        nonlocal ia
-        np.einsum("pi,pi->p", ia, _apply(m.eval(t_k, w_k), dw), out=inc[0])
-        ia += a.eval(t_k)[None, :] * dt
+    def block(cols, t, dt, w, dw, inc):
+        da = np.array([a.eval(t_k) for t_k in t]) * dt[:, None]
+        ias = _running(ia, da[:, None, :])[:-1]
+        np.einsum("kpi,kpi->kp", ias, _apply_block(_eval_block(m, t, w), dw), out=inc[0])
 
-    (x,), _, _ = _left_point(bundle, step, 1)
+    (x,), _ = _left_point(bundle, block, 1)
     t = bundle.grid.points
     with np.errstate(divide="ignore", invalid="ignore"):
         power = np.where(t > 0.0, t ** (-1.5 + eps), 0.0)

@@ -1,0 +1,105 @@
+"""Chunks are realised inside the pool tasks: bounded in number, yielded in
+order, and giving the same bits whatever the worker count."""
+
+import dataclasses
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from smalltime import paths
+from smalltime.dpe import PdeGrid, solve_dpe
+from smalltime.hedge import StrategySpec, simulate_hedge
+from smalltime.lilab import moment_dominance, tail_bound_check
+from smalltime.market import MarketParams, call
+from smalltime.matcore import GammaBand
+from smalltime.paths import (BundleSpec, geometric_grid, map_chunks_ordered,
+                             refine_bisect, sample_bundle, uniform_grid)
+from smalltime.stochint import catalog_integrand
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_pool_realises_at_most_workers_plus_one_chunks(workers):
+    lock = threading.Lock()
+    live, peak, threads = [0], [0], set()
+
+    def realiser(i):
+        def realise():
+            with lock:
+                live[0] += 1
+                peak[0] = max(peak[0], live[0])
+                threads.add(threading.get_ident())
+            return i
+        return realise
+
+    def fn(i):
+        time.sleep(0.001 * (i % 3))
+        return i
+
+    out = []
+    for i in map_chunks_ordered(fn, (realiser(i) for i in range(24)), workers):
+        time.sleep(0.002)  # a slow consumer lets the pool run ahead
+        with lock:
+            live[0] -= 1
+        out.append(i)
+    assert out == list(range(24))
+    assert 1 <= peak[0] <= workers + 1
+    # chunks are sampled inside the tasks: on the pool threads, or on the
+    # calling thread when there is one worker
+    assert (threading.get_ident() in threads) == (workers == 1)
+
+
+def _fields(report):
+    out = []
+    for f in dataclasses.fields(report):
+        value = getattr(report, f.name)
+        out.append(value.tobytes() if isinstance(value, np.ndarray) else repr(value))
+    return out
+
+
+def test_reductions_are_bit_identical_across_workers_with_pool_sampling():
+    spec = BundleSpec(3, uniform_grid(0.5, 60), 700, seed=31, chunk_size=150)
+    tail_spec = BundleSpec(2, uniform_grid(0.1, 60), 700, seed=32, chunk_size=150)
+    params = MarketParams(sigma=0.2, horizon=1.0)
+    band = GammaBand(-0.5, 0.5)
+    sol = solve_dpe(call(100.0), band, params, PdeGrid.around_spot(100.0, params, nx=120))
+    strat = StrategySpec.from_dpe(sol)
+    hedge_spec = BundleSpec(1, uniform_grid(1.0, 80), 700, seed=33, chunk_size=150)
+    runs = []
+    for workers in (1, 2, 3):
+        runs.append([
+            _fields(moment_dominance(spec, catalog_integrand("identity", 3), 0.2, 0.5,
+                                     workers=workers)),
+            _fields(tail_bound_check(tail_spec, catalog_integrand("tanh_w", 2), 0.1,
+                                     [0.5, 1.0, 2.0], workers=workers)),
+            _fields(simulate_hedge(hedge_spec, 100.0, 11.0, strat, call(100.0), band,
+                                   params, workers=workers)),
+        ])
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_a_positional_normals_wrapper_sees_every_draw(monkeypatch):
+    # instrumentation wraps paths._normals(*args) and must keep seeing
+    # forward, geometric and bisection sampling
+    orig = paths._normals
+    drawn = []
+
+    def counting(*args):
+        z = orig(*args)
+        drawn.append(z.size)
+        return z
+
+    monkeypatch.setattr(paths, "_normals", counting)
+    p, d = 300, 2
+    fwd = sample_bundle(d, uniform_grid(1.0, 250), p, seed=1)
+    assert sum(drawn) == p * d * 250
+    drawn.clear()
+    geo = sample_bundle(d, geometric_grid(1e-2, 0.5, 30), p, seed=2)
+    assert sum(drawn) == p * d * 31
+    drawn.clear()
+    refine_bisect(geo)
+    assert sum(drawn) == p * d * 31
+    monkeypatch.setattr(paths, "_normals", orig)
+    assert np.array_equal(sample_bundle(d, uniform_grid(1.0, 250), p, seed=1).paths,
+                          fwd.paths)

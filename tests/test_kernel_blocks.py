@@ -1,0 +1,250 @@
+"""The time-blocked left-point kernel against a plain per-step loop, and the
+row-blocked forward sampler against one-shot sampling, byte for byte."""
+
+import hashlib
+import numpy as np
+import pytest
+
+from smalltime import paths, stochint
+from smalltime.paths import (TimeGrid, geometric_grid,
+                             refine_bisect, sample_bundle, uniform_grid)
+from smalltime.stochint import (INTEGRAND_CATALOG, IntegrandSpec, VectorSpec,
+                                catalog_integrand, drift_integral,
+                                integrate_double, integrate_double_martingale)
+
+
+# ------------------------------------------------- the per-step reference
+
+def _ref_apply(mat, vec):
+    if mat.ndim == 2:
+        if vec.shape[0] == 1:
+            return (np.repeat(vec, 2, axis=0) @ mat.T)[:1]
+        return vec @ mat.T
+    return np.einsum("pij,pj->pi", mat, vec)
+
+
+def _ref_left_point(bundle, step, n_sums, states=(), keep="trace"):
+    """One step at a time: step(t_k, dt, w_k, dw, inc) writes the n_sums
+    increments of step k, which join Kahan sums; states are recorded after
+    every step."""
+    t = bundle.grid.points
+    p, d, n_out = bundle.paths.shape
+    start = 0 if t[0] == 0.0 else 1
+    w = np.empty((start + n_out, p, d))
+    w[0] = 0.0
+    w[start:] = bundle.paths.transpose(2, 0, 1)
+    if start:
+        t = np.concatenate(([0.0], t))
+    acc, comp, adj, total, inc = (np.zeros((n_sums, p)) for _ in range(5))
+    dw = np.empty((p, d))
+    series = [np.zeros((p, n_out)) for _ in range({"trace": n_sums, "outer": 1}.get(keep, 0))]
+    state_series = [np.zeros((p, n_out) + s.shape[1:]) for s in states] if keep == "trace" else []
+    sup = np.full(p, -np.inf) if keep == "last" else None
+    for k, (t_k, dt) in enumerate(zip(t, np.diff(t))):
+        np.subtract(w[k + 1], w[k], out=dw)
+        step(t_k, dt, w[k], dw, inc)
+        np.subtract(inc, comp, out=adj)
+        np.add(acc, adj, out=total)
+        np.subtract(total, acc, out=comp)
+        comp -= adj
+        acc, total = total, acc
+        for rec, value in zip(series, acc):
+            rec[:, k + 1 - start] = value
+        for rec, value in zip(state_series, states):
+            rec[:, k + 1 - start] = value
+        if sup is not None:
+            np.maximum(sup, acc[0], out=sup)
+    return series or [acc[0][:, None]], state_series, sup
+
+
+def _ref_double(bundle, b, keep):
+    p, d = bundle.path_count, bundle.dim
+    full = keep == "trace"
+    y = np.zeros((p, d))
+    qi = np.zeros((p, d))
+
+    def step(t_k, dt, w_k, dw, inc):
+        nonlocal y, qi
+        mat = b.eval(t_k, w_k)
+        np.einsum("pi,pi->p", y, dw, out=inc[0])
+        if full:
+            np.multiply((y * y).sum(axis=1), dt, out=inc[1])
+            qi += (mat * mat).sum(axis=-1) * dt
+        y += _ref_apply(mat, dw)
+
+    sums, states, sup = _ref_left_point(bundle, step, 2 if full else 1, (y, qi), keep)
+    if full:
+        return {"outer": sums[0], "qv_outer": sums[1], "inner": states[0],
+                "qv_inner": states[1]}
+    out = {"outer": sums[0]}
+    if keep == "last":
+        out["outer_sup"] = sup
+    return out
+
+
+def _ref_martingale(bundle, b, m):
+    p, d = bundle.path_count, bundle.dim
+    m0 = m.eval(0.0, np.zeros((1, d)))
+    if m0.ndim == 3:
+        m0 = m0[0]
+    y_x, y_c, y_a = np.zeros((p, d)), np.zeros((p, d)), np.zeros((p, d))
+
+    def step(t_k, dt, w_k, dw, inc):
+        bk = b.eval(t_k, w_k)
+        dm = _ref_apply(m.eval(t_k, w_k), dw)
+        dm0 = _ref_apply(m0, dw)
+        ddev = dm - dm0
+        for row, (y, dv) in enumerate(((y_x, dm), (y_c, dw), (y_a, dm0), (y_x, ddev))):
+            np.einsum("pi,pi->p", y, dv, out=inc[row])
+        if bk.ndim == 2:
+            ck = m0.T @ bk @ m0
+        else:
+            ck = np.einsum("ij,pjk,kl->pil", m0.T, bk, m0)
+        y_x[...] += _ref_apply(bk, dm)
+        y_c[...] += _ref_apply(ck, dw)
+        y_a[...] += _ref_apply(bk, ddev)
+
+    return _ref_left_point(bundle, step, 4)[0]
+
+
+def _ref_drift(bundle, a, m):
+    ia = np.zeros((bundle.path_count, bundle.dim))
+
+    def step(t_k, dt, w_k, dw, inc):
+        np.einsum("pi,pi->p", ia, _ref_apply(m.eval(t_k, w_k), dw), out=inc[0])
+        ia[...] += a.eval(t_k)[None, :] * dt
+
+    return _ref_left_point(bundle, step, 1)[0][0]
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# ------------------------------------------------------- grids and paths
+
+def _grids(n):
+    """Uniform with the origin, uniform without it, geometric, and a
+    bisection-refined uniform grid, each with about n steps."""
+    uni = uniform_grid(0.05, n)
+    return {
+        "uniform": uni,
+        "no_origin": TimeGrid(uni.points[1:], kind="custom"),
+        "geometric": geometric_grid(1e-2, 0.5, n - 1),
+        "bisected": uniform_grid(0.05, max(1, n // 2)),
+    }
+
+
+def _bundle(kind, grid, d, p, seed):
+    bundle = sample_bundle(d, grid, p, seed=seed)
+    return refine_bisect(bundle) if kind == "bisected" else bundle
+
+
+def _block_steps(p, d):
+    return max(1, stochint._BLOCK_VALUES // (p * d))
+
+
+def _names(d):
+    return [n for n in sorted(INTEGRAND_CATALOG) if not (n == "rotation" and d < 2)]
+
+
+# steps per block is 2^16 // (P d): 21845 at P=1, d=3 and 43 at P=500, d=3;
+# the step counts below straddle the block length of the larger cases
+CASES = [(p, d, n) for p in (1, 2, 7) for d in (1, 3) for n in (5, 23)]
+CASES += [(500, 3, 2 * _block_steps(500, 3) + 3), (500, 2, _block_steps(500, 2) + 1)]
+
+
+@pytest.fixture(params=[None, 1, 40], ids=["budget-default", "budget-1", "budget-40"])
+def block_values(request, monkeypatch):
+    """Run with the kernel's block budget, and with budgets small enough
+    that even one path is cut into blocks of 1 to 40 steps."""
+    if request.param is not None:
+        monkeypatch.setattr(stochint, "_BLOCK_VALUES", request.param)
+
+
+@pytest.mark.parametrize("p,d,n", CASES)
+@pytest.mark.parametrize("grid_kind", ["uniform", "no_origin", "geometric", "bisected"])
+def test_blocked_double_integral_matches_per_step_loop(p, d, n, grid_kind, block_values):
+    grid = _grids(n)[grid_kind]
+    bundle = _bundle(grid_kind, grid, d, p, seed=1000 * p + 10 * d + n)
+    for name in _names(d):
+        spec = catalog_integrand(name, d)
+        for keep in ("trace", "outer", "last"):
+            ref = _ref_double(bundle, spec, keep)
+            got = integrate_double(bundle, spec, keep=keep)
+            for field_name, value in ref.items():
+                assert _same_bytes(getattr(got, field_name), value), (name, keep, field_name)
+
+
+@pytest.mark.parametrize("p,d,n", [(1, 2, 9), (7, 2, 23), (7, 3, 5), (500, 2, 70)])
+@pytest.mark.parametrize("grid_kind", ["uniform", "no_origin", "geometric", "bisected"])
+def test_blocked_martingale_and_drift_match_per_step_loop(p, d, n, grid_kind,
+                                                          block_values):
+    grid = _grids(n)[grid_kind]
+    bundle = _bundle(grid_kind, grid, d, p, seed=7 * p + d + n)
+    m_specs = [catalog_integrand("linear_time", d), catalog_integrand("tanh_w", d),
+               IntegrandSpec.constant(np.eye(d) + 0.25 * np.ones((d, d)))]
+    for name in ("identity", "rotation", "linear_time", "tanh_w", "clamp_w"):
+        b = catalog_integrand(name, d)
+        for m in m_specs:
+            got = integrate_double_martingale(bundle, b, m)
+            ref = _ref_martingale(bundle, b, m)
+            for field_name, value in zip(("x", "c_piece", "r1", "r2"), ref):
+                assert _same_bytes(getattr(got, field_name), value), (name, m.name, field_name)
+    rate = np.linspace(0.5, 1.5, d)
+    drift_specs = [VectorSpec.constant(np.linspace(-1.0, 1.0, d)),
+                   VectorSpec(kind="time", dim=d, time_fn=lambda t: np.cos(t) * rate)]
+    for a in drift_specs:
+        for m in m_specs:
+            assert _same_bytes(drift_integral(bundle, a, m).x, _ref_drift(bundle, a, m))
+
+
+# --------------------------------------------------------------- sampling
+
+def test_normals_into_row_blocks_equal_the_one_shot_call():
+    pids = np.arange(5, 5 + 37, dtype=np.uint64)
+    steps = np.arange(11, dtype=np.uint64)[None, None, :]
+    coords = np.arange(3, dtype=np.uint64)[None, :, None]
+    tag = np.uint64(1)
+    whole = paths._normals(99, tag, pids[:, None, None], steps, coords)
+    out = np.full((37, 3, 12), np.nan)
+    for i in range(0, 37, 8):
+        j = min(i + 8, 37)
+        got = paths._normals(99, tag, pids[i:j, None, None], steps, coords, out[i:j, :, 1:])
+        assert got is out[i:j, :, 1:] or np.shares_memory(got, out)
+    assert _same_bytes(np.ascontiguousarray(out[:, :, 1:]), whole)
+    assert np.all(np.isnan(out[:, :, 0]))
+
+
+def _digest(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+# digests of the paths the one-shot sampler drew before sampling was blocked
+BUNDLE_DIGESTS = {
+    "forward_500x3x400":
+        "893e22fa308c2999a69d94eaf772e61e7daef39c7fcef9c2beb565ce9d015932",
+    "forward_no_origin_130x2x257":
+        "92d9c7d25b3b3b5a06f8a2fe4a2433f0623cb3b0f2aede846e357b3855a2936e",
+    "geometric_40x2x31":
+        "47b205690f529651fa9fc965673546a08a8878d62eefcd55a721be2bf0407f24",
+    "bisected_20x3x33":
+        "c7f64b3adf33542ce535bb435e574a550957340489722db95176e1de2158c95f",
+}
+
+
+def _digest_cases():
+    yield "forward_500x3x400", sample_bundle(3, uniform_grid(0.5, 400), 500, seed=4001)
+    no_origin = TimeGrid(uniform_grid(0.3, 257).points[1:], kind="custom")
+    yield "forward_no_origin_130x2x257", sample_bundle(2, no_origin, 130, seed=4002,
+                                                       first_path=17)
+    yield "geometric_40x2x31", sample_bundle(2, geometric_grid(1e-2, 0.5, 30), 40, seed=4003)
+    yield "bisected_20x3x33", refine_bisect(sample_bundle(3, uniform_grid(1.0, 16), 20,
+                                                          seed=4004))
+
+
+@pytest.mark.parametrize("case", sorted(BUNDLE_DIGESTS))
+def test_sample_bundle_bytes_are_pinned(case):
+    bundle = dict(_digest_cases())[case]
+    assert _digest(bundle.paths) == BUNDLE_DIGESTS[case]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import chdtr
 from scipy.stats import chi2
 
 from smalltime.lilab import (GridMismatchError, conditional_moment_fn,
@@ -168,10 +169,24 @@ def test_moment_and_tail_reductions_ignore_chunking_and_workers(name, d, paths,
     for moment, tail in runs:
         assert moment == runs[0][0]
         assert tail == ref_tail
-    # per-path values do not depend on the chunking (test_stochint), but the
-    # moment adds chunk sums, so chunk_size may move the last bits of its mean
-    assert runs[0][0].mc_mean == pytest.approx(ref_moment.mc_mean, rel=1e-13, abs=0.0)
+    # per-path values do not depend on the chunking (test_stochint), and the
+    # moment sums them exactly rounded, so its mean has the same bits too
+    assert runs[0][0] == ref_moment
     assert runs[0][0].n_paths == ref_moment.n_paths == paths
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["identity", "tanh_w", "clamp_w"]),
+       d=st.integers(1, 3), paths=st.integers(1, 60), seed=st.integers(0, 2 ** 32 - 1))
+def test_moment_statistics_are_bit_identical_for_chunk_sizes_one_to_seven(name, d,
+                                                                         paths, seed):
+    b = catalog_integrand(name, d)
+    grid = uniform_grid(0.4, 8)
+    reports = [moment_dominance(BundleSpec(d, grid, paths, seed, chunk_size=c), b, 0.5, 0.4)
+               for c in range(1, 8)]
+    for rep in reports[1:]:
+        assert (rep.mc_mean, rep.std_err) == (reports[0].mc_mean, reports[0].std_err)
+        assert rep == reports[0]
 
 
 # ----------------------------------------------------------------- tail bound
@@ -234,6 +249,26 @@ def test_ergodic_chi_square_limit():
     assert rep.reference == pytest.approx(chi2.cdf(0.1, df=1), rel=1e-12)
     assert rep.reference == pytest.approx(0.2482, abs=2e-4)
     assert abs(rep.final_freq - rep.reference) <= 0.02
+
+
+@pytest.mark.parametrize("d,c", [(2, 1.0), (3, 1.0), (2, -0.5), (4, 2.5)])
+def test_ergodic_reference_is_the_chi_square_law_for_equal_eigenvalues(d, c):
+    b = sample_bundle(d, ergodic_grid(5), 20, seed=21)
+    rep = ergodic_liminf(b, c * np.eye(d), delta=0.1)
+    assert rep.reference == chdtr(d, 0.1 / abs(c))
+    assert rep.reference == pytest.approx(chi2.cdf(0.1 / abs(c), df=d), rel=1e-12)
+    if d == 2:  # P[chi2_2 <= x] = 1 - exp(-x/2)
+        assert rep.reference == pytest.approx(-math.expm1(-0.05 / abs(c)), rel=1e-12)
+    assert ergodic_liminf(b, np.zeros((d, d)), delta=0.1).reference == 1.0
+
+
+def test_ergodic_reference_samples_unequal_eigenvalues():
+    b = sample_bundle(2, ergodic_grid(5), 20, seed=22)
+    beta = np.array([[1.0, 0.0], [0.0, 3.0]])
+    rep = ergodic_liminf(b, beta, delta=0.5)
+    # P[z1^2 + 3 z2^2 <= 0.5] = 0.1330245 (quadrature of the chi-square
+    # density against its cdf); the 2M-draw sample has standard error 2.4e-4
+    assert abs(rep.reference - 0.1330245) < 5 * 2.4e-4
 
 
 def test_ergodic_per_path_minimum():

@@ -119,8 +119,8 @@ def test_bs_price_monotone_in_payoff():
 def test_bs_price_vs_monte_carlo():
     spec = BundleSpec(1, uniform_grid(1.0, 1), 200_000, seed=4, chunk_size=100_000)
     total, total_sq, n = 0.0, 0.0, 0
-    for chunk in spec.chunks():
-        pay = call(100.0)(simulate_gbm(chunk, 100.0, PARAMS)[:, -1])
+    for realise in spec.chunks():
+        pay = call(100.0)(simulate_gbm(realise(), 100.0, PARAMS)[:, -1])
         total += float(pay.sum())
         total_sq += float((pay * pay).sum())
         n += pay.size

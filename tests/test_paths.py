@@ -76,7 +76,7 @@ def test_bundle_chunking_matches_global_indexing():
     part = sample_bundle(3, g, 4, seed=9, first_path=6)
     assert np.array_equal(full.paths[6:], part.paths)
     spec = BundleSpec(3, g, 10, seed=9, chunk_size=3)
-    glued = np.concatenate([c.paths for c in spec.chunks()], axis=0)
+    glued = np.concatenate([realise().paths for realise in spec.chunks()], axis=0)
     assert np.array_equal(full.paths, glued)
 
 
