@@ -2,8 +2,8 @@
 stochastic integrals and for pricing and hedging under gamma constraints."""
 
 from .matcore import (DomainError, GammaBand, SymMatrix, dpe_operator_f,
-                      dpe_operator_fhat, eigen_extremes, jacobi_eigensystem,
-                      lil_normalizer, operator_norm, support_function)
+                      dpe_operator_fhat, eigen_extremes, lil_normalizer,
+                      operator_norm, support_function)
 from .paths import (BrownianBundle, BundleSpec, TimeGrid, ergodic_grid,
                     geometric_grid, make_grid, refine_bisect, rotate_bundle,
                     sample_bundle, uniform_grid, union_grid)

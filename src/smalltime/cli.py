@@ -21,9 +21,9 @@ import numpy as np
 from . import __version__
 from .dpe import PdeGrid, greeks, solve_dpe
 from .hedge import STRATEGY_CATALOG, StrategySpec, replication_gap, simulate_hedge
-from .lilab import (ergodic_liminf, example36_diag, moment_dominance,
-                    ratio_sup, tail_bound_check)
-from .market import MarketParams, bs_price, call, face_lift, put
+from .lilab import (_RATE_KINDS, ergodic_liminf, example36_diag,
+                    moment_dominance, ratio_sup, tail_bound_check)
+from .market import MarketParams, bs_price, call, put
 from .matcore import GammaBand, SymMatrix
 from .paths import (BundleSpec, ergodic_grid, geometric_grid, sample_bundle,
                     uniform_grid)
@@ -71,8 +71,12 @@ _COMMON = {
     "out": ("str", ""),
 }
 
-# domains of the size keys, in every schema that has them
-_MINIMA = {"paths": 1, "chunk": 1, "nx": 16}
+_PAYOFFS = {"call": call, "put": put}
+
+# domains of the size and catalog-valued keys, in every schema that has them
+_MINIMA = {"paths": 1, "chunk": 1, "nx": 16, "workers": 1}
+_CHOICES = {"integrand": INTEGRAND_CATALOG, "rule": ("optimized", "fixed"),
+            "kind": _RATE_KINDS, "payoff": _PAYOFFS, "funding": ("dpe", "bs")}
 
 _SCHEMAS = {
     "moment": {
@@ -202,6 +206,10 @@ def load_config(path: str | None, overrides) -> RunConfig:
         if key in params and params[key] < floor:
             raise ConfigError(f"key {key!r} must be at least {floor}, "
                               f"got {params[key]}", key=key)
+    for key, allowed in _CHOICES.items():
+        if key in params and params[key] not in allowed:
+            raise ConfigError(f"key {key!r} must be one of {sorted(allowed)}, "
+                              f"got {params[key]!r}", key=key)
     seed = params.pop("seed")
     workers = params.pop("workers")
     out = params.pop("out")
@@ -217,11 +225,7 @@ def _band(p) -> GammaBand:
 
 
 def _payoff(p):
-    if p["payoff"] == "call":
-        return call(p["strike"])
-    if p["payoff"] == "put":
-        return put(p["strike"])
-    raise ConfigError(f"unknown payoff {p['payoff']!r}", key="payoff")
+    return _PAYOFFS[p["payoff"]](p["strike"])
 
 
 def _run_moment(cfg: RunConfig):
@@ -250,8 +254,7 @@ def _run_tail(cfg: RunConfig):
     b = catalog_integrand(p["integrand"], p["d"])
     rep = tail_bound_check(spec, b, p["horizon"], p["alphas"], rule=p["rule"],
                            eta=p["eta"], workers=cfg.workers)
-    header = ["alpha", "lam", "bound", "empirical", "std_err", "violation"]
-    rows = [[getattr(r, key) for key in header] for r in rep.rows]
+    header, rows = rep.csv_table()
     results = {"rows": [dict(zip(header, row)) for row in rows],
                "n_paths": rep.n_paths}
     checks = {"no_exceedance_above_bound": {"pass": not rep.any_violation}}
@@ -277,9 +280,7 @@ def _run_lil_sup(cfg: RunConfig):
         checks["envelope_violation_rate"] = {
             "pass": viol < p["violation_limit"],
             "violation_rate": viol, "limit": p["violation_limit"]}
-    csvs = {"lil_sup.csv": (["path", "sup"],
-                            [[i, float(v)] for i, v in enumerate(est.per_path_sup)])}
-    return results, references, checks, csvs
+    return results, references, checks, {"lil_sup.csv": est.csv_table()}
 
 
 def _run_ergodic(cfg: RunConfig):
@@ -295,8 +296,7 @@ def _run_ergodic(cfg: RunConfig):
     checks = {"frequency_matches_limit": {"pass": err <= p["tol"],
                                           "error": err, "tol": p["tol"]}}
     csvs = {
-        "ergodic_paths.csv": (["path", "min_level_value"],
-                              [[i, float(v)] for i, v in enumerate(rep.per_path_min)]),
+        "ergodic_paths.csv": rep.csv_table(),
         "ergodic_freq.csv": (["n", "avg_freq"],
                              [[j + 1, float(v)] for j, v in enumerate(rep.freq_by_n)]),
     }
@@ -368,17 +368,8 @@ def _run_dpe_price(cfg: RunConfig):
         rel = abs(v0 - bs0) / bs0
         checks["matches_bs"] = {"pass": rel < p["bs_tol"], "rel_error": rel,
                                 "tol": p["bs_tol"]}
-    nt = sol.t_nodes.size - 1
-    stride = max(1, nt // 20)
-    rows = []
-    s = sol.s_nodes
-    for mi in range(0, nt + 1, stride):
-        for xi in range(sol.x_nodes.size):
-            rows.append([float(sol.t_nodes[mi]), float(s[xi]), float(sol.v[mi, xi]),
-                         float(sol.delta[mi, xi]), float(sol.cash_gamma[mi, xi]),
-                         int(sol.active[mi, xi])])
-    csvs = {"surface.csv": (["t", "s", "v", "v_s", "s2_v_ss", "active_constraint"], rows)}
-    return results, references, checks, csvs
+    stride = max(1, (sol.t_nodes.size - 1) // 20)
+    return results, references, checks, {"surface.csv": sol.csv_table(stride)}
 
 
 def _run_bs_price(cfg: RunConfig):
@@ -414,13 +405,7 @@ def _run_hedge(cfg: RunConfig):
             "pass": rep.frac_nonnegative >= p["target_nonneg"],
             "frac_nonnegative": rep.frac_nonnegative,
             "target": p["target_nonneg"]}
-    return results, references, checks, {"shortfall.csv": _shortfall_csv(rep)}
-
-
-def _shortfall_csv(run):
-    return (["path", "S_T", "X_T", "shortfall"],
-            [[i, float(s_), float(x_), float(sf)] for i, (s_, x_, sf) in
-             enumerate(zip(run.s_terminal, run.x_terminal, run.shortfall))])
+    return results, references, checks, {"shortfall.csv": rep.csv_table()}
 
 
 def _run_gap(cfg: RunConfig):
@@ -446,8 +431,8 @@ def _run_gap(cfg: RunConfig):
             "pass": rep.run_bs_funded.frac_negative >= p["bs_frac_neg_min"],
             "frac_negative": rep.run_bs_funded.frac_negative,
             "min": p["bs_frac_neg_min"]}
-    csvs = {"shortfall_constrained.csv": _shortfall_csv(rep.run_constrained),
-            "shortfall_bs_funded.csv": _shortfall_csv(rep.run_bs_funded)}
+    csvs = {"shortfall_constrained.csv": rep.run_constrained.csv_table(),
+            "shortfall_bs_funded.csv": rep.run_bs_funded.csv_table()}
     references = {"constrained_price": rep.constrained_price,
                   "bs_price": rep.bs_price}
     return results, references, checks, csvs
@@ -531,11 +516,7 @@ def main(argv=None) -> int:
         print(f"seed = {cfg.seed}")
         print("config ok")
         return 0
-    try:
-        return run(cfg)
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return 2
+    return run(cfg)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,6 @@ from .market import MarketParams, Payoff, face_lift
 from .matcore import GammaBand
 
 ACTIVE_NONE, ACTIVE_LOWER, ACTIVE_UPPER = 0, 1, 2
-_ACTIVE_NAMES = {ACTIVE_NONE: "none", ACTIVE_LOWER: "lower", ACTIVE_UPPER: "upper"}
 
 
 class StabilityError(ValueError):
@@ -128,25 +127,39 @@ class DpeSolution:
         return ((1 - wt) * ((1 - wx) * v00 + wx * v01)
                 + wt * ((1 - wx) * v10 + wx * v11))
 
+    def csv_table(self, t_stride: int = 1, x_stride: int = 1):
+        """(header, rows) of the surface on every t_stride-th time and
+        x_stride-th space node; active_constraint holds the integer codes
+        ACTIVE_NONE, ACTIVE_LOWER and ACTIVE_UPPER."""
+        xs = slice(None, None, x_stride)
+        s = self.s_nodes[xs].tolist()
+        rows = []
+        for m in range(0, self.t_nodes.size, t_stride):
+            t = float(self.t_nodes[m])
+            rows += [[t, *node] for node in zip(
+                s, self.v[m, xs].tolist(), self.delta[m, xs].tolist(),
+                self.cash_gamma[m, xs].tolist(), self.active[m, xs].tolist())]
+        return ["t", "s", "v", "v_s", "s2_v_ss", "active_constraint"], rows
+
     def to_csv(self, path, t_stride: int = 1, x_stride: int = 1) -> None:
         from .reports import write_csv
-        rows = []
-        s = self.s_nodes
-        for m in range(0, self.t_nodes.size, t_stride):
-            for i in range(0, self.x_nodes.size, x_stride):
-                rows.append([float(self.t_nodes[m]), float(s[i]), float(self.v[m, i]),
-                             float(self.delta[m, i]), float(self.cash_gamma[m, i]),
-                             _ACTIVE_NAMES[int(self.active[m, i])]])
-        write_csv(path, ["t", "s", "v", "v_s", "s2_v_ss", "active_constraint"], rows)
+        write_csv(path, *self.csv_table(t_stride, x_stride))
+
+
+def _central_diff(f: np.ndarray, dx: float) -> np.ndarray:
+    """d/dx along the last axis: central differences inside, one-sided at
+    the two end nodes."""
+    out = np.empty_like(f)
+    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
+    out[..., 0] = (f[..., 1] - f[..., 0]) / dx
+    out[..., -1] = (f[..., -1] - f[..., -2]) / dx
+    return out
 
 
 def _space_operators(v_slice: np.ndarray, dx: float):
     """Central v_x and the cash gamma v_xx - v_x; linear extrapolation
     (v_xx = 0) at the boundary nodes."""
-    vx = np.empty_like(v_slice)
-    vx[1:-1] = (v_slice[2:] - v_slice[:-2]) / (2.0 * dx)
-    vx[0] = (v_slice[1] - v_slice[0]) / dx
-    vx[-1] = (v_slice[-1] - v_slice[-2]) / dx
+    vx = _central_diff(v_slice, dx)
     a = np.empty_like(v_slice)
     a[1:-1] = ((v_slice[2:] - 2.0 * v_slice[1:-1] + v_slice[:-2]) / (dx * dx)
                - vx[1:-1])
@@ -161,8 +174,8 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
 
     Terminal data is the face-lifted payoff (a band with no upper bound
     leaves the payoff unchanged).  Each step measures A = v_xx - v_x by
-    central differences, applies the lower clamp max(A, lower), the upper
-    clamp min(., upper), and advances v by dt * sigma^2/2 times the result.
+    central differences, clamps it into the band, min(max(A, lower), upper),
+    and advances v by dt * sigma^2/2 times the result.
     Boundary nodes extrapolate linearly in x.
     """
     sigma = params.sigma
@@ -194,17 +207,13 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
     for m in range(nt - 1, -1, -1):
         vn = v[m + 1]
         _, a = _space_operators(vn, dx)
-        a_clamped = a
-        if band.has_lower:
-            a_clamped = np.maximum(a_clamped, band.lower)
         if band.has_upper:
             over = a - band.upper
             n_over = int(np.sum(over > breach_tol))
             if n_over:
                 breach_count += n_over
                 residual_max = max(residual_max, half_sig2 * float(over.max()))
-            a_clamped = np.minimum(a_clamped, band.upper)
-        v[m] = vn + dt * half_sig2 * a_clamped
+        v[m] = vn + dt * half_sig2 * band.clamp(a)
         v[m, 0] = 2.0 * v[m, 1] - v[m, 2]
         v[m, -1] = 2.0 * v[m, -2] - v[m, -3]
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dpe import DpeSolution, PdeGrid, greeks, solve_dpe
+from .dpe import DpeSolution, PdeGrid, _central_diff, greeks, solve_dpe
 from .market import MarketParams, Payoff, bs_price, simulate_gbm
 from .matcore import GammaBand
 from .paths import as_chunks, map_chunks_ordered
@@ -40,11 +40,7 @@ def _dpe_drift_field(sol: DpeSolution) -> np.ndarray:
         out[-1] = out[-2]
     else:
         out[:] = 0.0
-    dx = x[1] - x[0]
-    gx = np.empty_like(g)
-    gx[:, 1:-1] = (g[:, 2:] - g[:, :-2]) / (2.0 * dx)
-    gx[:, 0] = (g[:, 1] - g[:, 0]) / dx
-    gx[:, -1] = (g[:, -1] - g[:, -2]) / dx
+    gx = _central_diff(g, x[1] - x[0])
     out += 0.5 * sol.params.sigma ** 2 * (gx - 2.0 * g) / s[None, :]
     return out
 
@@ -145,11 +141,15 @@ class HedgeReport:
     def frac_negative(self) -> float:
         return float(np.mean(self.shortfall < 0.0))
 
+    def csv_table(self):
+        return (["path", "S_T", "X_T", "shortfall"],
+                [[i, *row] for i, row in enumerate(zip(
+                    self.s_terminal.tolist(), self.x_terminal.tolist(),
+                    self.shortfall.tolist()))])
+
     def to_csv(self, path) -> None:
         from .reports import write_csv
-        rows = [[i, float(s), float(x), float(sf)] for i, (s, x, sf) in
-                enumerate(zip(self.s_terminal, self.x_terminal, self.shortfall))]
-        write_csv(path, ["path", "S_T", "X_T", "shortfall"], rows)
+        write_csv(path, *self.csv_table())
 
 
 def _summary_quantiles(shortfall: np.ndarray) -> dict:

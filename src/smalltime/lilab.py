@@ -10,12 +10,12 @@ envelopes, and calibration stability.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import chdtr
 
-from .matcore import DomainError, INV_E, lil_normalizer
+from .matcore import DomainError, lil_normalizer
 from .paths import BrownianBundle, as_chunks, map_chunks_ordered
 from .stochint import (EXP_MINUS_E, DoubleIntegralTrace, IntegrandSpec,
                        _lll_inverse, catalog_integrand, integrate_double)
@@ -55,10 +55,13 @@ class LilEstimate:
     grid_meta: dict
     summary: dict
 
+    def csv_table(self):
+        return (["path", "sup"],
+                [[i, v] for i, v in enumerate(self.per_path_sup.tolist())])
+
     def to_csv(self, path) -> None:
         from .reports import write_csv
-        rows = [[i, float(v)] for i, v in enumerate(self.per_path_sup)]
-        write_csv(path, ["path", "sup"], rows)
+        write_csv(path, *self.csv_table())
 
 
 def _summarize(values: np.ndarray) -> dict:
@@ -240,12 +243,13 @@ class TailBoundReport:
     rows: list
     any_violation: bool
 
+    def csv_table(self):
+        header = ["alpha", "lam", "bound", "empirical", "std_err", "violation"]
+        return header, [[getattr(r, key) for key in header] for r in self.rows]
+
     def to_csv(self, path) -> None:
         from .reports import write_csv
-        header = ["alpha", "lam", "bound", "empirical", "std_err", "violation"]
-        rows = [[r.alpha, r.lam, r.bound, r.empirical, r.std_err, r.violation]
-                for r in self.rows]
-        write_csv(path, header, rows)
+        write_csv(path, *self.csv_table())
 
 
 def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
@@ -306,10 +310,13 @@ class ErgodicReport:
     final_freq: float
     per_path_min: np.ndarray
 
+    def csv_table(self):
+        return (["path", "min_level_value"],
+                [[i, v] for i, v in enumerate(self.per_path_min.tolist())])
+
     def to_csv(self, path) -> None:
         from .reports import write_csv
-        rows = [[i, float(v)] for i, v in enumerate(self.per_path_min)]
-        write_csv(path, ["path", "min_level_value"], rows)
+        write_csv(path, *self.csv_table())
 
 
 def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:

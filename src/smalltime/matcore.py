@@ -63,87 +63,24 @@ def _as_symmetric(m, tol=1e-12):
     return 0.5 * (a + a.T)
 
 
-def jacobi_eigensystem(m, tol=1e-13, max_sweeps=100):
-    """Cyclic Jacobi diagonalization of a symmetric matrix.
-
-    Returns (eigenvalues, U) with the eigenvalues sorted descending and
-    U @ m @ U.T diagonal (rows of U are eigenvectors).  Dimensions stay
-    small here (d <= 8), so plain rotation sweeps are plenty; convergence
-    is declared when the off-diagonal Frobenius mass drops below `tol`
-    times the input Frobenius norm.
-    """
-    m0 = _as_symmetric(m)
-    a = m0.copy()
-    d = a.shape[0]
-    rot = np.eye(d)
-    scale = math.sqrt(float((a * a).sum()))
-    if scale == 0.0:
-        return np.zeros(d), rot
-    thresh = tol * scale
-
-    def off_mass(mat):
-        # measured directly; total minus diagonal cancels catastrophically
-        off = mat.copy()
-        np.fill_diagonal(off, 0.0)
-        return math.sqrt(float((off * off).sum()))
-
-    for _ in range(max_sweeps):
-        if off_mass(a) < thresh:
-            # accumulated rotation roundoff can leave rot @ m0 @ rot.T less
-            # diagonal than the working copy; re-sync and polish if needed
-            a = rot @ m0 @ rot.T
-            a = 0.5 * (a + a.T)
-            if off_mass(a) < thresh:
-                break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                if abs(apq) <= thresh / (d * d):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                sgn = 1.0 if theta >= 0.0 else -1.0
-                t = sgn / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                rp, rq = rot[p, :].copy(), rot[q, :].copy()
-                rot[p, :] = c * rp - s * rq
-                rot[q, :] = s * rp + c * rq
-    else:
-        raise RuntimeError("Jacobi sweep did not converge")
-    evals = np.diag(a).copy()
-    order = np.argsort(-evals)
-    return evals[order], rot[order]
-
-
 def eigen_extremes(m):
     """Smallest and largest eigenvalue of a symmetric matrix, plus the
-    orthogonal U with U @ m @ U.T diagonal.
+    orthogonal U with U @ m @ U.T diagonal (rows of U are eigenvectors,
+    ordered by descending eigenvalue).
 
     The extremes equal min/max of the quadratic form y.T @ m @ y over unit
     vectors y.
     """
-    evals, u = jacobi_eigensystem(m)
-    return float(evals[-1]), float(evals[0]), u
+    evals, vecs = np.linalg.eigh(_as_symmetric(m))
+    return float(evals[0]), float(evals[-1]), vecs.T[::-1]
 
 
 def operator_norm(m) -> float:
-    """Largest singular value, sup |m y| over unit y.
-
-    For symmetric m this equals max(|lambda_min|, |lambda_max|); the general
-    case goes through the Gram matrix m.T @ m.
-    """
+    """Largest singular value, sup |m y| over unit y."""
     a = np.asarray(m, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("expected a square matrix")
-    gram = a.T @ a
-    evals, _ = jacobi_eigensystem(0.5 * (gram + gram.T))
-    return math.sqrt(max(float(evals[0]), 0.0))
+    return float(np.linalg.norm(a, 2))
 
 
 @dataclass
@@ -186,7 +123,10 @@ class GammaBand:
         return cls(lower, math.inf)
 
     def clamp(self, x):
-        return np.clip(x, self.lower, self.upper)
+        # np.clip's values (x itself on a tie, since np.maximum/np.minimum
+        # return their second argument then) at about two thirds of its call
+        # overhead on the few-hundred-element rows of the DPE and hedge steps
+        return np.minimum(self.upper, np.maximum(self.lower, x))
 
 
 def support_function(u: float, band: GammaBand) -> float:
@@ -206,35 +146,40 @@ def support_function(u: float, band: GammaBand) -> float:
     return u * band.lower
 
 
-def dpe_operator_f(p: float, a: float, sigma: float, band: GammaBand) -> float:
-    """min(-p - sigma^2/2 * a, upper - a, a - lower); disabled bounds drop out."""
+def dpe_operator_f(p, a, sigma: float, band: GammaBand):
+    """min(-p - sigma^2/2 * a, upper - a, a - lower); disabled bounds drop out.
+
+    Accepts scalars or arrays; scalar arguments give a float.
+    """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     val = -p - 0.5 * sigma * sigma * a
+    # np.minimum returns its second argument on ties, so val keeps the sign
+    # of a zero tie as the scalar min(val, ...) did
     if band.has_upper:
-        val = min(val, band.upper - a)
+        val = np.minimum(band.upper - a, val)
     if band.has_lower:
-        val = min(val, a - band.lower)
-    return val
+        val = np.minimum(a - band.lower, val)
+    return float(val) if np.ndim(val) == 0 else val
 
 
-def dpe_operator_fhat(p: float, a: float, sigma: float, band: GammaBand) -> float:
+def dpe_operator_fhat(p, a, sigma: float, band: GammaBand):
     """sup over beta >= 0 of dpe_operator_f(p, a + beta, ...), in closed form.
 
     The first two branches of F decrease in a while the third increases, so
     the envelope over a + beta is either F itself (when a is already past
     the crossing point of the decreasing and increasing parts) or the value
-    at that crossing.
+    at that crossing.  Accepts scalars or arrays like dpe_operator_f.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
+    f = dpe_operator_f(p, a, sigma, band)
     if not band.has_lower:
         # without a lower bound the third branch never binds and F decreases
         # in a, so beta = 0 is optimal
-        return dpe_operator_f(p, a, sigma, band)
-    b1 = (band.lower - p) / (1.0 + 0.5 * sigma * sigma)
-    b2 = 0.5 * (band.upper + band.lower) if band.has_upper else math.inf
-    bstar = min(b1, b2)
-    if a >= bstar:
-        return dpe_operator_f(p, a, sigma, band)
-    return bstar - band.lower
+        return f
+    bstar = (band.lower - p) / (1.0 + 0.5 * sigma * sigma)
+    if band.has_upper:
+        bstar = np.minimum(0.5 * (band.upper + band.lower), bstar)
+    val = np.where(a >= bstar, f, bstar - band.lower)
+    return float(val) if np.ndim(val) == 0 else val

@@ -153,7 +153,7 @@ def union_grid(a: TimeGrid, b: TimeGrid) -> TimeGrid:
 
 
 def make_grid(kind: str, **params) -> TimeGrid:
-    """Descriptor-driven construction, used by the batch front end."""
+    """Descriptor-driven construction from a grid kind and its parameters."""
     if kind == "uniform":
         return uniform_grid(params["horizon"], params["steps"])
     if kind == "geometric":

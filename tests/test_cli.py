@@ -1,10 +1,19 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from smalltime.cli import (ConfigError, RunConfig, list_catalog, load_config,
                            main, run)
+from smalltime.dpe import PdeGrid, greeks, solve_dpe
+from smalltime.hedge import StrategySpec, replication_gap, simulate_hedge
+from smalltime.lilab import ergodic_liminf, ratio_sup, tail_bound_check
+from smalltime.market import MarketParams, call
+from smalltime.matcore import GammaBand, SymMatrix
+from smalltime.paths import (BundleSpec, ergodic_grid, geometric_grid,
+                             sample_bundle, uniform_grid)
+from smalltime.stochint import catalog_integrand, integrate_double
 
 
 def _write_cfg(tmp_path, text):
@@ -60,7 +69,7 @@ def test_float_list_and_inf_parsing(tmp_path):
     assert math.isinf(cfg2.params["upper"])
 
 
-def _assert_size_key_rejected(tmp_path, capsys, experiment, key, value):
+def _assert_key_rejected(tmp_path, capsys, experiment, key, value):
     args = [f"--experiment={experiment}", f"--{key}={value}",
             f"--out={tmp_path}/never"]
     with pytest.raises(ConfigError) as err:
@@ -73,17 +82,39 @@ def _assert_size_key_rejected(tmp_path, capsys, experiment, key, value):
 
 
 def test_paths_below_one_is_a_config_error(tmp_path, capsys):
-    _assert_size_key_rejected(tmp_path, capsys, "moment", "paths", 0)
+    _assert_key_rejected(tmp_path, capsys, "moment", "paths", 0)
 
 
 def test_chunk_below_one_is_a_config_error(tmp_path, capsys):
-    _assert_size_key_rejected(tmp_path, capsys, "tail-bound", "chunk", 0)
+    _assert_key_rejected(tmp_path, capsys, "tail-bound", "chunk", 0)
 
 
 def test_nx_below_sixteen_is_a_config_error(tmp_path, capsys):
-    _assert_size_key_rejected(tmp_path, capsys, "dpe-price", "nx", 8)
+    _assert_key_rejected(tmp_path, capsys, "dpe-price", "nx", 8)
     cfg = load_config(None, ["--experiment=dpe-price", "--nx=16"])
     assert cfg.params["nx"] == 16
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("moment", "workers", 0),
+    ("hedge", "funding", "nope"),
+    ("moment", "integrand", "nope"),
+    ("tail-bound", "rule", "nope"),
+    ("lil-sup", "kind", "nope"),
+    ("bs-price", "payoff", "nope"),
+])
+def test_out_of_domain_key_is_a_config_error(tmp_path, capsys, experiment,
+                                             key, value):
+    _assert_key_rejected(tmp_path, capsys, experiment, key, value)
+
+
+def test_bs_funding_funds_at_the_lognormal_price(tmp_path):
+    out = tmp_path / "h"
+    assert main(["run", "--experiment=hedge", "--funding=bs", "--nx=64",
+                 "--paths=50", "--steps=20", f"--out={out}"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["results"]["x0"] == summary["references"]["bs_price"] * 1.01
+    assert summary["checks"] == {}
 
 
 def test_cli_import_leaves_scipy_stats_out():
@@ -159,6 +190,63 @@ def test_validate_config_command(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "config ok" in out and "levels = 10" in out
     assert main(["validate-config", "--config", cfg_file, "--levls=3"]) == 2
+
+
+def test_run_csvs_are_the_reports_own_rows(tmp_path):
+    """Every CSV a run writes for a report is that report's own to_csv
+    output (ergodic_freq.csv has no owning report and is not compared)."""
+    seed = 11
+    market = MarketParams(sigma=0.2, horizon=1.0)
+    band = GammaBand(-0.5, 0.5)
+
+    def cli(experiment, *args):
+        out = tmp_path / experiment
+        assert main(["run", f"--experiment={experiment}", f"--seed={seed}",
+                     f"--out={out}", *args]) in (0, 1)
+        return out
+
+    def same(out, name, report, *csv_args):
+        report.to_csv(tmp_path / "own.csv", *csv_args)
+        assert (out / name).read_bytes() == (tmp_path / "own.csv").read_bytes(), name
+
+    out = cli("tail-bound", "--paths=300", "--steps=50", "--chunk=100")
+    spec = BundleSpec(1, uniform_grid(0.1, 50), 300, seed, chunk_size=100)
+    same(out, "tail_bound.csv",
+         tail_bound_check(spec, catalog_integrand("identity", 1), 0.1,
+                          [0.5, 1.0, 2.0, 4.0]))
+
+    out = cli("lil-sup", "--paths=200", "--levels=10")
+    bundle = sample_bundle(1, geometric_grid(1e-2, 0.5, 10), 200, seed)
+    trace = integrate_double(bundle, catalog_integrand("identity", 1), keep="outer")
+    same(out, "lil_sup.csv", ratio_sup(trace, kind="h", absolute=True))
+
+    out = cli("ergodic", "--paths=200", "--levels=10")
+    bundle = sample_bundle(1, ergodic_grid(10), 200, seed)
+    same(out, "ergodic_paths.csv",
+         ergodic_liminf(bundle, SymMatrix(np.eye(1)), 0.1))
+
+    out = cli("dpe-price", "--nx=64", "--lower=-0.5", "--upper=0.5")
+    grid = PdeGrid.around_spot(100.0, market, nx=64)
+    sol = solve_dpe(call(100.0), band, market, grid)
+    same(out, "surface.csv", sol, max(1, grid.nt // 20))
+    codes = {line.rsplit(",", 1)[1]
+             for line in (out / "surface.csv").read_text().splitlines()[1:]}
+    assert codes == {"0", "1"}
+
+    hedge_args = ("--nx=64", "--paths=100", "--steps=50", "--chunk=50",
+                  "--lower=-0.5")
+    out = cli("hedge", *hedge_args)
+    sol = solve_dpe(call(100.0), band, market, grid)
+    spec = BundleSpec(1, uniform_grid(1.0, 50), 100, seed, chunk_size=50)
+    x0 = float(greeks(sol, 0.0, 100.0)[0]) * 1.01
+    same(out, "shortfall.csv",
+         simulate_hedge(spec, 100.0, x0, StrategySpec.from_dpe(sol), call(100.0),
+                        band, market))
+
+    out = cli("gap", *hedge_args)
+    gap = replication_gap(call(100.0), band, market, 100.0, spec, grid=grid)
+    same(out, "shortfall_constrained.csv", gap.run_constrained)
+    same(out, "shortfall_bs_funded.csv", gap.run_bs_funded)
 
 
 # ------------------------------------------------------------------- catalog

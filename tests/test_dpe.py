@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from smalltime.dpe import (OutOfGridError, PdeGrid, StabilityError,
-                           DpeSolution, greeks, solve_dpe)
+                           DpeSolution, _space_operators, greeks, solve_dpe)
 from smalltime.market import MarketParams, bs_price, call, face_lift, put, tabulated
-from smalltime.matcore import GammaBand
+from smalltime.matcore import GammaBand, dpe_operator_fhat
 from smalltime.market import piecewise_linear
 
 PARAMS = MarketParams(sigma=0.2, horizon=1.0)
@@ -194,3 +194,27 @@ def test_breach_reporting_fields():
     sol = solve_dpe(call(100.0), GammaBand.upper_only(0.5), PARAMS, _grid())
     assert sol.breach_count >= 0
     assert sol.residual_max >= 0.0
+
+
+@pytest.mark.parametrize("band", [FREE, GammaBand.lower_only(0.2),
+                                  GammaBand(-0.5, 0.5)])
+def test_solver_step_solves_the_pricing_operator(band):
+    """F-hat(v_t, A) = 0 wherever the measured cash gamma A is at most the
+    upper bound: the step's clamp is F-hat's optimizer, and the solved
+    surface's time differences are the step's time derivative."""
+    sigma = PARAMS.sigma
+    sol = solve_dpe(call(100.0), band, PARAMS, _grid())
+    dx, dt = sol.meta["dx"], sol.meta["dt"]
+    tol = 16 * np.finfo(float).eps * np.abs(sol.v).max() / dt
+    checked = 0
+    for m in range(sol.t_nodes.size - 1):
+        _, a = _space_operators(sol.v[m + 1], dx)
+        below = a <= band.upper
+        step = dpe_operator_fhat(-0.5 * sigma ** 2 * band.clamp(a), a, sigma, band)
+        assert np.abs(step[below]).max() <= 1e-12 * max(1.0, np.abs(a).max())
+        # boundary nodes are extrapolated, not stepped
+        v_t = (sol.v[m + 1, 1:-1] - sol.v[m, 1:-1]) / dt
+        surface = dpe_operator_fhat(v_t, a[1:-1], sigma, band)
+        assert np.abs(surface[below[1:-1]]).max() <= tol
+        checked += int(below.sum())
+    assert checked > 0.99 * (sol.t_nodes.size - 1) * sol.x_nodes.size

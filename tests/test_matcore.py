@@ -7,9 +7,8 @@ from hypothesis import strategies as hst
 
 from smalltime.matcore import (DomainError, GammaBand, SymMatrix,
                                dpe_operator_f, dpe_operator_fhat,
-                               eigen_extremes, jacobi_eigensystem,
-                               lil_normalizer, operator_norm,
-                               support_function)
+                               eigen_extremes, lil_normalizer,
+                               operator_norm, support_function)
 
 
 # ---------------------------------------------------------------- normalizer
@@ -83,9 +82,11 @@ def test_eigen_matches_lapack():
         d = rng.integers(1, 7)
         m = rng.normal(size=(d, d))
         m = 0.5 * (m + m.T)
-        evals, _ = jacobi_eigensystem(m)
+        lmin, lmax, u = eigen_extremes(m)
         ref = np.linalg.eigvalsh(m)[::-1]
-        assert np.allclose(evals, ref, atol=1e-10)
+        # rows of U are eigenvectors, ordered by descending eigenvalue
+        assert np.allclose(np.diag(u @ m @ u.T), ref, atol=1e-10)
+        assert np.allclose([lmin, lmax], [ref[-1], ref[0]], atol=1e-10)
 
 
 def test_eigen_quadratic_form_bounds():
@@ -188,8 +189,7 @@ def test_operator_f_infinite_bounds_drop_out():
 
 def _fhat_grid_oracle(p, a, sigma, band, beta_max=10.0, step=1e-4):
     betas = np.arange(0.0, beta_max + step, step)
-    vals = [dpe_operator_f(p, a + b, sigma, band) for b in betas]
-    return max(vals)
+    return float(np.max(dpe_operator_f(p, a + betas, sigma, band)))
 
 
 def test_operator_fhat_grid_example_low_curvature():
@@ -255,3 +255,16 @@ def test_operator_fhat_nonincreasing_in_a_where_first_branch_binds():
             assert bumped == pytest.approx(
                 _fhat_grid_oracle(p, a + 0.1, SIGMA, BAND, beta_max=15.0), abs=2e-4)
     assert hits > 20  # the regime must actually be exercised
+
+
+def test_operators_on_arrays_match_scalar_calls():
+    rng = np.random.default_rng(9)
+    p = rng.uniform(-2, 2, 400)
+    a = rng.uniform(-6, 6, 400)
+    for band in (BAND, GammaBand.upper_only(1.0), GammaBand.lower_only(-1.0),
+                 GammaBand.unbounded()):
+        for op in (dpe_operator_f, dpe_operator_fhat):
+            got = op(p, a, SIGMA, band)
+            ref = np.array([op(pi, ai, SIGMA, band) for pi, ai in zip(p, a)])
+            assert got.tobytes() == ref.tobytes()
+            assert type(op(0.1, 0.2, SIGMA, band)) is float
