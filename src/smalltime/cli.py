@@ -13,6 +13,7 @@ import argparse
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -220,12 +221,43 @@ def load_config(path: str | None, overrides) -> RunConfig:
                      workers=workers, out=out)
 
 
-def _band(p) -> GammaBand:
-    return GammaBand(p["lower"], p["upper"])
-
-
 def _payoff(p):
     return _PAYOFFS[p["payoff"]](p["strike"])
+
+
+@contextmanager
+def _reading(*keys):
+    """A ValueError raised by a constructor that reads these keys becomes a
+    ConfigError naming the keys its message names (all of them if it names
+    none); the first named is the error's key."""
+    try:
+        yield
+    except ValueError as err:
+        named = [k for k in keys if k in str(err)] or list(keys)
+        raise ConfigError(f"key {' / '.join(map(repr, named))}: {err}",
+                          key=named[0]) from None
+
+
+def _dpe_plan(cfg: RunConfig):
+    """(market, band, payoff, PDE grid, path spec) of a dpe-price, hedge or
+    gap run, built and checked before any work, so that run and
+    validate-config reject the same configs with exit 2; the path spec is
+    None for dpe-price."""
+    p = cfg.params
+    with _reading("sigma", "horizon"):
+        params = MarketParams(sigma=p["sigma"], horizon=p["horizon"])
+    with _reading("lower", "upper"):
+        band = GammaBand(p["lower"], p["upper"])
+    with _reading("strike"):
+        payoff = _payoff(p)
+    with _reading("s0"):
+        grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
+    spec = None
+    if "steps" in p:
+        with _reading("steps"):
+            spec = BundleSpec(1, uniform_grid(p["horizon"], p["steps"]),
+                              p["paths"], cfg.seed, chunk_size=p["chunk"])
+    return params, band, payoff, grid, spec
 
 
 def _run_moment(cfg: RunConfig):
@@ -353,10 +385,7 @@ def _run_prop39(cfg: RunConfig):
 
 def _run_dpe_price(cfg: RunConfig):
     p = cfg.params
-    params = MarketParams(sigma=p["sigma"], horizon=p["horizon"])
-    band = _band(p)
-    payoff = _payoff(p)
-    grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
+    params, band, payoff, grid, _ = _dpe_plan(cfg)
     sol = solve_dpe(payoff, band, params, grid)
     v0 = float(greeks(sol, 0.0, p["s0"])[0])
     bs0 = float(bs_price(payoff, p["s0"], 0.0, params))
@@ -381,17 +410,12 @@ def _run_bs_price(cfg: RunConfig):
 
 def _run_hedge(cfg: RunConfig):
     p = cfg.params
-    params = MarketParams(sigma=p["sigma"], horizon=p["horizon"])
-    band = _band(p)
-    payoff = _payoff(p)
-    grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
+    params, band, payoff, grid, spec = _dpe_plan(cfg)
     sol = solve_dpe(payoff, band, params, grid)
     v0 = float(greeks(sol, 0.0, p["s0"])[0])
     bs0 = float(bs_price(payoff, p["s0"], 0.0, params))
     x0 = (v0 if p["funding"] == "dpe" else bs0) * (1.0 + p["cushion"])
     strategy = StrategySpec.from_dpe(sol)
-    spec = BundleSpec(1, uniform_grid(p["horizon"], p["steps"]), p["paths"],
-                      cfg.seed, chunk_size=p["chunk"])
     rep = simulate_hedge(spec, p["s0"], x0, strategy, payoff, band, params,
                          workers=cfg.workers)
     results = {"x0": rep.x0, "y0": rep.y0, "quantiles": rep.quantiles,
@@ -410,12 +434,7 @@ def _run_hedge(cfg: RunConfig):
 
 def _run_gap(cfg: RunConfig):
     p = cfg.params
-    params = MarketParams(sigma=p["sigma"], horizon=p["horizon"])
-    band = _band(p)
-    payoff = _payoff(p)
-    grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
-    spec = BundleSpec(1, uniform_grid(p["horizon"], p["steps"]), p["paths"],
-                      cfg.seed, chunk_size=p["chunk"])
+    params, band, payoff, grid, spec = _dpe_plan(cfg)
     rep = replication_gap(payoff, band, params, p["s0"], spec, grid=grid,
                           workers=cfg.workers)
     results = {"price_gap": rep.price_gap,
@@ -506,17 +525,19 @@ def main(argv=None) -> int:
         return 0
     try:
         cfg = load_config(getattr(args, "config", None), extra)
+        if args.command == "run":
+            return run(cfg)
+        if cfg.experiment in ("dpe-price", "hedge", "gap"):
+            _dpe_plan(cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    if args.command == "validate-config":
-        print(f"experiment: {cfg.experiment}")
-        for key in sorted(cfg.params):
-            print(f"{key} = {cfg.params[key]}")
-        print(f"seed = {cfg.seed}")
-        print("config ok")
-        return 0
-    return run(cfg)
+    print(f"experiment: {cfg.experiment}")
+    for key in sorted(cfg.params):
+        print(f"{key} = {cfg.params[key]}")
+    print(f"seed = {cfg.seed}")
+    print("config ok")
+    return 0
 
 
 if __name__ == "__main__":

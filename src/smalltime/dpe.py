@@ -46,7 +46,7 @@ class PdeGrid:
     nt: int
 
     def __post_init__(self):
-        if self.x_max <= self.x_min:
+        if not self.x_max > self.x_min:
             raise ValueError("x_max must exceed x_min")
         if self.nx < 16:
             raise ValueError("need at least 16 space nodes")
@@ -66,6 +66,8 @@ class PdeGrid:
                     width_sigmas: float = 6.0, safety: float = 0.9) -> "PdeGrid":
         """Grid of nx nodes spanning +/- width_sigmas * sigma * sqrt(T)
         around log s0, with nt chosen from the stability bound."""
+        if not 0.0 < s0 < math.inf:
+            raise ValueError("spot s0 must be positive and finite")
         half = width_sigmas * params.sigma * math.sqrt(params.horizon)
         x0 = math.log(s0)
         dx = 2.0 * half / (nx - 1)
@@ -103,8 +105,10 @@ class DpeSolution:
     def s_nodes(self) -> np.ndarray:
         return np.exp(self.x_nodes)
 
-    def interp(self, arr: np.ndarray, t, s):
-        """Bilinear interpolation of a stored [time, space] field."""
+    def interp(self, arr, t, s):
+        """Bilinear interpolation of a stored [time, space] field at (t, s),
+        or of each field of a tuple of them (returned as a tuple) with one
+        location of the query points; t and s broadcast against each other."""
         t_arr = np.asarray(t, dtype=float)
         s_arr = np.asarray(s, dtype=float)
         x_arr = np.log(s_arr)
@@ -114,18 +118,24 @@ class DpeSolution:
         if (np.any(t_arr < tn[0] - eps_t) or np.any(t_arr > tn[-1] + eps_t)
                 or np.any(x_arr < xn[0] - eps_x) or np.any(x_arr > xn[-1] + eps_x)):
             raise OutOfGridError("query point outside the solved surface")
-        dt = tn[1] - tn[0] if tn.size > 1 else 1.0
         dx = xn[1] - xn[0]
-        it = np.clip(((t_arr - tn[0]) / dt).astype(int), 0, tn.size - 2) if tn.size > 1 else 0
         ix = np.clip(((x_arr - xn[0]) / dx).astype(int), 0, xn.size - 2)
-        wt = np.clip((t_arr - tn[it]) / dt, 0.0, 1.0) if tn.size > 1 else 0.0
         wx = np.clip((x_arr - xn[ix]) / dx, 0.0, 1.0)
-        v00 = arr[it, ix]
-        v01 = arr[it, ix + 1]
-        v10 = arr[it + 1, ix] if tn.size > 1 else v00
-        v11 = arr[it + 1, ix + 1] if tn.size > 1 else v01
-        return ((1 - wt) * ((1 - wx) * v00 + wx * v01)
-                + wt * ((1 - wx) * v10 + wx * v11))
+        if tn.size > 1:
+            dt = tn[1] - tn[0]
+            it = np.clip(((t_arr - tn[0]) / dt).astype(int), 0, tn.size - 2)
+            wt = np.clip((t_arr - tn[it]) / dt, 0.0, 1.0)
+            i00, row = it * xn.size + ix, xn.size
+        else:
+            wt, i00, row = 0.0, ix, 0
+        # flat indices of the four corners, shared by every field
+        i01, i10 = i00 + 1, i00 + row
+        i11 = i10 + 1
+        ux, ut = 1 - wx, 1 - wt
+        out = tuple(ut * (ux * f.take(i00) + wx * f.take(i01))
+                    + wt * (ux * f.take(i10) + wx * f.take(i11))
+                    for f in (arr if isinstance(arr, tuple) else (arr,)))
+        return out if isinstance(arr, tuple) else out[0]
 
     def csv_table(self, t_stride: int = 1, x_stride: int = 1):
         """(header, rows) of the surface on every t_stride-th time and
@@ -146,25 +156,34 @@ class DpeSolution:
         write_csv(path, *self.csv_table(t_stride, x_stride))
 
 
-def _central_diff(f: np.ndarray, dx: float) -> np.ndarray:
-    """d/dx along the last axis: central differences inside, one-sided at
-    the two end nodes."""
-    out = np.empty_like(f)
-    out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2.0 * dx)
-    out[..., 0] = (f[..., 1] - f[..., 0]) / dx
-    out[..., -1] = (f[..., -1] - f[..., -2]) / dx
+def _central_diff(f: np.ndarray, dx: float, out=None) -> np.ndarray:
+    """d/dx along the last axis (at least four nodes): central differences
+    inside, one-sided at the two end nodes."""
+    out = np.empty_like(f) if out is None else out
+    n = f.shape[-1]
+    np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
+    np.divide(out[..., 1:-1], 2.0 * dx, out=out[..., 1:-1])
+    # both end nodes in one stride: f[1] - f[0] and f[n-1] - f[n-2]
+    ends = out[..., ::n - 1]
+    np.subtract(f[..., 1::n - 2], f[..., ::n - 2], out=ends)
+    np.divide(ends, dx, out=ends)
     return out
 
 
-def _space_operators(v_slice: np.ndarray, dx: float):
-    """Central v_x and the cash gamma v_xx - v_x; linear extrapolation
-    (v_xx = 0) at the boundary nodes."""
-    vx = _central_diff(v_slice, dx)
-    a = np.empty_like(v_slice)
-    a[1:-1] = ((v_slice[2:] - 2.0 * v_slice[1:-1] + v_slice[:-2]) / (dx * dx)
-               - vx[1:-1])
-    a[0] = -vx[0]
-    a[-1] = -vx[-1]
+def _space_operators(v: np.ndarray, dx: float, out=None):
+    """Central v_x and the cash gamma v_xx - v_x along the last axis, into
+    the pair out = (vx, a) when given; linear extrapolation (v_xx = 0) at
+    the two end nodes."""
+    vx, a = (np.empty_like(v), np.empty_like(v)) if out is None else out
+    _central_diff(v, dx, out=vx)
+    inner = a[..., 1:-1]
+    np.multiply(v[..., 1:-1], 2.0, out=inner)
+    np.subtract(v[..., 2:], inner, out=inner)
+    np.add(inner, v[..., :-2], out=inner)
+    np.divide(inner, dx * dx, out=inner)
+    np.subtract(inner, vx[..., 1:-1], out=inner)
+    n = v.shape[-1]
+    np.negative(vx[..., ::n - 1], out=a[..., ::n - 1])
     return vx, a
 
 
@@ -199,35 +218,42 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
     nt = grid.nt
     v = np.empty((nt + 1, grid.nx))
     v[nt] = g_t
+    delta = np.empty_like(v)
+    cash_gamma = np.empty_like(v)
     t_nodes = np.linspace(0.0, params.horizon, nt + 1)
     half_sig2 = 0.5 * sigma * sigma
+    coef = dt * half_sig2
     breach_tol = 5.0 * (dx + dt) * sigma ** 2
     breach_count = 0
     residual_max = 0.0
+    step = np.empty(grid.nx)
     for m in range(nt - 1, -1, -1):
-        vn = v[m + 1]
-        _, a = _space_operators(vn, dx)
+        # row m+1 is final: its operators are stored as they are used
+        # (delta holds v_x until the division by s below)
+        _, a = _space_operators(v[m + 1], dx, out=(delta[m + 1], cash_gamma[m + 1]))
         if band.has_upper:
-            over = a - band.upper
-            n_over = int(np.sum(over > breach_tol))
-            if n_over:
-                breach_count += n_over
-                residual_max = max(residual_max, half_sig2 * float(over.max()))
-        v[m] = vn + dt * half_sig2 * band.clamp(a)
-        v[m, 0] = 2.0 * v[m, 1] - v[m, 2]
-        v[m, -1] = 2.0 * v[m, -2] - v[m, -3]
-
-    delta = np.empty_like(v)
-    cash_gamma = np.empty_like(v)
+            # rounding is monotone, so no node exceeds the tolerance unless
+            # the largest does; a NaN maximum takes the full count, which
+            # skips NaN nodes
+            top = a.max()
+            if top - band.upper > breach_tol or math.isnan(top):
+                over = a - band.upper
+                n_over = int(np.sum(over > breach_tol))
+                if n_over:
+                    breach_count += n_over
+                    residual_max = max(residual_max, half_sig2 * float(over.max()))
+        band.clamp(a, out=step)
+        np.multiply(step, coef, out=step)
+        row = np.add(v[m + 1], step, out=v[m])
+        row[0] = 2.0 * row[1] - row[2]
+        row[-1] = 2.0 * row[-2] - row[-3]
+    _space_operators(v[0], dx, out=(delta[0], cash_gamma[0]))
+    np.divide(delta, s, out=delta)
     active = np.zeros(v.shape, dtype=np.int8)
-    for m in range(nt + 1):
-        vx, a = _space_operators(v[m], dx)
-        delta[m] = vx / s
-        cash_gamma[m] = a
-        if band.has_lower:
-            active[m][a < band.lower] = ACTIVE_LOWER
-        if band.has_upper:
-            active[m][a > band.upper] = ACTIVE_UPPER
+    if band.has_lower:
+        active[cash_gamma < band.lower] = ACTIVE_LOWER
+    if band.has_upper:
+        active[cash_gamma > band.upper] = ACTIVE_UPPER
 
     return DpeSolution(t_nodes=t_nodes, x_nodes=x, v=v, delta=delta,
                        cash_gamma=cash_gamma, active=active, band=band,
@@ -239,6 +265,4 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
 
 def greeks(sol: DpeSolution, t, s):
     """Bilinear interpolation of (v, dv/ds, s^2 v_ss) at (t, s)."""
-    return (sol.interp(sol.v, t, s),
-            sol.interp(sol.delta, t, s),
-            sol.interp(sol.cash_gamma, t, s))
+    return sol.interp((sol.v, sol.delta, sol.cash_gamma), t, s)

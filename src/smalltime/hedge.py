@@ -22,6 +22,7 @@ from .dpe import DpeSolution, PdeGrid, _central_diff, greeks, solve_dpe
 from .market import MarketParams, Payoff, bs_price, simulate_gbm
 from .matcore import GammaBand
 from .paths import as_chunks, map_chunks_ordered
+from .stochint import _running
 
 
 def _dpe_drift_field(sol: DpeSolution) -> np.ndarray:
@@ -121,7 +122,11 @@ def strategy_from_catalog(name: str, y0: float = 0.0, alpha: float = 0.0,
 
 @dataclass
 class HedgeReport:
-    """Terminal shortfall distribution of a simulated strategy."""
+    """Terminal shortfall distribution of a simulated strategy.
+
+    off_surface counts the surface queries whose price lay outside the
+    solved grid and was clamped into it.
+    """
 
     shortfall: np.ndarray
     s_terminal: np.ndarray
@@ -131,6 +136,7 @@ class HedgeReport:
     clamp_events: int
     clamp_rate: float
     alpha_max: float
+    off_surface: int
     quantiles: dict
 
     @property
@@ -170,23 +176,38 @@ def simulate_hedge(source, s0: float, x0: float, strategy: StrategySpec,
 
     The bundle must be one-dimensional on a grid starting at 0 and ending
     at the horizon.  Queries off the solved surface clamp the price into
-    the surface's range (exits are vanishingly rare on the default grids).
+    the surface's range; off_surface counts them (exits are vanishingly
+    rare on the default grids).
     """
     return _simulate_fundings(source, s0, (x0,), strategy, payoff, band,
                               params, workers)[0]
+
+
+# path-values per time block of the strategy simulation
+_BLOCK_VALUES = 1 << 14
 
 
 def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
                        workers) -> list:
     """simulate_hedge for several initial capitals in one pass: holdings do
     not depend on the capital, so each capital's wealth is one row of a
-    (len(x0s), P) array, with the bits a run of that capital alone gives."""
+    (len(x0s), P) array, with the bits a run of that capital alone gives.
+
+    Time is walked in blocks of B steps (B from _BLOCK_VALUES).  A block
+    locates its B x P query points on the surface once for both fields,
+    forms the share counts with one running sum over the interleaved
+    increments alpha dt and gamma dS, which adds them in the order of the
+    step-by-step update (Y + alpha dt) + gamma dS, and the wealths with
+    one running sum of Y dS."""
     sol = strategy.solution
-    drift_field = strategy._drift_field
     if strategy.y0 is not None:
         y0_used = float(strategy.y0)
     else:
         y0_used = float(greeks(sol, 0.0, s0)[1])
+    if sol is not None:
+        fields = (sol.cash_gamma, strategy._drift_field)
+        s_lo, s_hi = float(sol.s_nodes[0]), float(sol.s_nodes[-1])
+    x0_col = np.array(x0s, dtype=float)[:, None]
 
     def one(chunk):
         if chunk.dim != 1:
@@ -197,44 +218,46 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
         s_paths = simulate_gbm(chunk, s0, params)
         p = s_paths.shape[0]
         y = np.full(p, y0_used)
-        x = np.repeat(np.array(x0s, dtype=float)[:, None], p, axis=1)
-        clamps = 0
-        steps = 0
+        x = np.repeat(x0_col, p, axis=1)
+        clamps = off = 0
         a_max = 0.0
-        if sol is not None:
-            s_lo, s_hi = float(sol.s_nodes[0]), float(sol.s_nodes[-1])
-        for k in range(t.size - 1):
-            t_k = t[k]
-            dt = t[k + 1] - t[k]
-            s_k = s_paths[:, k]
-            ds = s_paths[:, k + 1] - s_k
+        size = max(1, _BLOCK_VALUES // p)
+        for k0 in range(0, t.size - 1, size):
+            k1 = min(k0 + size, t.size - 1)
+            s = s_paths[:, k0:k1 + 1].T
+            s_k = s[:-1]
+            ds = s[1:] - s_k
+            t_k = t[k0:k1, None]
+            dt = t[k0 + 1:k1 + 1, None] - t_k
             if strategy.kind == "dpe":
-                s_q = np.clip(s_k, s_lo, s_hi)
-                cash = sol.interp(sol.cash_gamma, t_k, s_q)
-                alpha = sol.interp(drift_field, t_k, s_q)
+                off += int(np.count_nonzero(s_k < s_lo) + np.count_nonzero(s_k > s_hi))
+                cash, alpha = sol.interp(fields, t_k, np.clip(s_k, s_lo, s_hi))
             else:
                 cash = strategy.gamma_value * s_k * s_k
-                alpha = np.full(p, strategy.alpha_value)
-            outside = (cash < band.lower) | (cash > band.upper)
-            clamps += int(np.sum(outside))
+                alpha = np.full(t_k.shape, strategy.alpha_value)
+            clamps += int(np.count_nonzero((cash < band.lower) | (cash > band.upper)))
             gamma = band.clamp(cash) / (s_k * s_k)
-            x = x + y * ds
-            y = y + alpha * dt + gamma * ds
-            a_max = max(a_max, float(np.max(np.abs(alpha))))
-            steps += p
+            inc = np.empty((2 * (k1 - k0), p))
+            np.multiply(alpha, dt, out=inc[0::2])
+            np.multiply(gamma, ds, out=inc[1::2])
+            ys = _running(y, inc)[::2]  # Y before each step, and after the block
+            _running(x, (ys[:-1] * ds)[:, None, :])
+            # the largest |alpha| of each step; a step holding a NaN is skipped
+            a_max = float(np.fmax.reduce(np.abs(alpha).max(axis=1), initial=a_max))
         s_t = s_paths[:, -1]
-        return x - payoff(s_t), s_t, x, clamps, steps, a_max
+        return x - payoff(s_t), s_t, x, clamps, off, p * (t.size - 1), a_max
 
     shortfalls, s_terms, x_terms = [], [], []
-    clamp_events = 0
+    clamp_events = off_surface = 0
     total_steps = 0
     alpha_max = 0.0
-    for sf, s_t, x_t, clamps, steps, a_max in map_chunks_ordered(
+    for sf, s_t, x_t, clamps, off, steps, a_max in map_chunks_ordered(
             one, as_chunks(source), workers):
         shortfalls.append(sf)
         s_terms.append(s_t)
         x_terms.append(x_t)
         clamp_events += clamps
+        off_surface += off
         total_steps += steps
         alpha_max = max(alpha_max, a_max)
     s_terminal = np.concatenate(s_terms)
@@ -242,7 +265,7 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
                         x0=float(x0), y0=y0_used,
                         clamp_events=clamp_events,
                         clamp_rate=clamp_events / max(total_steps, 1),
-                        alpha_max=alpha_max,
+                        alpha_max=alpha_max, off_surface=off_surface,
                         quantiles=_summary_quantiles(sf))
             for x0, sf, x_t in zip(x0s, np.concatenate(shortfalls, axis=1),
                                    np.concatenate(x_terms, axis=1))]

@@ -21,10 +21,10 @@ class MarketParams:
     horizon: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be positive and finite")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
 
 
 @dataclass
@@ -110,14 +110,14 @@ class Payoff:
 
 
 def call(strike: float) -> Payoff:
-    if strike <= 0.0:
-        raise ValueError("strike must be positive")
+    if not 0.0 < strike < math.inf:
+        raise ValueError("strike must be positive and finite")
     return Payoff(kind="call", strike=float(strike))
 
 
 def put(strike: float) -> Payoff:
-    if strike <= 0.0:
-        raise ValueError("strike must be positive")
+    if not 0.0 < strike < math.inf:
+        raise ValueError("strike must be positive and finite")
     return Payoff(kind="put", strike=float(strike))
 
 

@@ -108,6 +108,31 @@ def test_out_of_domain_key_is_a_config_error(tmp_path, capsys, experiment,
     _assert_key_rejected(tmp_path, capsys, experiment, key, value)
 
 
+@pytest.mark.parametrize("experiment,key,value", [
+    ("hedge", "steps", 0),
+    ("dpe-price", "sigma", 0),
+    ("dpe-price", "horizon", 0),
+    ("hedge", "s0", -1),
+    ("gap", "strike", 0),
+    ("gap", "lower", 1.0),
+])
+def test_invalid_dpe_family_config_is_a_config_error(tmp_path, capsys, experiment,
+                                                     key, value):
+    """Values every key's own parser accepts but the market, band, payoff,
+    grid or path objects reject: run and validate-config both exit 2 and
+    name the key, before any work."""
+    args = [f"--experiment={experiment}", f"--{key}={value}",
+            f"--out={tmp_path}/never"]
+    cfg = load_config(None, args)
+    with pytest.raises(ConfigError) as err:
+        run(cfg)
+    assert err.value.key == key
+    for command in ("run", "validate-config"):
+        assert main([command] + args) == 2
+        assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_bs_funding_funds_at_the_lognormal_price(tmp_path):
     out = tmp_path / "h"
     assert main(["run", "--experiment=hedge", "--funding=bs", "--nx=64",

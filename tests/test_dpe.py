@@ -218,3 +218,76 @@ def test_solver_step_solves_the_pricing_operator(band):
         assert np.abs(surface[below[1:-1]]).max() <= tol
         checked += int(below.sum())
     assert checked > 0.99 * (sol.t_nodes.size - 1) * sol.x_nodes.size
+
+
+def _ref_backward(terminal, band, grid):
+    """The backward loop one step at a time: v(0), the breach count and the
+    largest residual, plus per step the number of breaching nodes and
+    whether the measured cash gamma held a NaN."""
+    sigma = PARAMS.sigma
+    dx, dt = grid.dx, PARAMS.horizon / grid.nt
+    half_sig2 = 0.5 * sigma * sigma
+    tol = 5.0 * (dx + dt) * sigma ** 2
+    v = terminal.copy()
+    count, resid, steps = 0, 0.0, []
+    for _ in range(grid.nt):
+        a = np.empty_like(v)
+        a[1:-1] = ((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
+                   - (v[2:] - v[:-2]) / (2.0 * dx))
+        a[0] = -((v[1] - v[0]) / dx)
+        a[-1] = -((v[-1] - v[-2]) / dx)
+        over = a - band.upper
+        n_over = int(np.sum(over > tol))
+        if n_over:
+            count += n_over
+            resid = max(resid, half_sig2 * float(over.max()))
+        steps.append((n_over, bool(np.isnan(a).any())))
+        v = v + dt * half_sig2 * np.minimum(band.upper, np.maximum(band.lower, a))
+        v[0] = 2.0 * v[1] - v[2]
+        v[-1] = 2.0 * v[-2] - v[-3]
+    return v, count, resid, steps
+
+
+def _unlifted(nan_node=None):
+    """face_lift stand-in that keeps the raw payoff, optionally with a NaN
+    at one node, so the upper bound is breached near the kink."""
+    def lift(payoff, band, s):
+        def lifted(x):
+            g = payoff(x)
+            if nan_node is not None:
+                g[nan_node] = np.nan
+            return g
+        return lifted
+    return lift
+
+
+def test_breaches_of_raw_payoffs_match_the_per_step_loop(monkeypatch):
+    from smalltime import dpe
+    monkeypatch.setattr(dpe, "face_lift", _unlifted())
+    band, grid = GammaBand.upper_only(0.5), _grid()
+    outcomes = set()
+    # the call's kink breaches at every step; the shallow kink smooths out
+    for payoff in (call(100.0), piecewise_linear([100.0], [0.001])):
+        sol = solve_dpe(payoff, band, PARAMS, grid)
+        v0, count, resid, steps = _ref_backward(payoff(sol.s_nodes), band, grid)
+        assert np.array_equal(sol.v[0], v0)
+        assert sol.breach_count == count > 0
+        assert repr(sol.residual_max) == repr(resid)
+        outcomes |= {n > 0 for n, _ in steps}
+    # both outcomes of the check on the largest node occur
+    assert outcomes == {True, False}
+
+
+def test_breach_count_skips_nan_nodes_as_the_per_step_loop_does(monkeypatch):
+    from smalltime import dpe
+    monkeypatch.setattr(dpe, "face_lift", _unlifted(nan_node=5))
+    band, grid = GammaBand.upper_only(0.5), _grid()
+    sol = solve_dpe(call(100.0), band, PARAMS, grid)
+    terminal = _unlifted(nan_node=5)(call(100.0), band, None)(sol.s_nodes)
+    v0, count, resid, steps = _ref_backward(terminal, band, grid)
+    # steps whose cash gamma holds a NaN and still breaches elsewhere: a
+    # check on the maximum alone (NaN) would miss their counts
+    assert any(n > 0 and has_nan for n, has_nan in steps)
+    assert np.array_equal(sol.v[0], v0, equal_nan=True)
+    assert sol.breach_count == count
+    assert repr(sol.residual_max) == repr(resid)

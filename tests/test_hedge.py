@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smalltime.dpe import PdeGrid, greeks, solve_dpe
 from smalltime.hedge import (STRATEGY_CATALOG, StrategySpec, replication_gap,
@@ -157,3 +159,47 @@ def test_workers_do_not_change_hedge_results():
     r1 = simulate_hedge(spec, 100.0, 5.0, strat, call(100.0), BAND, PARAMS, workers=1)
     r2 = simulate_hedge(spec, 100.0, 5.0, strat, call(100.0), BAND, PARAMS, workers=3)
     assert np.array_equal(r1.shortfall, r2.shortfall)
+
+
+def test_off_surface_queries_are_counted():
+    # a surface spanning only S in [97, 103] over a short horizon: most
+    # paths leave it, and each query outside is clamped and counted
+    params = MarketParams(sigma=0.2, horizon=0.05)
+    grid = PdeGrid(x_min=math.log(97.0), x_max=math.log(103.0), nx=32, nt=600)
+    with pytest.warns(UserWarning, match="narrower"):
+        sol = solve_dpe(call(100.0), BAND, params, grid)
+    bundle = sample_bundle(1, uniform_grid(0.05, 40), 300, seed=13)
+    rep = simulate_hedge(bundle, 100.0, 2.0, StrategySpec.from_dpe(sol),
+                         call(100.0), BAND, params)
+    s_k = simulate_gbm(bundle, 100.0, params)[:, :-1]
+    s_lo, s_hi = sol.s_nodes[0], sol.s_nodes[-1]
+    expected = int(np.sum((s_k < s_lo) | (s_k > s_hi)))
+    assert 0 < expected < s_k.size
+    assert rep.off_surface == expected
+    # surface-free strategies make no surface queries
+    plain = simulate_hedge(bundle, 100.0, 2.0, StrategySpec.zero(), call(100.0),
+                           BAND, params)
+    assert plain.off_surface == 0
+
+
+_SMALL_SOL = solve_dpe(call(100.0), GammaBand(-0.5, 0.5), PARAMS,
+                       PdeGrid.around_spot(100.0, PARAMS, nx=48))
+
+
+@settings(max_examples=15, deadline=None)
+@given(paths=st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1),
+       kind=st.sampled_from(["dpe", "constant_gamma"]))
+def test_hedge_results_are_bit_identical_for_chunk_sizes_one_to_seven(paths, seed,
+                                                                      kind):
+    strat = (StrategySpec.from_dpe(_SMALL_SOL) if kind == "dpe" else
+             strategy_from_catalog("constant_gamma", y0=0.3, gamma=4e-5))
+    grid = uniform_grid(1.0, 12)
+    reports = [simulate_hedge(BundleSpec(1, grid, paths, seed, chunk_size=c),
+                              100.0, 5.0, strat, call(100.0), BAND, PARAMS)
+               for c in (*range(1, 8), paths)]
+    first = reports[0]
+    for rep in reports[1:]:
+        assert rep.shortfall.tobytes() == first.shortfall.tobytes()
+        assert rep.x_terminal.tobytes() == first.x_terminal.tobytes()
+        assert (rep.clamp_events, rep.off_surface, repr(rep.alpha_max)) == (
+            first.clamp_events, first.off_surface, repr(first.alpha_max))
