@@ -10,6 +10,7 @@ import numpy as np
 
 from smalltime import (GammaBand, MarketParams, PdeGrid, bs_price, call,
                        face_lift, greeks, solve_dpe)
+from smalltime.reports import write_csv
 
 PARAMS = MarketParams(sigma=0.2, horizon=1.0)
 PAYOFF = call(100.0)
@@ -40,5 +41,5 @@ print(f"cash gamma on the solved surface at t=0: max {cg.max():.4f} "
       f"(bound {band.upper}), clamp breaches recorded: {sol.breach_count}")
 
 out = "runs/demo_surface.csv"
-sol.to_csv(out, t_stride=max(1, grid.nt // 10))
+write_csv(out, *sol.csv_table(t_stride=max(1, grid.nt // 10)))
 print(f"\nsurface written to {out} (t, s, v, v_s, s2_v_ss, active_constraint)")

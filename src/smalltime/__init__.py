@@ -5,8 +5,8 @@ from .matcore import (DomainError, GammaBand, SymMatrix, dpe_operator_f,
                       dpe_operator_fhat, eigen_extremes, lil_normalizer,
                       operator_norm, support_function)
 from .paths import (BrownianBundle, BundleSpec, TimeGrid, ergodic_grid,
-                    geometric_grid, make_grid, refine_bisect, rotate_bundle,
-                    sample_bundle, uniform_grid, union_grid)
+                    geometric_grid, refine_bisect, rotate_bundle,
+                    sample_bundle, uniform_grid)
 from .stochint import (INTEGRAND_CATALOG, DoubleIntegralTrace, IntegrandSpec,
                        MartingaleDecomposition, VectorSpec, catalog_integrand,
                        closed_form_constant, closed_form_trace, drift_integral,
@@ -14,12 +14,12 @@ from .stochint import (INTEGRAND_CATALOG, DoubleIntegralTrace, IntegrandSpec,
                        unit_bound_names)
 from .lilab import (ErgodicReport, Example36Report, GridMismatchError,
                     LilEstimate, MomentReport, TailBoundReport,
-                    conditional_moment_fn, ergodic_liminf, example36_diag,
-                    moment_dominance, moment_identity, optimal_tail_lambda,
-                    ratio_sup, tail_bound_check, tail_bound_value)
+                    WindowMedians, conditional_moment_fn, ergodic_liminf,
+                    example36_diag, moment_dominance, moment_identity,
+                    optimal_tail_lambda, ratio_sup, tail_bound_check,
+                    tail_bound_value, window_medians)
 from .market import (MarketParams, Payoff, bs_price, call, face_lift,
-                     payoff_from_csv, piecewise_linear, put, simulate_gbm,
-                     tabulated)
+                     piecewise_linear, put, simulate_gbm, tabulated)
 from .dpe import (DpeSolution, OutOfGridError, PdeGrid, StabilityError,
                   greeks, solve_dpe)
 from .hedge import (STRATEGY_CATALOG, GapReport, HedgeReport, StrategySpec,

@@ -23,7 +23,8 @@ from . import __version__
 from .dpe import PdeGrid, greeks, solve_dpe
 from .hedge import STRATEGY_CATALOG, StrategySpec, replication_gap, simulate_hedge
 from .lilab import (_RATE_KINDS, ergodic_liminf, example36_diag,
-                    moment_dominance, ratio_sup, tail_bound_check)
+                    moment_dominance, ratio_sup, tail_bound_check,
+                    window_medians)
 from .market import MarketParams, bs_price, call, put
 from .matcore import GammaBand, SymMatrix
 from .paths import (BundleSpec, ergodic_grid, geometric_grid, sample_bundle,
@@ -58,9 +59,11 @@ def _parse_value(kind: str, text):
                 return False
             raise ValueError(text)
         if kind == "floats":
-            if isinstance(text, (list, tuple)):
-                return [float(v) for v in text]
-            return [float(v) for v in text.split(",") if v.strip()]
+            items = ([v for v in text.split(",") if v.strip()]
+                     if isinstance(text, str) else text)
+            if not items:
+                raise ValueError(text)
+            return [float(v) for v in items]
         return str(text)
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse value {text!r} as {kind}", key=None) from None
@@ -221,10 +224,6 @@ def load_config(path: str | None, overrides) -> RunConfig:
                      workers=workers, out=out)
 
 
-def _payoff(p):
-    return _PAYOFFS[p["payoff"]](p["strike"])
-
-
 @contextmanager
 def _reading(*keys):
     """A ValueError raised by a constructor that reads these keys becomes a
@@ -238,18 +237,23 @@ def _reading(*keys):
                           key=named[0]) from None
 
 
-def _dpe_plan(cfg: RunConfig):
-    """(market, band, payoff, PDE grid, path spec) of a dpe-price, hedge or
-    gap run, built and checked before any work, so that run and
-    validate-config reject the same configs with exit 2; the path spec is
-    None for dpe-price."""
-    p = cfg.params
+# A plan builds and checks what a run needs before any work, so that run
+# and validate-config reject the same configs with exit 2.
+
+def _market(p):
     with _reading("sigma", "horizon"):
         params = MarketParams(sigma=p["sigma"], horizon=p["horizon"])
+    with _reading("strike"):
+        return params, _PAYOFFS[p["payoff"]](p["strike"])
+
+
+def _dpe_plan(cfg: RunConfig):
+    """(market, band, payoff, PDE grid, path spec) of a dpe-price, hedge or
+    gap run; the path spec is None for dpe-price."""
+    p = cfg.params
+    params, payoff = _market(p)
     with _reading("lower", "upper"):
         band = GammaBand(p["lower"], p["upper"])
-    with _reading("strike"):
-        payoff = _payoff(p)
     with _reading("s0"):
         grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
     spec = None
@@ -260,11 +264,36 @@ def _dpe_plan(cfg: RunConfig):
     return params, band, payoff, grid, spec
 
 
+def _bs_plan(cfg: RunConfig) -> float:
+    """The bs-price run's whole work: the lognormal price."""
+    p = cfg.params
+    params, payoff = _market(p)
+    with _reading("s", "t"):
+        return float(bs_price(payoff, p["s"], p["t"], params))
+
+
+def _integrand_plan(cfg: RunConfig):
+    """The catalog integrand of a moment, tail-bound or lil-sup run."""
+    with _reading("integrand", "d"):
+        return catalog_integrand(cfg.params["integrand"], cfg.params["d"])
+
+
+def _prop39_plan(cfg: RunConfig):
+    """The geometric grid of a prop39 run, with room for one window."""
+    p = cfg.params
+    with _reading("t0", "theta", "levels"):
+        grid = geometric_grid(p["t0"], p["theta"], p["levels"])
+    if not 1 <= p["window"] <= grid.size:
+        raise ConfigError(f"key 'window' must lie in [1, {grid.size}] (the grid "
+                          f"size), got {p['window']}", key="window")
+    return grid
+
+
 def _run_moment(cfg: RunConfig):
     p = cfg.params
+    b = _integrand_plan(cfg)
     grid = uniform_grid(p["horizon"], p["steps"])
     spec = BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
-    b = catalog_integrand(p["integrand"], p["d"])
     rep = moment_dominance(spec, b, p["lam"], p["horizon"], workers=cfg.workers)
     z = (rep.mc_mean - rep.closed_form) / rep.std_err if rep.std_err > 0 else 0.0
     results = {"mc_mean": rep.mc_mean, "std_err": rep.std_err, "z": z,
@@ -272,18 +301,14 @@ def _run_moment(cfg: RunConfig):
     references = {"closed_form": rep.closed_form}
     checks = {"mc_within_tolerance": {"pass": abs(z) <= p["max_sigmas"],
                                       "z": z, "limit": p["max_sigmas"]}}
-    csvs = {"moment.csv": (["d", "lam", "horizon", "mc_mean", "std_err",
-                            "closed_form", "dominance_margin"],
-                           [[p["d"], p["lam"], p["horizon"], rep.mc_mean,
-                             rep.std_err, rep.closed_form, rep.dominance_margin]])}
-    return results, references, checks, csvs
+    return results, references, checks, {"moment.csv": rep.csv_table()}
 
 
 def _run_tail(cfg: RunConfig):
     p = cfg.params
+    b = _integrand_plan(cfg)
     grid = uniform_grid(p["horizon"], p["steps"])
     spec = BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
-    b = catalog_integrand(p["integrand"], p["d"])
     rep = tail_bound_check(spec, b, p["horizon"], p["alphas"], rule=p["rule"],
                            eta=p["eta"], workers=cfg.workers)
     header, rows = rep.csv_table()
@@ -296,9 +321,9 @@ def _run_tail(cfg: RunConfig):
 
 def _run_lil_sup(cfg: RunConfig):
     p = cfg.params
+    b = _integrand_plan(cfg)
     grid = geometric_grid(p["t0"], p["theta"], p["levels"])
     bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
-    b = catalog_integrand(p["integrand"], p["d"])
     trace = integrate_double(bundle, b, keep="outer")
     est = ratio_sup(trace, kind=p["kind"], absolute=p["absolute"])
     envelope = (1.0 + p["eta"]) ** 2 / p["theta"]
@@ -327,11 +352,8 @@ def _run_ergodic(cfg: RunConfig):
     references = {"limit_probability": rep.reference}
     checks = {"frequency_matches_limit": {"pass": err <= p["tol"],
                                           "error": err, "tol": p["tol"]}}
-    csvs = {
-        "ergodic_paths.csv": rep.csv_table(),
-        "ergodic_freq.csv": (["n", "avg_freq"],
-                             [[j + 1, float(v)] for j, v in enumerate(rep.freq_by_n)]),
-    }
+    csvs = {"ergodic_paths.csv": rep.csv_table(),
+            "ergodic_freq.csv": rep.freq_csv_table()}
     return results, references, checks, csvs
 
 
@@ -351,36 +373,24 @@ def _run_example36(cfg: RunConfig):
                                 "median": med,
                                 "lo": p["golden_lo"], "hi": p["golden_hi"]},
     }
-    rows = [[i, float(a), float(b_)] for i, (a, b_) in
-            enumerate(zip(rep.full.per_path_sup, rep.proxy_sup))]
-    csvs = {"example36.csv": (["path", "full_sup", "proxy_sup"], rows)}
-    return results, {}, checks, csvs
+    return results, {}, checks, {"example36.csv": rep.csv_table()}
 
 
 def _run_prop39(cfg: RunConfig):
     p = cfg.params
-    grid = geometric_grid(p["t0"], p["theta"], p["levels"])
-    bundle = sample_bundle(1, grid, p["paths"], cfg.seed)
+    bundle = sample_bundle(1, _prop39_plan(cfg), p["paths"], cfg.seed)
     a = VectorSpec.constant([1.0])
     m = catalog_integrand("identity", 1)
     dtr = drift_integral(bundle, a, m, eps=p["eps"])
-    stat = np.abs(dtr.scaled)
-    t = dtr.times
-    w = p["window"]
-    meds = []
-    lo = 0
-    while lo + w <= t.size:
-        meds.append((float(t[lo + w - 1]), float(np.median(stat[:, lo:lo + w].max(axis=1)))))
-        lo += w
-    first_med = meds[0][1]   # smallest-time window
-    last_med = meds[-1][1]   # largest-time window
-    results = {"window_medians": [{"t_hi": a_, "median": b_} for a_, b_ in meds]}
+    rep = window_medians(dtr, p["window"])
+    first_med, last_med = rep.medians[0], rep.medians[-1]
+    results = {"window_medians": [{"t_hi": t, "median": med}
+                                  for t, med in zip(rep.t_hi, rep.medians)]}
     checks = {"scaled_statistic_shrinks": {
         "pass": first_med < p["shrink"] * last_med,
         "smallest_window_median": first_med, "largest_window_median": last_med,
         "shrink": p["shrink"]}}
-    csvs = {"prop39.csv": (["t_hi", "median"], [[a_, b_] for a_, b_ in meds])}
-    return results, {}, checks, csvs
+    return results, {}, checks, {"prop39.csv": rep.csv_table()}
 
 
 def _run_dpe_price(cfg: RunConfig):
@@ -402,10 +412,7 @@ def _run_dpe_price(cfg: RunConfig):
 
 
 def _run_bs_price(cfg: RunConfig):
-    p = cfg.params
-    params = MarketParams(sigma=p["sigma"], horizon=p["horizon"])
-    price = float(bs_price(_payoff(p), p["s"], p["t"], params))
-    return {"price": price}, {}, {}, {}
+    return {"price": _bs_plan(cfg)}, {}, {}, {}
 
 
 def _run_hedge(cfg: RunConfig):
@@ -457,6 +464,17 @@ def _run_gap(cfg: RunConfig):
     return results, references, checks, csvs
 
 
+_PLANNERS = {
+    "moment": _integrand_plan,
+    "tail-bound": _integrand_plan,
+    "lil-sup": _integrand_plan,
+    "prop39": _prop39_plan,
+    "dpe-price": _dpe_plan,
+    "bs-price": _bs_plan,
+    "hedge": _dpe_plan,
+    "gap": _dpe_plan,
+}
+
 _RUNNERS = {
     "moment": _run_moment,
     "tail-bound": _run_tail,
@@ -488,8 +506,8 @@ def run(cfg: RunConfig) -> int:
     }
     out = Path(cfg.out)
     write_json(out / "summary.json", summary)
-    for name, (header, rows) in csvs.items():
-        write_csv(out / name, header, rows)
+    for name, table in csvs.items():
+        write_csv(out / name, *table)
     return 0 if all_pass else 1
 
 
@@ -527,8 +545,8 @@ def main(argv=None) -> int:
         cfg = load_config(getattr(args, "config", None), extra)
         if args.command == "run":
             return run(cfg)
-        if cfg.experiment in ("dpe-price", "hedge", "gap"):
-            _dpe_plan(cfg)
+        if cfg.experiment in _PLANNERS:
+            _PLANNERS[cfg.experiment](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -151,10 +151,6 @@ class DpeSolution:
                 self.cash_gamma[m, xs].tolist(), self.active[m, xs].tolist())]
         return ["t", "s", "v", "v_s", "s2_v_ss", "active_constraint"], rows
 
-    def to_csv(self, path, t_stride: int = 1, x_stride: int = 1) -> None:
-        from .reports import write_csv
-        write_csv(path, *self.csv_table(t_stride, x_stride))
-
 
 def _central_diff(f: np.ndarray, dx: float, out=None) -> np.ndarray:
     """d/dx along the last axis (at least four nodes): central differences

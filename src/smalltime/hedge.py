@@ -153,10 +153,6 @@ class HedgeReport:
                     self.s_terminal.tolist(), self.x_terminal.tolist(),
                     self.shortfall.tolist()))])
 
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-        write_csv(path, *self.csv_table())
-
 
 def _summary_quantiles(shortfall: np.ndarray) -> dict:
     return {

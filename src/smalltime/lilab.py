@@ -17,8 +17,9 @@ from scipy.special import chdtr
 
 from .matcore import DomainError, lil_normalizer
 from .paths import BrownianBundle, as_chunks, map_chunks_ordered
-from .stochint import (EXP_MINUS_E, DoubleIntegralTrace, IntegrandSpec,
-                       _lll_inverse, catalog_integrand, integrate_double)
+from .stochint import (EXP_MINUS_E, DoubleIntegralTrace, DriftIntegralTrace,
+                       IntegrandSpec, _lll_inverse, catalog_integrand,
+                       integrate_double)
 
 
 class GridMismatchError(ValueError):
@@ -58,10 +59,6 @@ class LilEstimate:
     def csv_table(self):
         return (["path", "sup"],
                 [[i, v] for i, v in enumerate(self.per_path_sup.tolist())])
-
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-        write_csv(path, *self.csv_table())
 
 
 def _summarize(values: np.ndarray) -> dict:
@@ -148,6 +145,12 @@ class MomentReport:
     def __post_init__(self):
         if 2.0 * self.lam * self.horizon >= 1.0:
             raise ValueError("hypothesis 2*lam*T < 1 violated")
+
+    def csv_table(self):
+        return (["d", "lam", "horizon", "mc_mean", "std_err", "closed_form",
+                 "dominance_margin"],
+                [[self.dim, self.lam, self.horizon, self.mc_mean, self.std_err,
+                  self.closed_form, self.dominance_margin]])
 
 
 def moment_dominance(source, b: IntegrandSpec, lam: float, horizon: float,
@@ -247,10 +250,6 @@ class TailBoundReport:
         header = ["alpha", "lam", "bound", "empirical", "std_err", "violation"]
         return header, [[getattr(r, key) for key in header] for r in self.rows]
 
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-        write_csv(path, *self.csv_table())
-
 
 def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
                      rule: str = "optimized", eta: float = 0.1,
@@ -314,9 +313,10 @@ class ErgodicReport:
         return (["path", "min_level_value"],
                 [[i, v] for i, v in enumerate(self.per_path_min.tolist())])
 
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-        write_csv(path, *self.csv_table())
+    def freq_csv_table(self):
+        """(header, rows) of the bundle-average frequency after n levels."""
+        return ["n", "avg_freq"], [[n, v] for n, v in
+                                   enumerate(self.freq_by_n.tolist(), 1)]
 
 
 def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
@@ -367,19 +367,23 @@ class Example36Report:
     """Anomalous-rate diagnostics: the full ratio sup and the dominant-term proxy.
 
     For this integrand the proxy (1/2) W^2 b / rate coincides with W^2 / h
-    level by level (the h-to-rate factor h b / (2 rate) is identically one),
-    so wsq_h_sup must match proxy_sup to rounding.  consistency_median
-    tracks the relative gap between the full and proxy sups; it cannot
-    vanish at reachable times because the full integral carries the
-    deterministic -1/(2 loglog(1/t)) term per level (about 0.12 at 1e-30).
+    level by level (the h-to-rate factor h b / (2 rate) is identically one).
+    consistency_median tracks the relative gap between the full and proxy
+    sups; it cannot vanish at reachable times because the full integral
+    carries the deterministic -1/(2 loglog(1/t)) term per level (about 0.12
+    at 1e-30).
     """
 
     full: LilEstimate
     proxy_sup: np.ndarray
     proxy_summary: dict
-    wsq_h_sup: np.ndarray
     consistency_median: float  # median relative gap between the two sups
     t_min: float
+
+    def csv_table(self):
+        return (["path", "full_sup", "proxy_sup"],
+                [[i, *sups] for i, sups in enumerate(zip(
+                    self.full.per_path_sup.tolist(), self.proxy_sup.tolist()))])
 
 
 def example36_diag(source, refinements: int = 4) -> Example36Report:
@@ -395,7 +399,7 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
     from .paths import refine_bisect
 
     b = catalog_integrand("example36", dim=1)
-    sups_full, sups_proxy, sups_wh = [], [], []
+    sups_full, sups_proxy = [], []
     grid_meta = None
     t_min = math.inf
     for realise in as_chunks(source):
@@ -416,7 +420,6 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
         bvals = np.array([_lll_inverse(tk) for tk in t])
         w2 = refined.paths[:, 0, :] ** 2
         sups_proxy.append((0.5 * w2 * bvals[None, :] / rate[None, :]).max(axis=1))
-        sups_wh.append((w2 / lil_normalizer(t)[None, :]).max(axis=1))
     full_sup = np.concatenate(sups_full)
     proxy_sup = np.concatenate(sups_proxy)
     full = LilEstimate(per_path_sup=full_sup, kind="example36", absolute=False,
@@ -424,23 +427,32 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
     rel = np.abs(full_sup - proxy_sup) / np.maximum(proxy_sup, 1e-300)
     return Example36Report(full=full, proxy_sup=proxy_sup,
                            proxy_summary=_summarize(proxy_sup),
-                           wsq_h_sup=np.concatenate(sups_wh),
                            consistency_median=float(np.median(rel)),
                            t_min=t_min)
 
 
-def cutoff_max_medians(times: np.ndarray, stat: np.ndarray, cutoffs) -> list:
-    """Median over paths of max of stat over grid times <= tau, per cutoff tau.
+@dataclass
+class WindowMedians:
+    """Median over paths of the per-path max of |scaled| within each window
+    of consecutive grid times, one row per window, smallest times first."""
 
-    stat has shape (paths, len(times)); times ascend.  Used to express
-    "the statistic tends to zero as the grid extends toward zero" as a
-    decreasing-median trend.
-    """
-    running = np.maximum.accumulate(stat, axis=1)
-    out = []
-    for tau in cutoffs:
-        idx = int(np.searchsorted(times, tau, side="right")) - 1
-        if idx < 0:
-            raise ValueError("cutoff below the smallest grid time")
-        out.append((float(tau), float(np.median(running[:, idx]))))
-    return out
+    t_hi: list    # the largest time of each window
+    medians: list
+
+    def csv_table(self):
+        return ["t_hi", "median"], [list(row) for row in zip(self.t_hi, self.medians)]
+
+
+def window_medians(trace: DriftIntegralTrace, window: int) -> WindowMedians:
+    """Disjoint windows of `window` grid times from the smallest time up (a
+    last partial window is dropped).  "The scaled statistic tends to zero"
+    shows as medians that shrink toward the smallest times."""
+    t = trace.times
+    if not 1 <= window <= t.size:
+        raise ValueError(f"window must lie in [1, {t.size}] (the grid size)")
+    stat = np.abs(trace.scaled)
+    ends = range(window, t.size + 1, window)
+    return WindowMedians(
+        t_hi=[float(t[hi - 1]) for hi in ends],
+        medians=[float(np.median(stat[:, hi - window:hi].max(axis=1)))
+                 for hi in ends])

@@ -99,15 +99,6 @@ class Payoff:
         return float((self.values[-1] - self.values[-2])
                      / (self.s_nodes[-1] - self.s_nodes[-2]))
 
-    def to_csv(self, path, s_grid=None) -> None:
-        from .reports import write_csv
-        if s_grid is None:
-            if self.kind != "tabulated":
-                raise ValueError("s_grid is required for non-tabulated payoffs")
-            s_grid = self.s_nodes
-        vals = self(np.asarray(s_grid, dtype=float))
-        write_csv(path, ["s", "g"], [[float(s), float(v)] for s, v in zip(s_grid, vals)])
-
 
 def call(strike: float) -> Payoff:
     if not 0.0 < strike < math.inf:
@@ -151,11 +142,6 @@ def tabulated(s_nodes, values) -> Payoff:
     if np.any(v < 0.0):
         raise ValueError("payoff values must be nonnegative")
     return Payoff(kind="tabulated", s_nodes=s, values=v)
-
-
-def payoff_from_csv(path) -> Payoff:
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    return tabulated(rows[:, 0], rows[:, 1])
 
 
 def simulate_gbm(bundle: BrownianBundle, s0: float, params: MarketParams) -> np.ndarray:

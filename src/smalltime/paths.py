@@ -147,22 +147,6 @@ def ergodic_grid(n_levels: int) -> TimeGrid:
     return geometric_grid(t0=math.exp(-1.0), theta=math.exp(-1.0), levels=n_levels - 1)
 
 
-def union_grid(a: TimeGrid, b: TimeGrid) -> TimeGrid:
-    pts = np.union1d(a.points, b.points)
-    return TimeGrid(pts, kind="union", meta={"parents": (a.kind, b.kind)})
-
-
-def make_grid(kind: str, **params) -> TimeGrid:
-    """Descriptor-driven construction from a grid kind and its parameters."""
-    if kind == "uniform":
-        return uniform_grid(params["horizon"], params["steps"])
-    if kind == "geometric":
-        return geometric_grid(params["t0"], params["theta"], params["levels"])
-    if kind == "ergodic":
-        return ergodic_grid(params["n_levels"])
-    raise ValueError(f"unknown grid kind {kind!r}")
-
-
 @dataclass
 class BrownianBundle:
     """A reproducible collection of d-dimensional Brownian paths.
@@ -197,16 +181,6 @@ class BrownianBundle:
         n = z.size
         s2 = float(np.mean(z * z))
         return (s2 - 1.0) / math.sqrt(2.0 / n)
-
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-        header = ["path", "time"] + [f"W_{j + 1}" for j in range(self.dim)]
-        rows = []
-        for i in range(self.path_count):
-            pid = self.first_path + i
-            for k, t in enumerate(self.grid.points):
-                rows.append([pid, t] + list(self.paths[i, :, k]))
-        write_csv(path, header, rows)
 
 
 def sample_bundle(dim: int, grid: TimeGrid, path_count: int, seed: int,

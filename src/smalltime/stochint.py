@@ -281,19 +281,6 @@ class DoubleIntegralTrace:
     def final_outer(self) -> np.ndarray:
         return self.outer[:, -1]
 
-    def to_csv(self, path) -> None:
-        from .reports import write_csv
-        if self.inner.shape[1] != self.times.size:
-            raise ValueError("CSV export needs a trace integrated with keep='trace'")
-        d = self.dim
-        header = ["path", "time", "V"] + [f"Y_{j + 1}" for j in range(d)] + ["qv"]
-        rows = []
-        for i in range(self.path_count):
-            for k, t in enumerate(self.times):
-                rows.append([i, t, self.outer[i, k]]
-                            + list(self.inner[i, k]) + [self.qv_outer[i, k]])
-        write_csv(path, header, rows)
-
 
 # a block of the left-point kernel spans about this many path values
 # (steps x paths x dimension), so each numpy call covers many steps while

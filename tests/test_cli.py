@@ -8,12 +8,15 @@ from smalltime.cli import (ConfigError, RunConfig, list_catalog, load_config,
                            main, run)
 from smalltime.dpe import PdeGrid, greeks, solve_dpe
 from smalltime.hedge import StrategySpec, replication_gap, simulate_hedge
-from smalltime.lilab import ergodic_liminf, ratio_sup, tail_bound_check
+from smalltime.lilab import (ergodic_liminf, example36_diag, moment_dominance,
+                             ratio_sup, tail_bound_check, window_medians)
 from smalltime.market import MarketParams, call
 from smalltime.matcore import GammaBand, SymMatrix
 from smalltime.paths import (BundleSpec, ergodic_grid, geometric_grid,
                              sample_bundle, uniform_grid)
-from smalltime.stochint import catalog_integrand, integrate_double
+from smalltime.reports import write_csv
+from smalltime.stochint import (VectorSpec, catalog_integrand, drift_integral,
+                                integrate_double)
 
 
 def _write_cfg(tmp_path, text):
@@ -81,6 +84,18 @@ def _assert_key_rejected(tmp_path, capsys, experiment, key, value):
     assert not (tmp_path / "never").exists()
 
 
+def _assert_plan_rejects(tmp_path, capsys, key, args):
+    args = args + [f"--out={tmp_path}/never"]
+    cfg = load_config(None, args)
+    with pytest.raises(ConfigError) as err:
+        run(cfg)
+    assert err.value.key == key
+    for command in ("run", "validate-config"):
+        assert main([command] + args) == 2
+        assert repr(key) in capsys.readouterr().err
+    assert not (tmp_path / "never").exists()
+
+
 def test_paths_below_one_is_a_config_error(tmp_path, capsys):
     _assert_key_rejected(tmp_path, capsys, "moment", "paths", 0)
 
@@ -102,6 +117,7 @@ def test_nx_below_sixteen_is_a_config_error(tmp_path, capsys):
     ("tail-bound", "rule", "nope"),
     ("lil-sup", "kind", "nope"),
     ("bs-price", "payoff", "nope"),
+    ("tail-bound", "alphas", ""),
 ])
 def test_out_of_domain_key_is_a_config_error(tmp_path, capsys, experiment,
                                              key, value):
@@ -121,16 +137,21 @@ def test_invalid_dpe_family_config_is_a_config_error(tmp_path, capsys, experimen
     """Values every key's own parser accepts but the market, band, payoff,
     grid or path objects reject: run and validate-config both exit 2 and
     name the key, before any work."""
-    args = [f"--experiment={experiment}", f"--{key}={value}",
-            f"--out={tmp_path}/never"]
-    cfg = load_config(None, args)
-    with pytest.raises(ConfigError) as err:
-        run(cfg)
-    assert err.value.key == key
-    for command in ("run", "validate-config"):
-        assert main([command] + args) == 2
-        assert repr(key) in capsys.readouterr().err
-    assert not (tmp_path / "never").exists()
+    _assert_plan_rejects(tmp_path, capsys, key,
+                         [f"--experiment={experiment}", f"--{key}={value}"])
+
+
+@pytest.mark.parametrize("key,args", [
+    ("sigma", ["--experiment=bs-price", "--sigma=0"]),
+    ("t", ["--experiment=bs-price", "--t=2"]),
+    ("integrand", ["--experiment=moment", "--integrand=rotation", "--d=1"]),
+    ("window", ["--experiment=prop39", "--levels=5", "--window=10"]),
+    ("window", ["--experiment=prop39", "--window=0"]),
+])
+def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
+    """bs-price valuations, catalog integrands at a dimension they do not
+    take and prop39 windows wider than the grid fail in the plan."""
+    _assert_plan_rejects(tmp_path, capsys, key, args)
 
 
 def test_bs_funding_funds_at_the_lognormal_price(tmp_path):
@@ -218,11 +239,12 @@ def test_validate_config_command(tmp_path, capsys):
 
 
 def test_run_csvs_are_the_reports_own_rows(tmp_path):
-    """Every CSV a run writes for a report is that report's own to_csv
-    output (ergodic_freq.csv has no owning report and is not compared)."""
+    """Every CSV a run writes is write_csv of its owning report's table."""
     seed = 11
     market = MarketParams(sigma=0.2, horizon=1.0)
     band = GammaBand(-0.5, 0.5)
+    identity = catalog_integrand("identity", 1)
+    compared = set()
 
     def cli(experiment, *args):
         out = tmp_path / experiment
@@ -230,30 +252,46 @@ def test_run_csvs_are_the_reports_own_rows(tmp_path):
                      f"--out={out}", *args]) in (0, 1)
         return out
 
-    def same(out, name, report, *csv_args):
-        report.to_csv(tmp_path / "own.csv", *csv_args)
+    def same(out, name, table):
+        write_csv(tmp_path / "own.csv", *table)
         assert (out / name).read_bytes() == (tmp_path / "own.csv").read_bytes(), name
+        compared.add(out / name)
+
+    out = cli("moment", "--paths=300", "--steps=50", "--chunk=100")
+    spec = BundleSpec(1, uniform_grid(0.5, 50), 300, seed, chunk_size=100)
+    same(out, "moment.csv",
+         moment_dominance(spec, identity, 0.5, 0.5).csv_table())
 
     out = cli("tail-bound", "--paths=300", "--steps=50", "--chunk=100")
     spec = BundleSpec(1, uniform_grid(0.1, 50), 300, seed, chunk_size=100)
     same(out, "tail_bound.csv",
-         tail_bound_check(spec, catalog_integrand("identity", 1), 0.1,
-                          [0.5, 1.0, 2.0, 4.0]))
+         tail_bound_check(spec, identity, 0.1, [0.5, 1.0, 2.0, 4.0]).csv_table())
 
     out = cli("lil-sup", "--paths=200", "--levels=10")
     bundle = sample_bundle(1, geometric_grid(1e-2, 0.5, 10), 200, seed)
-    trace = integrate_double(bundle, catalog_integrand("identity", 1), keep="outer")
-    same(out, "lil_sup.csv", ratio_sup(trace, kind="h", absolute=True))
+    trace = integrate_double(bundle, identity, keep="outer")
+    same(out, "lil_sup.csv", ratio_sup(trace, kind="h", absolute=True).csv_table())
 
     out = cli("ergodic", "--paths=200", "--levels=10")
-    bundle = sample_bundle(1, ergodic_grid(10), 200, seed)
-    same(out, "ergodic_paths.csv",
-         ergodic_liminf(bundle, SymMatrix(np.eye(1)), 0.1))
+    rep = ergodic_liminf(sample_bundle(1, ergodic_grid(10), 200, seed),
+                         SymMatrix(np.eye(1)), 0.1)
+    same(out, "ergodic_paths.csv", rep.csv_table())
+    same(out, "ergodic_freq.csv", rep.freq_csv_table())
+
+    out = cli("example36", "--paths=50", "--levels=20", "--chunk=20",
+              "--refinements=2")
+    spec = BundleSpec(1, geometric_grid(1e-2, 0.5, 20), 50, seed, chunk_size=20)
+    same(out, "example36.csv", example36_diag(spec, refinements=2).csv_table())
+
+    out = cli("prop39", "--paths=100", "--levels=30", "--window=7")
+    bundle = sample_bundle(1, geometric_grid(1e-4, 0.5, 30), 100, seed)
+    dtr = drift_integral(bundle, VectorSpec.constant([1.0]), identity, eps=0.5)
+    same(out, "prop39.csv", window_medians(dtr, 7).csv_table())
 
     out = cli("dpe-price", "--nx=64", "--lower=-0.5", "--upper=0.5")
     grid = PdeGrid.around_spot(100.0, market, nx=64)
     sol = solve_dpe(call(100.0), band, market, grid)
-    same(out, "surface.csv", sol, max(1, grid.nt // 20))
+    same(out, "surface.csv", sol.csv_table(max(1, grid.nt // 20)))
     codes = {line.rsplit(",", 1)[1]
              for line in (out / "surface.csv").read_text().splitlines()[1:]}
     assert codes == {"0", "1"}
@@ -266,12 +304,16 @@ def test_run_csvs_are_the_reports_own_rows(tmp_path):
     x0 = float(greeks(sol, 0.0, 100.0)[0]) * 1.01
     same(out, "shortfall.csv",
          simulate_hedge(spec, 100.0, x0, StrategySpec.from_dpe(sol), call(100.0),
-                        band, market))
+                        band, market).csv_table())
 
     out = cli("gap", *hedge_args)
     gap = replication_gap(call(100.0), band, market, 100.0, spec, grid=grid)
-    same(out, "shortfall_constrained.csv", gap.run_constrained)
-    same(out, "shortfall_bs_funded.csv", gap.run_bs_funded)
+    same(out, "shortfall_constrained.csv", gap.run_constrained.csv_table())
+    same(out, "shortfall_bs_funded.csv", gap.run_bs_funded.csv_table())
+
+    # every CSV of all nine CSV-writing experiments was compared
+    assert compared == set(tmp_path.glob("*/*.csv"))
+    assert len({path.parent for path in compared}) == 9
 
 
 # ------------------------------------------------------------------- catalog

@@ -9,6 +9,7 @@ from smalltime.dpe import (OutOfGridError, PdeGrid, StabilityError,
 from smalltime.market import MarketParams, bs_price, call, face_lift, put, tabulated
 from smalltime.matcore import GammaBand, dpe_operator_fhat
 from smalltime.market import piecewise_linear
+from smalltime.reports import write_csv
 
 PARAMS = MarketParams(sigma=0.2, horizon=1.0)
 FREE = GammaBand.unbounded()
@@ -185,7 +186,7 @@ def test_active_flags_and_csv(tmp_path):
     sol = solve_dpe(call(100.0), band, PARAMS, _grid())
     assert (sol.active == 1).any()
     f = tmp_path / "surf.csv"
-    sol.to_csv(f, t_stride=max(1, (sol.t_nodes.size - 1) // 4))
+    write_csv(f, *sol.csv_table(t_stride=max(1, (sol.t_nodes.size - 1) // 4)))
     head = f.read_text().splitlines()[0]
     assert head == "t,s,v,v_s,s2_v_ss,active_constraint"
 

@@ -10,6 +10,7 @@ from smalltime.hedge import (STRATEGY_CATALOG, StrategySpec, replication_gap,
                              simulate_hedge, strategy_from_catalog)
 from smalltime.market import MarketParams, bs_price, call, simulate_gbm
 from smalltime.matcore import GammaBand
+from smalltime.reports import write_csv
 from smalltime.paths import BundleSpec, sample_bundle, uniform_grid
 
 PARAMS = MarketParams(sigma=0.2, horizon=1.0)
@@ -147,7 +148,7 @@ def test_hedge_report_csv(tmp_path):
     rep = simulate_hedge(_bundle(paths=5, steps=10), 100.0, 5.0,
                          StrategySpec.zero(), call(100.0), BAND, PARAMS)
     f = tmp_path / "shortfall.csv"
-    rep.to_csv(f)
+    write_csv(f, *rep.csv_table())
     lines = f.read_text().splitlines()
     assert lines[0] == "path,S_T,X_T,shortfall"
     assert len(lines) == 6

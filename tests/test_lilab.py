@@ -8,16 +8,17 @@ from scipy.special import chdtr
 from scipy.stats import chi2
 
 from smalltime.lilab import (GridMismatchError, conditional_moment_fn,
-                             cutoff_max_medians, ergodic_liminf,
-                             example36_diag, example36_rate_fn,
-                             moment_dominance, moment_identity,
-                             optimal_tail_lambda, ratio_sup, tail_bound_check,
-                             tail_bound_value)
-from smalltime.matcore import DomainError
+                             ergodic_liminf, example36_diag,
+                             example36_rate_fn, moment_dominance,
+                             moment_identity, optimal_tail_lambda, ratio_sup,
+                             tail_bound_check, tail_bound_value,
+                             window_medians)
+from smalltime.matcore import DomainError, lil_normalizer
 from smalltime.paths import (BundleSpec, ergodic_grid, geometric_grid,
-                             sample_bundle, uniform_grid)
-from smalltime.stochint import (IntegrandSpec, catalog_integrand,
-                                closed_form_trace, integrate_double)
+                             refine_bisect, sample_bundle, uniform_grid)
+from smalltime.stochint import (IntegrandSpec, VectorSpec, _lll_inverse,
+                                catalog_integrand, closed_form_trace,
+                                drift_integral, integrate_double)
 
 
 # ------------------------------------------------------------------ ratio sup
@@ -302,18 +303,38 @@ def test_example36_diag_runs_and_sups_align():
     assert rep.t_min < 1e-29
     assert np.all(rep.proxy_sup > 0.0)
     # the h-to-rate factor h b / (2 rate) is identically one for this
-    # integrand, so the proxy sup and the W^2/h sup coincide
-    assert np.allclose(rep.proxy_sup, rep.wsq_h_sup, rtol=1e-12)
+    # integrand at every refined time, so the proxy (1/2) W^2 b / rate is
+    # W^2 / h level by level
+    refined = b
+    for _ in range(4):
+        refined = refine_bisect(refined)
+    t = refined.grid.points
+    assert t[0] == rep.t_min
+    factor = (lil_normalizer(t) * np.array([_lll_inverse(tk) for tk in t])
+              / (2.0 * example36_rate_fn(t)))
+    np.testing.assert_allclose(factor, 1.0, rtol=1e-12)
     # full vs proxy: each level carries a -1/(2 loglog(1/t)) term in the
     # full ratio (about 0.12 at these depths), so the honest relative gap
     # between the two sups sits near 0.17; see the report docstring
     assert rep.consistency_median <= 0.25
 
 
-def test_cutoff_max_medians_monotone():
-    times = np.array([1e-6, 1e-5, 1e-4, 1e-3])
-    stat = np.array([[0.1, 0.2, 0.4, 0.8], [0.3, 0.1, 0.2, 0.9]])
-    meds = cutoff_max_medians(times, stat, [1e-5, 1e-3])
-    assert meds[0][1] <= meds[1][1]
-    with pytest.raises(ValueError):
-        cutoff_max_medians(times, stat, [1e-9])
+# ------------------------------------------------------------------- prop39
+
+def test_window_medians_are_disjoint_window_medians():
+    b = sample_bundle(1, geometric_grid(1e-4, 0.5, 12), 7, seed=29)
+    tr = drift_integral(b, VectorSpec.constant([1.0]),
+                        catalog_integrand("identity", 1), eps=0.5)
+    stat = np.abs(tr.scaled)
+    for w in (1, 4, 5, 13):
+        rep = window_medians(tr, w)
+        # a plain loop over the disjoint windows, a last partial one dropped
+        want, lo = [], 0
+        while lo + w <= tr.times.size:
+            want.append([float(tr.times[lo + w - 1]),
+                         float(np.median(stat[:, lo:lo + w].max(axis=1)))])
+            lo += w
+        assert rep.csv_table() == (["t_hi", "median"], want)
+    for w in (0, 14):
+        with pytest.raises(ValueError, match="window"):
+            window_medians(tr, w)

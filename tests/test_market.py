@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from smalltime.market import (MarketParams, bs_price, call, discrete_cash_gamma,
-                              face_lift, payoff_from_csv, piecewise_linear,
-                              put, simulate_gbm, tabulated)
+                              face_lift, piecewise_linear, put, simulate_gbm,
+                              tabulated)
 from smalltime.matcore import GammaBand
 from smalltime.paths import BundleSpec, sample_bundle, uniform_grid
 
@@ -209,12 +209,3 @@ def test_face_lift_lower_bound_does_not_enter():
     a = face_lift(call(1.0), GammaBand(-5.0, 0.5), S_GRID)
     b = face_lift(call(1.0), GammaBand.upper_only(0.5), S_GRID)
     assert np.array_equal(a(S_GRID), b(S_GRID))
-
-
-def test_payoff_csv_roundtrip(tmp_path):
-    sg = np.exp(np.linspace(math.log(0.5), math.log(2.0), 17))
-    g = tabulated(sg, call(1.0)(sg))
-    f = tmp_path / "payoff.csv"
-    g.to_csv(f)
-    g2 = payoff_from_csv(f)
-    assert np.allclose(g2(sg), g(sg))

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from smalltime.paths import (BrownianBundle, BundleSpec, TimeGrid,
-                             ergodic_grid, geometric_grid, make_grid,
-                             refine_bisect, rotate_bundle, sample_bundle,
-                             uniform_grid, union_grid)
+                             ergodic_grid, geometric_grid, refine_bisect,
+                             rotate_bundle, sample_bundle, uniform_grid)
 
 
 # --------------------------------------------------------------------- grids
@@ -42,15 +41,6 @@ def test_grid_invariants():
         TimeGrid(np.array([0.0, 0.5, 0.5]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([-1.0, 0.5]))
-
-
-def test_union_and_make_grid():
-    g = union_grid(uniform_grid(1.0, 2), geometric_grid(0.25, 0.5, 1))
-    assert np.allclose(g.points, [0.0, 0.125, 0.25, 0.5, 1.0])
-    g2 = make_grid("uniform", horizon=1.0, steps=2)
-    assert np.allclose(g2.points, [0.0, 0.5, 1.0])
-    with pytest.raises(ValueError):
-        make_grid("nope")
 
 
 def test_ergodic_grid_times():
@@ -163,13 +153,3 @@ def test_refine_bisect_deterministic():
     f2 = refine_bisect(sample_bundle(1, uniform_grid(1.0, 4), 10, seed=3))
     assert np.array_equal(f1.paths, f2.paths)
 
-
-# -------------------------------------------------------------------- export
-
-def test_bundle_csv_export(tmp_path):
-    b = sample_bundle(2, uniform_grid(1.0, 2), 2, seed=77)
-    out = tmp_path / "bundle.csv"
-    b.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "path,time,W_1,W_2"
-    assert len(lines) == 1 + 2 * 3

@@ -269,16 +269,6 @@ def test_catalog_unknown_name():
         catalog_integrand("not_there", 1)
 
 
-def test_trace_csv_export(tmp_path):
-    b = sample_bundle(2, uniform_grid(1.0, 2), 2, seed=20)
-    tr = integrate_double(b, catalog_integrand("identity", 2))
-    out = tmp_path / "trace.csv"
-    tr.to_csv(out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "path,time,V,Y_1,Y_2,qv"
-    assert len(lines) == 1 + 2 * 3
-
-
 # ------------------------------------------------------------ keep= modes
 
 @settings(max_examples=40, deadline=None)
@@ -323,10 +313,7 @@ def test_integration_is_the_same_whatever_the_chunking(name, d, paths, cut, seed
         assert np.array_equal(joined, getattr(whole, field_name)), field_name
 
 
-def test_keep_mode_is_validated_and_partial_traces_refuse_csv(tmp_path):
+def test_keep_mode_is_validated():
     b = sample_bundle(1, uniform_grid(1.0, 4), 3, seed=21)
     with pytest.raises(ValueError, match="keep"):
         integrate_double(b, catalog_integrand("identity", 1), keep="sup")
-    last = integrate_double(b, catalog_integrand("identity", 1), keep="last")
-    with pytest.raises(ValueError, match="keep='trace'"):
-        last.to_csv(tmp_path / "last.csv")
