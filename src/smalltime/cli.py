@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -23,15 +24,15 @@ from . import __version__
 from .dpe import PdeGrid, greeks, solve_dpe
 from .hedge import STRATEGY_CATALOG, StrategySpec, replication_gap, simulate_hedge
 from .lilab import (_RATE_KINDS, ergodic_liminf, example36_diag,
-                    moment_dominance, ratio_sup, tail_bound_check,
-                    window_medians)
+                    example36_rate_fn, moment_dominance, moment_identity,
+                    ratio_sup, tail_bound_check, window_medians)
 from .market import MarketParams, bs_price, call, put
 from .matcore import GammaBand, SymMatrix
 from .paths import (BundleSpec, ergodic_grid, geometric_grid, sample_bundle,
                     uniform_grid)
 from .reports import config_hash, write_csv, write_json
 from .stochint import (INTEGRAND_CATALOG, VectorSpec, catalog_integrand,
-                       drift_integral, integrate_double)
+                       drift_integral, drift_scale, integrate_double)
 
 REQUIRED = object()
 
@@ -49,7 +50,7 @@ def _parse_value(kind: str, text):
         if kind == "int":
             return int(text)
         if kind == "float":
-            return float(text)
+            return _not_nan(float(text))
         if kind == "bool":
             if isinstance(text, bool):
                 return text
@@ -63,10 +64,17 @@ def _parse_value(kind: str, text):
                      if isinstance(text, str) else text)
             if not items:
                 raise ValueError(text)
-            return [float(v) for v in items]
+            return [_not_nan(float(v)) for v in items]
         return str(text)
     except (TypeError, ValueError):
         raise ConfigError(f"cannot parse value {text!r} as {kind}", key=None) from None
+
+
+def _not_nan(value: float) -> float:
+    # +-inf stay: band edges may be infinite
+    if math.isnan(value):
+        raise ValueError("NaN")
+    return value
 
 
 _COMMON = {
@@ -78,7 +86,8 @@ _COMMON = {
 _PAYOFFS = {"call": call, "put": put}
 
 # domains of the size and catalog-valued keys, in every schema that has them
-_MINIMA = {"paths": 1, "chunk": 1, "nx": 16, "workers": 1}
+_MINIMA = {"paths": 1, "chunk": 1, "nx": 16, "workers": 1, "d": 1,
+           "refinements": 0}
 _CHOICES = {"integrand": INTEGRAND_CATALOG, "rule": ("optimized", "fixed"),
             "kind": _RATE_KINDS, "payoff": _PAYOFFS, "funding": ("dpe", "bs")}
 
@@ -227,12 +236,12 @@ def load_config(path: str | None, overrides) -> RunConfig:
 @contextmanager
 def _reading(*keys):
     """A ValueError raised by a constructor that reads these keys becomes a
-    ConfigError naming the keys its message names (all of them if it names
-    none); the first named is the error's key."""
+    ConfigError naming the keys its message names as whole words (all of
+    them if it names none); the first named is the error's key."""
     try:
         yield
     except ValueError as err:
-        named = [k for k in keys if k in str(err)] or list(keys)
+        named = [k for k in keys if re.search(rf"\b{k}\b", str(err))] or list(keys)
         raise ConfigError(f"key {' / '.join(map(repr, named))}: {err}",
                           key=named[0]) from None
 
@@ -256,6 +265,14 @@ def _dpe_plan(cfg: RunConfig):
         band = GammaBand(p["lower"], p["upper"])
     with _reading("s0"):
         grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
+    # the solver holds several float64 surfaces of nx x (nt + 1) nodes
+    surface_bytes = 8 * grid.nx * (grid.nt + 1)
+    memory_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if surface_bytes > memory_bytes:
+        raise ConfigError(
+            f"key 'nx': a surface of {grid.nx} x {grid.nt + 1} nodes needs "
+            f"{surface_bytes / 2 ** 30:.1f} GiB, more than the "
+            f"{memory_bytes / 2 ** 30:.1f} GiB of physical memory", key="nx")
     spec = None
     if "steps" in p:
         with _reading("steps"):
@@ -278,22 +295,75 @@ def _integrand_plan(cfg: RunConfig):
         return catalog_integrand(cfg.params["integrand"], cfg.params["d"])
 
 
-def _prop39_plan(cfg: RunConfig):
-    """The geometric grid of a prop39 run, with room for one window."""
+def _forward_plan(cfg: RunConfig):
+    """The integrand and bundle spec of a moment or tail-bound run.  Both
+    bounds need an integrand of declared bound <= 1, and the moment one
+    needs 2 lam horizon < 1."""
+    p = cfg.params
+    b = _integrand_plan(cfg)
+    if not b.unit_bounded:
+        raise ConfigError(f"key 'integrand': {cfg.experiment} needs an integrand "
+                          f"with declared bound <= 1, {b.name!r} declares "
+                          f"{b.bound}", key="integrand")
+    if "lam" in p:
+        with _reading("lam", "horizon"):
+            moment_identity(p["lam"], p["horizon"], p["d"])
+    with _reading("horizon", "steps"):
+        grid = uniform_grid(p["horizon"], p["steps"])
+    return b, BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
+
+
+def _geometric_plan(cfg: RunConfig, rate_fn=None):
+    """The geometric grid of a lil-sup, example36 or prop39 run; with a
+    rate function, every grid time must lie in the rate's domain, and the
+    largest time is t0."""
     p = cfg.params
     with _reading("t0", "theta", "levels"):
         grid = geometric_grid(p["t0"], p["theta"], p["levels"])
+    if rate_fn is not None:
+        with _reading("t0"):
+            rate_fn(grid.points)
+    return grid
+
+
+def _lil_sup_plan(cfg: RunConfig):
+    """The integrand and grid of a lil-sup run."""
+    rate_fn = _RATE_KINDS[cfg.params["kind"]][0]
+    return _integrand_plan(cfg), _geometric_plan(cfg, rate_fn)
+
+
+def _ergodic_plan(cfg: RunConfig):
+    """The e^-n grid and the matrix beta * I of an ergodic run."""
+    p = cfg.params
+    with _reading("levels"):
+        grid = ergodic_grid(p["levels"])
+    with _reading("beta"):
+        return grid, SymMatrix(p["beta"] * np.eye(p["d"]))
+
+
+def _example36_plan(cfg: RunConfig):
+    """The bundle spec of an example36 run, every grid time below e^-e."""
+    p = cfg.params
+    grid = _geometric_plan(cfg, example36_rate_fn)
+    return BundleSpec(1, grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
+
+
+def _prop39_plan(cfg: RunConfig):
+    """The geometric grid of a prop39 run, with room for one window and a
+    valid exponent eps."""
+    p = cfg.params
+    grid = _geometric_plan(cfg)
     if not 1 <= p["window"] <= grid.size:
         raise ConfigError(f"key 'window' must lie in [1, {grid.size}] (the grid "
                           f"size), got {p['window']}", key="window")
+    with _reading("eps"):
+        drift_scale(grid.points, p["eps"])
     return grid
 
 
 def _run_moment(cfg: RunConfig):
     p = cfg.params
-    b = _integrand_plan(cfg)
-    grid = uniform_grid(p["horizon"], p["steps"])
-    spec = BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
+    b, spec = _forward_plan(cfg)
     rep = moment_dominance(spec, b, p["lam"], p["horizon"], workers=cfg.workers)
     z = (rep.mc_mean - rep.closed_form) / rep.std_err if rep.std_err > 0 else 0.0
     results = {"mc_mean": rep.mc_mean, "std_err": rep.std_err, "z": z,
@@ -306,9 +376,7 @@ def _run_moment(cfg: RunConfig):
 
 def _run_tail(cfg: RunConfig):
     p = cfg.params
-    b = _integrand_plan(cfg)
-    grid = uniform_grid(p["horizon"], p["steps"])
-    spec = BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
+    b, spec = _forward_plan(cfg)
     rep = tail_bound_check(spec, b, p["horizon"], p["alphas"], rule=p["rule"],
                            eta=p["eta"], workers=cfg.workers)
     header, rows = rep.csv_table()
@@ -321,8 +389,7 @@ def _run_tail(cfg: RunConfig):
 
 def _run_lil_sup(cfg: RunConfig):
     p = cfg.params
-    b = _integrand_plan(cfg)
-    grid = geometric_grid(p["t0"], p["theta"], p["levels"])
+    b, grid = _lil_sup_plan(cfg)
     bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
     trace = integrate_double(bundle, b, keep="outer")
     est = ratio_sup(trace, kind=p["kind"], absolute=p["absolute"])
@@ -330,8 +397,7 @@ def _run_lil_sup(cfg: RunConfig):
     viol = float(np.mean(est.per_path_sup > envelope))
     results = {"summary": est.summary, "violation_rate": viol}
     references = {"envelope": envelope}
-    enveloped = (b.bound is not None and b.bound <= 1.0 + 1e-12
-                 and p["kind"] == "h" and p["absolute"])
+    enveloped = b.unit_bounded and p["kind"] == "h" and p["absolute"]
     checks = {}
     if enveloped:
         checks["envelope_violation_rate"] = {
@@ -342,8 +408,8 @@ def _run_lil_sup(cfg: RunConfig):
 
 def _run_ergodic(cfg: RunConfig):
     p = cfg.params
-    bundle = sample_bundle(p["d"], ergodic_grid(p["levels"]), p["paths"], cfg.seed)
-    beta = SymMatrix(p["beta"] * np.eye(p["d"]))
+    grid, beta = _ergodic_plan(cfg)
+    bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
     rep = ergodic_liminf(bundle, beta, p["delta"])
     err = abs(rep.final_freq - rep.reference)
     results = {"final_freq": rep.final_freq, "freq_error": err,
@@ -359,8 +425,7 @@ def _run_ergodic(cfg: RunConfig):
 
 def _run_example36(cfg: RunConfig):
     p = cfg.params
-    grid = geometric_grid(p["t0"], p["theta"], p["levels"])
-    spec = BundleSpec(1, grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
+    spec = _example36_plan(cfg)
     rep = example36_diag(spec, refinements=p["refinements"])
     med = rep.proxy_summary["median"]
     results = {"full_summary": rep.full.summary, "proxy_summary": rep.proxy_summary,
@@ -465,9 +530,11 @@ def _run_gap(cfg: RunConfig):
 
 
 _PLANNERS = {
-    "moment": _integrand_plan,
-    "tail-bound": _integrand_plan,
-    "lil-sup": _integrand_plan,
+    "moment": _forward_plan,
+    "tail-bound": _forward_plan,
+    "lil-sup": _lil_sup_plan,
+    "ergodic": _ergodic_plan,
+    "example36": _example36_plan,
     "prop39": _prop39_plan,
     "dpe-price": _dpe_plan,
     "bs-price": _bs_plan,
@@ -545,8 +612,7 @@ def main(argv=None) -> int:
         cfg = load_config(getattr(args, "config", None), extra)
         if args.command == "run":
             return run(cfg)
-        if cfg.experiment in _PLANNERS:
-            _PLANNERS[cfg.experiment](cfg)
+        _PLANNERS[cfg.experiment](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -102,8 +102,12 @@ def ratio_sup(trace: DoubleIntegralTrace, kind: str, absolute: bool = False) -> 
 
 def moment_identity(lam: float, horizon: float, dim: int) -> float:
     """Closed form exp(-lam*d*T) * (1 - 2*lam*T)^(-d/2) for the identity integrand."""
-    if lam < 0.0 or horizon <= 0.0 or dim < 1:
-        raise ValueError("need lam >= 0, horizon > 0, dim >= 1")
+    if lam < 0.0:
+        raise ValueError("moment closed form needs lam >= 0")
+    if horizon <= 0.0:
+        raise ValueError("moment closed form needs horizon > 0")
+    if dim < 1:
+        raise ValueError("moment closed form needs dim >= 1")
     if 2.0 * lam * horizon >= 1.0:
         raise ValueError("hypothesis 2*lam*T < 1 violated")
     return math.exp(-lam * dim * horizon) * (1.0 - 2.0 * lam * horizon) ** (-dim / 2.0)
@@ -162,7 +166,7 @@ def moment_dominance(source, b: IntegrandSpec, lam: float, horizon: float,
     errors the identity-matrix closed form sits above the estimate; the
     dominance inequality predicts a nonnegative margin up to noise.
     """
-    if b.bound is None or b.bound > 1.0 + 1e-12:
+    if not b.unit_bounded:
         raise ValueError("moment dominance needs an integrand with declared bound <= 1")
     if 2.0 * lam * horizon >= 1.0:
         raise ValueError("hypothesis 2*lam*T < 1 violated")
@@ -261,7 +265,7 @@ def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
     is flagged when the empirical frequency exceeds the bound by more than
     three binomial standard errors.
     """
-    if b.bound is None or b.bound > 1.0 + 1e-12:
+    if not b.unit_bounded:
         raise ValueError("tail bound needs an integrand with declared bound <= 1")
     alphas = [float(a) for a in alphas]
 

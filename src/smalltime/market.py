@@ -169,10 +169,10 @@ def bs_price(payoff: Payoff, s, t: float, params: MarketParams):
     doubled until two successive levels agree to 1e-8 relative.
     """
     if t > params.horizon:
-        raise ValueError("valuation time beyond the horizon")
+        raise ValueError("valuation time t beyond the horizon")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr <= 0.0):
-        raise ValueError("spot must be positive")
+        raise ValueError("spot s must be positive")
     tau = params.horizon - t
     if tau == 0.0:
         out = payoff(s_arr)

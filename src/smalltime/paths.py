@@ -24,7 +24,7 @@ _TAG_FORWARD = 1
 _TAG_GEOMETRIC = 2
 _TAG_BISECT = 3
 
-# forward sampling works through blocks of about this many path values, so
+# the samplers work through row blocks of about this many path values, so
 # hashing, scaling and summing a block stay in cache
 _SAMPLE_VALUES = 1 << 17
 
@@ -75,8 +75,7 @@ def _normals(seed, tag, path_idx, step_idx, coord_idx, out=None):
             _mix64(h, tmp if h is full else np.empty_like(h))
         _mix64(np.add(h, _GOLD, out=full), tmp)
     np.right_shift(full, _SHIFT11, out=full)
-    out[...] = full
-    out += 0.5
+    np.add(full, 0.5, out=out)
     out *= 2.0 ** -53
     return ndtri(out, out=out)
 
@@ -114,8 +113,10 @@ class TimeGrid:
 
 
 def uniform_grid(horizon: float, steps: int) -> TimeGrid:
-    if horizon <= 0.0 or steps < 1:
-        raise ValueError("uniform grid needs horizon > 0 and steps >= 1")
+    if not horizon > 0.0:
+        raise ValueError("uniform grid needs horizon > 0")
+    if steps < 1:
+        raise ValueError("uniform grid needs steps >= 1")
     pts = np.linspace(0.0, horizon, steps + 1)
     return TimeGrid(pts, kind="uniform", meta={"horizon": float(horizon), "steps": int(steps)})
 
@@ -129,8 +130,10 @@ def geometric_grid(t0: float, theta: float, levels: int) -> TimeGrid:
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("geometric grid needs theta in (0, 1)")
-    if t0 <= 0.0 or levels < 0:
-        raise ValueError("geometric grid needs t0 > 0 and levels >= 0")
+    if not t0 > 0.0:
+        raise ValueError("geometric grid needs t0 > 0")
+    if levels < 0:
+        raise ValueError("geometric grid needs levels >= 0")
     ks = np.arange(levels, -1, -1, dtype=float)
     log_pts = math.log(t0) + ks * math.log(theta)
     if log_pts[0] < math.log(_T_FLOOR):
@@ -228,16 +231,23 @@ def _sample_geometric(dim, t, pids, seed):
     # level k corresponds to time t0 * theta^k, i.e. array index n-1-k
     n = t.size
     w = np.empty((pids.size, dim, n))
-    coords = np.arange(dim, dtype=np.uint64)[None, :]
-    z0 = _normals(seed, np.uint64(_TAG_GEOMETRIC), pids[:, None], np.uint64(0), coords)
-    w[:, :, n - 1] = math.sqrt(t[n - 1]) * z0
-    for level in range(1, n):
-        idx = n - 1 - level
-        t_prev, t_cur = t[idx + 1], t[idx]
-        zl = _normals(seed, np.uint64(_TAG_GEOMETRIC), pids[:, None], np.uint64(level), coords)
-        ratio = t_cur / t_prev
-        std = math.sqrt(t_cur * (t_prev - t_cur) / t_prev)
-        w[:, :, idx] = ratio * w[:, :, idx + 1] + std * zl
+    levels = np.arange(n - 1, -1, -1, dtype=np.uint64)[None, None, :]
+    coords = np.arange(dim, dtype=np.uint64)[None, :, None]
+    # bridge from t[idx+1] toward zero: W(t[idx]) = ratio W(t[idx+1]) + std z
+    ratio = t[:-1] / t[1:]
+    std = np.sqrt(t[:-1] * (t[1:] - t[:-1]) / t[1:])
+    rows = max(1, _SAMPLE_VALUES // (dim * n))
+    for i in range(0, pids.size, rows):
+        # every level of a block of paths in one draw, then the recurrence
+        # coarsest level first, in place
+        blk = w[i:i + rows]
+        _normals(seed, np.uint64(_TAG_GEOMETRIC), pids[i:i + rows, None, None],
+                 levels, coords, blk)
+        blk[:, :, n - 1] *= math.sqrt(t[n - 1])
+        for idx in range(n - 2, -1, -1):
+            z = blk[:, :, idx]
+            z *= std[idx]
+            z += ratio[idx] * blk[:, :, idx + 1]
     return w
 
 
@@ -264,26 +274,34 @@ def refine_bisect(bundle: BrownianBundle) -> BrownianBundle:
     deterministic.
     """
     t = bundle.grid.points
-    w = bundle.paths
+    p, dim, _ = bundle.paths.shape
     has_origin = t[0] == 0.0
     t_full = t if has_origin else np.concatenate(([0.0], t))
-    w_full = w if has_origin else np.concatenate((np.zeros(w.shape[:2] + (1,)), w), axis=2)
     depth = int(bundle.grid.meta.get("bisections", 0))
     n_int = t_full.size - 1
-    pids = np.arange(bundle.first_path, bundle.first_path + bundle.path_count, dtype=np.uint64)
-    z = _normals(bundle.seed, np.uint64(_TAG_BISECT * 1000 + depth),
-                 pids[:, None, None],
-                 np.arange(n_int, dtype=np.uint64)[None, None, :],
-                 np.arange(bundle.dim, dtype=np.uint64)[None, :, None])
-    mid_t = 0.5 * (t_full[:-1] + t_full[1:])
-    mid_std = 0.5 * np.sqrt(np.diff(t_full))
-    mid_w = 0.5 * (w_full[:, :, :-1] + w_full[:, :, 1:]) + mid_std[None, None, :] * z
     new_t = np.empty(t_full.size + n_int)
     new_t[0::2] = t_full
-    new_t[1::2] = mid_t
-    new_w = np.empty(w_full.shape[:2] + (new_t.size,))
-    new_w[:, :, 0::2] = w_full
-    new_w[:, :, 1::2] = mid_w
+    new_t[1::2] = 0.5 * (t_full[:-1] + t_full[1:])
+    # the coarse values in the even slots (W(0) = 0 in slot 0), the bridge
+    # midpoints in the odd ones
+    new_w = np.empty((p, dim, new_t.size))
+    new_w[:, :, 0] = 0.0
+    new_w[:, :, 0 if has_origin else 2::2] = bundle.paths
+    pids = np.arange(bundle.first_path, bundle.first_path + p, dtype=np.uint64)
+    steps = np.arange(n_int, dtype=np.uint64)[None, None, :]
+    coords = np.arange(dim, dtype=np.uint64)[None, :, None]
+    mid_std = 0.5 * np.sqrt(np.diff(t_full))
+    rows = max(1, _SAMPLE_VALUES // (dim * n_int))
+    mean = np.empty((min(rows, p), dim, n_int))
+    for i in range(0, p, rows):
+        blk = new_w[i:i + rows]
+        mid, m = blk[:, :, 1::2], mean[:len(blk)]
+        _normals(bundle.seed, np.uint64(_TAG_BISECT * 1000 + depth),
+                 pids[i:i + rows, None, None], steps, coords, mid)
+        mid *= mid_std
+        np.add(blk[:, :, 0:-1:2], blk[:, :, 2::2], out=m)
+        m *= 0.5
+        mid += m
     if not has_origin:
         new_t, new_w = new_t[1:], new_w[:, :, 1:]
     meta = dict(bundle.grid.meta)

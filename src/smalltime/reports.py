@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 
@@ -29,7 +30,21 @@ def write_csv(path, header, rows) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _reject_nan(value, where: str) -> None:
+    """Raise on a NaN anywhere in a JSON payload; +-inf are written as
+    +-Infinity (band edges may be infinite), a NaN never is."""
+    if isinstance(value, float) and math.isnan(value):
+        raise ValueError(f"NaN at {where} of a JSON artifact")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_nan(item, f"{where}.{key}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            _reject_nan(item, f"{where}[{i}]")
+
+
 def write_json(path, payload) -> None:
+    _reject_nan(payload, "top level")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", newline="\n")

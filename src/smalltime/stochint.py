@@ -59,6 +59,11 @@ class IntegrandSpec:
         return cls(kind="constant", dim=m.shape[0], name=name, matrix=m,
                    bound=operator_norm(m))
 
+    @property
+    def unit_bounded(self) -> bool:
+        """Whether the declared bound is at most 1 (up to rounding)."""
+        return self.bound is not None and self.bound <= 1.0 + 1e-12
+
     def eval(self, t: float, w: np.ndarray):
         """Value of b at time t given current path values w of shape (P, d).
 
@@ -245,8 +250,7 @@ def unit_bound_names(dim: int) -> list:
     for name in sorted(INTEGRAND_CATALOG):
         if name == "rotation" and dim < 2:
             continue
-        spec = catalog_integrand(name, dim)
-        if spec.bound is not None and spec.bound <= 1.0 + 1e-12:
+        if catalog_integrand(name, dim).unit_bounded:
             out.append(name)
     return out
 
@@ -320,7 +324,9 @@ def _apply_block(mat, v):
     """mat @ v row by row, v of shape (B, P, d), mat from _eval_block; the
     bits are those of one _apply per step."""
     if isinstance(mat, list):
-        return np.stack([_apply(m_k, v_k) for m_k, v_k in zip(mat, v)])
+        if v.shape[1] == 1:  # a lone row rounds as _apply's repeated pair
+            return np.stack([_apply(m_k, v_k) for m_k, v_k in zip(mat, v)])
+        return np.matmul(v, np.stack(mat).transpose(0, 2, 1))
     n, p, d = v.shape
     return _apply(mat, v.reshape(n * p, d)).reshape(n, p, d)
 
@@ -351,9 +357,11 @@ def _left_point(bundle: BrownianBundle, block, n_sums: int, keep: str = "trace")
     The callback writes the n_sums increments of every step into inc,
     (n_sums, B, P), and keeps its own states.  Only the compensated
     (Kahan) summation of those increments steps through time one step at
-    a time.  keep says what is returned as (sums, sup): "trace" every sum
-    at every grid time, "outer" the first sum at every grid time, "last"
-    the first sum at T (one column) and its running max over the grid.
+    a time; the sums kept are recorded into a block buffer and written out
+    once per block.  keep says what is returned as (sums, sup), sums of
+    shape (kept, P, columns): "trace" every sum at every grid time,
+    "outer" the first sum at every grid time, "last" the first sum at T
+    (one column) and its running max over the grid.
     """
     if keep not in ("trace", "outer", "last"):
         raise ValueError(f"keep must be 'trace', 'outer' or 'last', got {keep!r}")
@@ -371,14 +379,17 @@ def _left_point(bundle: BrownianBundle, block, n_sums: int, keep: str = "trace")
     acc, comp, adj, total = (np.zeros((n_sums, p)) for _ in range(4))
     inc = np.empty((n_sums, size, p))
     dw = np.empty((size, p, d))
-    series = [np.zeros((p, n_out)) for _ in range({"trace": n_sums, "outer": 1}.get(keep, 0))]
+    n_series = {"trace": n_sums, "outer": 1}.get(keep, 0)
+    series = np.zeros((n_series, p, n_out))
+    # the recorded sums of a block's steps, written into series per block
+    rec = np.empty((n_series, size, p))
     sup = np.full(p, -np.inf) if keep == "last" else None
     for k0 in range(0, dt.size, size):
         k1 = min(k0 + size, dt.size)
         n = k1 - k0
+        cols = slice(k0 + 1 - start, k1 + 1 - start)
         np.subtract(w[k0 + 1:k1 + 1], w[k0:k1], out=dw[:n])
-        block(slice(k0 + 1 - start, k1 + 1 - start), t[k0:k1], dt[k0:k1],
-              w[k0:k1], dw[:n], inc[:, :n])
+        block(cols, t[k0:k1], dt[k0:k1], w[k0:k1], dw[:n], inc[:, :n])
         for j in range(n):
             # Kahan: adj = inc - comp, acc' = acc + adj, comp' = (acc' - acc) - adj
             np.subtract(inc[:, j], comp, out=adj)
@@ -386,11 +397,12 @@ def _left_point(bundle: BrownianBundle, block, n_sums: int, keep: str = "trace")
             np.subtract(total, acc, out=comp)
             comp -= adj
             acc, total = total, acc
-            for rec, value in zip(series, acc):
-                rec[:, k0 + j + 1 - start] = value
-            if sup is not None:
+            if sup is None:
+                rec[:, j] = acc[:n_series]
+            else:
                 np.maximum(sup, acc[0], out=sup)
-    return series or [acc[0][:, None]], sup
+        series[:, :, cols] = rec[:, :n].transpose(0, 2, 1)
+    return series if n_series else acc[:1, :, None], sup
 
 
 def integrate_double(bundle: BrownianBundle, b: IntegrandSpec,
@@ -540,10 +552,18 @@ class DriftIntegralTrace:
     eps: float
 
 
-def drift_integral(bundle: BrownianBundle, a: VectorSpec, m: IntegrandSpec,
-                   eps: float = 0.5) -> DriftIntegralTrace:
+def drift_scale(t, eps: float) -> np.ndarray:
+    """The factor t^(-3/2+eps) of the scaled drift statistic, 0 at t = 0."""
     if not 0.0 < eps <= 1.0:
         raise ValueError("eps must lie in (0, 1]")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(t > 0.0, t ** (-1.5 + eps), 0.0)
+
+
+def drift_integral(bundle: BrownianBundle, a: VectorSpec, m: IntegrandSpec,
+                   eps: float = 0.5) -> DriftIntegralTrace:
+    t = bundle.grid.points
+    power = drift_scale(t, eps)
     if a.dim != bundle.dim or m.dim != bundle.dim:
         raise ValueError("process dimensions must match the bundle")
     ia = np.zeros((bundle.path_count, bundle.dim))
@@ -554,9 +574,6 @@ def drift_integral(bundle: BrownianBundle, a: VectorSpec, m: IntegrandSpec,
         np.einsum("kpi,kpi->kp", ias, _apply_block(_eval_block(m, t, w), dw), out=inc[0])
 
     (x,), _ = _left_point(bundle, block, 1)
-    t = bundle.grid.points
-    with np.errstate(divide="ignore", invalid="ignore"):
-        power = np.where(t > 0.0, t ** (-1.5 + eps), 0.0)
     scaled = x * power[None, :]
     scaled[:, t == 0.0] = 0.0
     return DriftIntegralTrace(times=t.copy(), x=x, scaled=scaled, eps=float(eps))

@@ -14,7 +14,7 @@ from smalltime.market import MarketParams, call
 from smalltime.matcore import GammaBand, SymMatrix
 from smalltime.paths import (BundleSpec, ergodic_grid, geometric_grid,
                              sample_bundle, uniform_grid)
-from smalltime.reports import write_csv
+from smalltime.reports import write_csv, write_json
 from smalltime.stochint import (VectorSpec, catalog_integrand, drift_integral,
                                 integrate_double)
 
@@ -152,6 +152,66 @@ def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
     """bs-price valuations, catalog integrands at a dimension they do not
     take and prop39 windows wider than the grid fail in the plan."""
     _assert_plan_rejects(tmp_path, capsys, key, args)
+
+
+@pytest.mark.parametrize("key,args", [
+    ("levels", ["--experiment=lil-sup", "--levels=-1"]),
+    ("t0", ["--experiment=lil-sup", "--t0=0.5"]),
+    ("levels", ["--experiment=ergodic", "--levels=0"]),
+    ("t0", ["--experiment=example36", "--t0=0.1"]),
+    ("eps", ["--experiment=prop39", "--eps=2"]),
+    ("lam", ["--experiment=moment", "--lam=2", "--horizon=0.5"]),
+    ("lam", ["--experiment=moment", "--lam=-1"]),
+    ("integrand", ["--experiment=moment", "--integrand=linear_time"]),
+    ("integrand", ["--experiment=tail-bound", "--integrand=linear_time"]),
+], ids=["lil-sup-levels", "lil-sup-t0", "ergodic-levels", "example36-t0",
+        "prop39-eps", "moment-lam", "moment-negative-lam", "moment-bound",
+        "tail-bound-bound"])
+def test_small_time_and_moment_plans_reject_before_sampling(tmp_path, capsys, key,
+                                                            args):
+    """Grids the grid builders reject, times outside the rate's domain, a
+    drift exponent outside (0, 1] and the moment and tail bounds' hypotheses
+    fail in the plan, not after sampling."""
+    _assert_plan_rejects(tmp_path, capsys, key, args)
+
+
+def test_zero_dimension_is_a_config_error(tmp_path, capsys):
+    _assert_key_rejected(tmp_path, capsys, "moment", "d", 0)
+
+
+def test_negative_refinement_count_is_a_config_error(tmp_path, capsys):
+    _assert_key_rejected(tmp_path, capsys, "example36", "refinements", -1)
+
+
+@pytest.mark.parametrize("experiment,key,value", [
+    ("bs-price", "s", "nan"),
+    ("dpe-price", "lower", "NaN"),
+    ("tail-bound", "alphas", "0.5,nan"),
+])
+def test_nan_is_a_config_error(tmp_path, capsys, experiment, key, value):
+    _assert_key_rejected(tmp_path, capsys, experiment, key, value)
+
+
+def test_write_json_rejects_nan_and_keeps_infinities(tmp_path):
+    with pytest.raises(ValueError, match=r"top level\.results\.q\[1\]"):
+        write_json(tmp_path / "bad.json", {"results": {"q": [1.0, math.nan]}})
+    assert not (tmp_path / "bad.json").exists()
+    write_json(tmp_path / "ok.json", {"lower": -math.inf, "upper": math.inf})
+    assert json.loads((tmp_path / "ok.json").read_text()) == {
+        "lower": -math.inf, "upper": math.inf}
+
+
+def test_single_letter_keys_are_matched_as_words(tmp_path, capsys):
+    """'spot s must be positive' names s alone, although t occurs in it."""
+    _assert_plan_rejects(tmp_path, capsys, "s", ["--experiment=bs-price", "--s=-1"])
+    assert main(["validate-config", "--experiment=bs-price", "--s=-1"]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: key 's': spot s must be positive")
+
+
+def test_surface_larger_than_memory_is_a_config_error(tmp_path, capsys):
+    """nx = 1e5 asks for a surface of about 7.7e12 nodes (56 TiB of float64)."""
+    _assert_plan_rejects(tmp_path, capsys, "nx", ["--experiment=dpe-price", "--nx=100000"])
 
 
 def test_bs_funding_funds_at_the_lognormal_price(tmp_path):

@@ -1,12 +1,13 @@
 """The time-blocked left-point kernel against a plain per-step loop, and the
-row-blocked forward sampler against one-shot sampling, byte for byte."""
+row-blocked samplers against one-shot sampling, byte for byte."""
 
 import hashlib
 import numpy as np
 import pytest
 
 from smalltime import paths, stochint
-from smalltime.paths import (TimeGrid, geometric_grid,
+from smalltime.lilab import example36_diag
+from smalltime.paths import (BundleSpec, TimeGrid, ergodic_grid, geometric_grid,
                              refine_bisect, sample_bundle, uniform_grid)
 from smalltime.stochint import (INTEGRAND_CATALOG, IntegrandSpec, VectorSpec,
                                 catalog_integrand, drift_integral,
@@ -221,7 +222,7 @@ def _digest(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
-# digests of the paths the one-shot sampler drew before sampling was blocked
+# digests of the paths the one-shot samplers drew before sampling was blocked
 BUNDLE_DIGESTS = {
     "forward_500x3x400":
         "893e22fa308c2999a69d94eaf772e61e7daef39c7fcef9c2beb565ce9d015932",
@@ -231,20 +232,70 @@ BUNDLE_DIGESTS = {
         "47b205690f529651fa9fc965673546a08a8878d62eefcd55a721be2bf0407f24",
     "bisected_20x3x33":
         "c7f64b3adf33542ce535bb435e574a550957340489722db95176e1de2158c95f",
+    # more than one row block of the geometric sampler
+    "geometric_10000x2x60":
+        "1a926cefde5307462832df014735a771a12f6eb622dd8d825588f299bfad41a7",
+    # example36's shape: a chunk without the origin, bisected twice
+    "geometric_bisected_twice_500x1x95":
+        "f1626b7d5362e2eb7dd5cfec4336e7b76b61428e7523e6ea439e096b22b041b3",
 }
 
 
-def _digest_cases():
-    yield "forward_500x3x400", sample_bundle(3, uniform_grid(0.5, 400), 500, seed=4001)
-    no_origin = TimeGrid(uniform_grid(0.3, 257).points[1:], kind="custom")
-    yield "forward_no_origin_130x2x257", sample_bundle(2, no_origin, 130, seed=4002,
-                                                       first_path=17)
-    yield "geometric_40x2x31", sample_bundle(2, geometric_grid(1e-2, 0.5, 30), 40, seed=4003)
-    yield "bisected_20x3x33", refine_bisect(sample_bundle(3, uniform_grid(1.0, 16), 20,
-                                                          seed=4004))
+def _no_origin_grid():
+    return TimeGrid(uniform_grid(0.3, 257).points[1:], kind="custom")
+
+
+DIGEST_CASES = {
+    "forward_500x3x400":
+        lambda: sample_bundle(3, uniform_grid(0.5, 400), 500, seed=4001),
+    "forward_no_origin_130x2x257":
+        lambda: sample_bundle(2, _no_origin_grid(), 130, seed=4002, first_path=17),
+    "geometric_40x2x31":
+        lambda: sample_bundle(2, geometric_grid(1e-2, 0.5, 30), 40, seed=4003),
+    "bisected_20x3x33":
+        lambda: refine_bisect(sample_bundle(3, uniform_grid(1.0, 16), 20, seed=4004)),
+    "geometric_10000x2x60":
+        lambda: sample_bundle(2, ergodic_grid(60), 10_000, seed=4005),
+    "geometric_bisected_twice_500x1x95":
+        lambda: refine_bisect(refine_bisect(sample_bundle(
+            1, geometric_grid(1e-2, 0.5, 94), 500, seed=4006, first_path=500))),
+}
 
 
 @pytest.mark.parametrize("case", sorted(BUNDLE_DIGESTS))
 def test_sample_bundle_bytes_are_pinned(case):
-    bundle = dict(_digest_cases())[case]
-    assert _digest(bundle.paths) == BUNDLE_DIGESTS[case]
+    assert _digest(DIGEST_CASES[case]().paths) == BUNDLE_DIGESTS[case]
+
+
+def _small_time_bundles():
+    """Geometric bundles with and without bisection, and a twice refined
+    forward bundle with the origin, as bytes."""
+    geo = sample_bundle(2, geometric_grid(1e-2, 0.5, 30), 37, seed=4007, first_path=3)
+    short = sample_bundle(1, ergodic_grid(5), 19, seed=4008)
+    fwd = sample_bundle(3, uniform_grid(1.0, 16), 23, seed=4009)
+    return [b.paths.tobytes() for b in (geo, refine_bisect(geo), short,
+                                        refine_bisect(short),
+                                        refine_bisect(refine_bisect(fwd)))]
+
+
+@pytest.mark.parametrize("budget", [1, 40])
+def test_geometric_and_bisection_row_blocks_do_not_change_bytes(budget, monkeypatch):
+    """Row blocks of one path, and of a few paths (8 paths of 5 levels at
+    budget 40), give the bytes of the default block size."""
+    default = _small_time_bundles()
+    monkeypatch.setattr(paths, "_SAMPLE_VALUES", budget)
+    assert _small_time_bundles() == default
+
+
+def test_example36_diag_is_bit_identical_across_uneven_chunks():
+    grid = geometric_grid(1e-2, 0.5, 40)
+    whole = example36_diag(BundleSpec(1, grid, 50, seed=4010, chunk_size=50),
+                           refinements=2)
+    parts = example36_diag(BundleSpec(1, grid, 50, seed=4010, chunk_size=20),
+                           refinements=2)
+    assert _same_bytes(parts.full.per_path_sup, whole.full.per_path_sup)
+    assert _same_bytes(parts.proxy_sup, whole.proxy_sup)
+    assert parts.full.summary == whole.full.summary
+    assert parts.proxy_summary == whole.proxy_summary
+    assert parts.consistency_median == whole.consistency_median
+    assert parts.t_min == whole.t_min
