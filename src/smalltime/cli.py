@@ -34,9 +34,6 @@ from .reports import config_hash, write_csv, write_json
 from .stochint import (INTEGRAND_CATALOG, VectorSpec, catalog_integrand,
                        drift_integral, drift_scale, integrate_double)
 
-REQUIRED = object()
-
-
 class ConfigError(ValueError):
     def __init__(self, message: str, key: str | None = None):
         super().__init__(message)
@@ -91,19 +88,33 @@ _MINIMA = {"paths": 1, "chunk": 1, "nx": 16, "workers": 1, "d": 1,
 _CHOICES = {"integrand": INTEGRAND_CATALOG, "rule": ("optimized", "fixed"),
             "kind": _RATE_KINDS, "payoff": _PAYOFFS, "funding": ("dpe", "bs")}
 
+# key groups that several schemas share
+_FORWARD = {
+    "d": ("int", 1), "paths": ("int", 100_000), "steps": ("int", 400),
+    "integrand": ("str", "identity"), "chunk": ("int", 10_000),
+}
+_MARKET = {
+    "payoff": ("str", "call"), "strike": ("float", 100.0),
+    "sigma": ("float", 0.2), "horizon": ("float", 1.0),
+}
+_SURFACE = {
+    **_MARKET, "s0": ("float", 100.0), "lower": ("float", -math.inf),
+    "upper": ("float", math.inf), "nx": ("int", 400),
+}
+_HEDGE = {
+    **_SURFACE, "upper": ("float", 0.5),
+    "paths": ("int", 10_000), "steps": ("int", 2000), "chunk": ("int", 2500),
+}
+
 _SCHEMAS = {
     "moment": {
-        "d": ("int", 1), "lam": ("float", 0.5), "horizon": ("float", 0.5),
-        "paths": ("int", 100_000), "steps": ("int", 400),
-        "integrand": ("str", "identity"), "chunk": ("int", 10_000),
+        **_FORWARD, "lam": ("float", 0.5), "horizon": ("float", 0.5),
         "max_sigmas": ("float", 3.0),
     },
     "tail-bound": {
-        "d": ("int", 1), "horizon": ("float", 0.1),
+        **_FORWARD, "horizon": ("float", 0.1),
         "alphas": ("floats", [0.5, 1.0, 2.0, 4.0]),
-        "paths": ("int", 100_000), "steps": ("int", 400),
-        "integrand": ("str", "identity"), "rule": ("str", "optimized"),
-        "eta": ("float", 0.1), "chunk": ("int", 10_000),
+        "rule": ("str", "optimized"), "eta": ("float", 0.1),
     },
     "lil-sup": {
         "integrand": ("str", "identity"), "d": ("int", 1),
@@ -128,35 +139,14 @@ _SCHEMAS = {
         "t0": ("float", 1e-4), "paths": ("int", 10_000), "window": ("int", 10),
         "shrink": ("float", 0.8),
     },
-    "dpe-price": {
-        "payoff": ("str", "call"), "strike": ("float", 100.0),
-        "sigma": ("float", 0.2), "horizon": ("float", 1.0),
-        "s0": ("float", 100.0), "lower": ("float", -math.inf),
-        "upper": ("float", math.inf), "nx": ("int", 400),
-        "bs_tol": ("float", 0.005),
-    },
-    "bs-price": {
-        "payoff": ("str", "call"), "strike": ("float", 100.0),
-        "sigma": ("float", 0.2), "horizon": ("float", 1.0),
-        "s": ("float", 100.0), "t": ("float", 0.0),
-    },
+    "dpe-price": {**_SURFACE, "bs_tol": ("float", 0.005)},
+    "bs-price": {**_MARKET, "s": ("float", 100.0), "t": ("float", 0.0)},
     "hedge": {
-        "payoff": ("str", "call"), "strike": ("float", 100.0),
-        "sigma": ("float", 0.2), "horizon": ("float", 1.0),
-        "s0": ("float", 100.0), "lower": ("float", -math.inf),
-        "upper": ("float", 0.5), "nx": ("int", 400),
-        "paths": ("int", 10_000), "steps": ("int", 2000),
-        "cushion": ("float", 0.01), "funding": ("str", "dpe"),
-        "target_nonneg": ("float", 0.99), "chunk": ("int", 2500),
+        **_HEDGE, "cushion": ("float", 0.01), "funding": ("str", "dpe"),
+        "target_nonneg": ("float", 0.99),
     },
     "gap": {
-        "payoff": ("str", "call"), "strike": ("float", 100.0),
-        "sigma": ("float", 0.2), "horizon": ("float", 1.0),
-        "s0": ("float", 100.0), "lower": ("float", -math.inf),
-        "upper": ("float", 0.5), "nx": ("int", 400),
-        "paths": ("int", 10_000), "steps": ("int", 2000),
-        "gap_min": ("float", 0.0), "bs_frac_neg_min": ("float", 0.0),
-        "chunk": ("int", 2500),
+        **_HEDGE, "gap_min": ("float", 0.0), "bs_frac_neg_min": ("float", 0.0),
     },
 }
 
@@ -210,11 +200,8 @@ def load_config(path: str | None, overrides) -> RunConfig:
             params[key] = _parse_value(kind, value)
         except ConfigError as err:
             raise ConfigError(f"key {key!r}: {err}", key=key) from None
-    for key, (kind, default) in schema.items():
-        if key not in params:
-            if default is REQUIRED:
-                raise ConfigError(f"missing required key {key!r}", key=key)
-            params[key] = default
+    for key, (_, default) in schema.items():
+        params.setdefault(key, default)
     for key, floor in _MINIMA.items():
         if key in params and params[key] < floor:
             raise ConfigError(f"key {key!r} must be at least {floor}, "

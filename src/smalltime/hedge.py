@@ -195,6 +195,11 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
     increments alpha dt and gamma dS, which adds them in the order of the
     step-by-step update (Y + alpha dt) + gamma dS, and the wealths with
     one running sum of Y dS."""
+    if source.dim != 1:
+        raise ValueError("hedging needs a one-dimensional bundle")
+    t = source.grid.points
+    if t[0] != 0.0 or abs(t[-1] - params.horizon) > 1e-12 * max(1.0, params.horizon):
+        raise ValueError("hedging grid must span [0, horizon]")
     sol = strategy.solution
     if strategy.y0 is not None:
         y0_used = float(strategy.y0)
@@ -206,11 +211,6 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
     x0_col = np.array(x0s, dtype=float)[:, None]
 
     def one(chunk):
-        if chunk.dim != 1:
-            raise ValueError("hedging needs a one-dimensional bundle")
-        t = chunk.grid.points
-        if t[0] != 0.0 or abs(t[-1] - params.horizon) > 1e-12 * max(1.0, params.horizon):
-            raise ValueError("hedging grid must span [0, horizon]")
         s_paths = simulate_gbm(chunk, s0, params)
         p = s_paths.shape[0]
         y = np.full(p, y0_used)
@@ -241,27 +241,18 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
             # the largest |alpha| of each step; a step holding a NaN is skipped
             a_max = float(np.fmax.reduce(np.abs(alpha).max(axis=1), initial=a_max))
         s_t = s_paths[:, -1]
-        return x - payoff(s_t), s_t, x, clamps, off, p * (t.size - 1), a_max
+        return x - payoff(s_t), s_t, x, clamps, off, a_max
 
-    shortfalls, s_terms, x_terms = [], [], []
-    clamp_events = off_surface = 0
-    total_steps = 0
-    alpha_max = 0.0
-    for sf, s_t, x_t, clamps, off, steps, a_max in map_chunks_ordered(
-            one, as_chunks(source), workers):
-        shortfalls.append(sf)
-        s_terms.append(s_t)
-        x_terms.append(x_t)
-        clamp_events += clamps
-        off_surface += off
-        total_steps += steps
-        alpha_max = max(alpha_max, a_max)
+    shortfalls, s_terms, x_terms, clamps, offs, a_maxes = zip(
+        *map_chunks_ordered(one, as_chunks(source), workers))
     s_terminal = np.concatenate(s_terms)
+    clamp_events = sum(clamps)
+    total_steps = s_terminal.size * (t.size - 1)
     return [HedgeReport(shortfall=sf, s_terminal=s_terminal, x_terminal=x_t,
                         x0=float(x0), y0=y0_used,
                         clamp_events=clamp_events,
                         clamp_rate=clamp_events / max(total_steps, 1),
-                        alpha_max=alpha_max, off_surface=off_surface,
+                        alpha_max=max(0.0, *a_maxes), off_surface=sum(offs),
                         quantiles=_summary_quantiles(sf))
             for x0, sf, x_t in zip(x0s, np.concatenate(shortfalls, axis=1),
                                    np.concatenate(x_terms, axis=1))]

@@ -104,11 +104,11 @@ def moment_identity(lam: float, horizon: float, dim: int) -> float:
     """Closed form exp(-lam*d*T) * (1 - 2*lam*T)^(-d/2) for the identity integrand."""
     if lam < 0.0:
         raise ValueError("moment closed form needs lam >= 0")
-    if horizon <= 0.0:
+    if not horizon > 0.0:
         raise ValueError("moment closed form needs horizon > 0")
     if dim < 1:
         raise ValueError("moment closed form needs dim >= 1")
-    if 2.0 * lam * horizon >= 1.0:
+    if not 2.0 * lam * horizon < 1.0:
         raise ValueError("hypothesis 2*lam*T < 1 violated")
     return math.exp(-lam * dim * horizon) * (1.0 - 2.0 * lam * horizon) ** (-dim / 2.0)
 
@@ -146,10 +146,6 @@ class MomentReport:
     closed_form: float
     dominance_margin: float  # (closed_form - mc_mean) in SE units
 
-    def __post_init__(self):
-        if 2.0 * self.lam * self.horizon >= 1.0:
-            raise ValueError("hypothesis 2*lam*T < 1 violated")
-
     def csv_table(self):
         return (["d", "lam", "horizon", "mc_mean", "std_err", "closed_form",
                  "dominance_margin"],
@@ -157,48 +153,54 @@ class MomentReport:
                   self.closed_form, self.dominance_margin]])
 
 
+def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
+    """V^b(T) and sup_t V^b of every path of the source, in path order.
+
+    Checks once, before any chunk is sampled, that b declares a bound of at
+    most 1 and that the source grid ends at the horizon.
+    """
+    if not b.unit_bounded:
+        raise ValueError("integrand must declare a bound <= 1")
+    if abs(source.grid.horizon - horizon) > 1e-12 * max(1.0, horizon):
+        raise ValueError("bundle grid must end at the horizon")
+
+    def one(chunk):
+        trace = integrate_double(chunk, b, keep="last")
+        return trace.final_outer(), trace.outer_sup
+
+    finals, sups = zip(*map_chunks_ordered(one, as_chunks(source), workers))
+    return np.concatenate(finals), np.concatenate(sups)
+
+
 def moment_dominance(source, b: IntegrandSpec, lam: float, horizon: float,
                      workers: int = 1) -> MomentReport:
     """Monte Carlo mean of exp(2 lam V^b(T)) with its standard error.
 
-    Requires the integrand's declared bound to be at most 1 and the source
-    grid to end at the horizon.  dominance_margin counts how many standard
-    errors the identity-matrix closed form sits above the estimate; the
-    dominance inequality predicts a nonnegative margin up to noise.
+    Requires the hypotheses of moment_identity, the integrand's declared
+    bound to be at most 1 and the source grid to end at the horizon.
+    dominance_margin counts how many standard errors the identity-matrix
+    closed form sits above the estimate; the dominance inequality predicts
+    a nonnegative margin up to noise.
     """
-    if not b.unit_bounded:
-        raise ValueError("moment dominance needs an integrand with declared bound <= 1")
-    if 2.0 * lam * horizon >= 1.0:
-        raise ValueError("hypothesis 2*lam*T < 1 violated")
-
-    def one(chunk):
-        if abs(chunk.grid.horizon - horizon) > 1e-12 * max(1.0, horizon):
-            raise ValueError("bundle grid must end at the moment horizon")
-        trace = integrate_double(chunk, b, keep="last")
-        return np.exp(2.0 * lam * trace.final_outer()), chunk.dim
-
-    xs = []
-    dim = None
-    for x, dim in map_chunks_ordered(one, as_chunks(source), workers):
-        xs.append(x)
+    closed = moment_identity(lam, horizon, source.dim)
+    final, _ = _forward_pass(source, b, horizon, workers)
+    x = np.exp(2.0 * lam * final)
     # exactly rounded sums of the per-path values: the same bits however
     # the paths are chunked
-    x = np.concatenate(xs)
     n = x.size
     mean = math.fsum(x.tolist()) / n
     var = max(math.fsum((x * x).tolist()) - n * mean * mean, 0.0) / max(n - 1, 1)
     se = math.sqrt(var / n)
-    closed = moment_identity(lam, horizon, dim)
     margin = (closed - mean) / se if se > 0.0 else math.inf
-    return MomentReport(lam=lam, horizon=horizon, dim=dim, n_paths=n,
+    return MomentReport(lam=lam, horizon=horizon, dim=source.dim, n_paths=n,
                         mc_mean=mean, std_err=se, closed_form=closed,
                         dominance_margin=margin)
 
 
 def tail_bound_value(alpha: float, lam: float, horizon: float, dim: int) -> float:
     """Analytic tail bound exp(-lam*alpha - lam*d*T) (1 - 2*lam*T)^(-d/2)."""
-    if not 0.0 < 2.0 * lam * horizon < 1.0:
-        raise ValueError("need 0 < 2*lam*T < 1")
+    if not lam > 0.0:
+        raise ValueError("tail bound needs lam > 0")
     return math.exp(-lam * alpha) * moment_identity(lam, horizon, dim)
 
 
@@ -265,36 +267,22 @@ def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
     is flagged when the empirical frequency exceeds the bound by more than
     three binomial standard errors.
     """
-    if not b.unit_bounded:
-        raise ValueError("tail bound needs an integrand with declared bound <= 1")
     alphas = [float(a) for a in alphas]
-
-    def one(chunk):
-        if abs(chunk.grid.horizon - horizon) > 1e-12 * max(1.0, horizon):
-            raise ValueError("bundle grid must end at the tail-bound horizon")
-        trace = integrate_double(chunk, b, keep="last")
-        sup2v = np.maximum(2.0 * trace.outer_sup, 0.0)
-        cnt = np.array([int(np.sum(sup2v >= a)) for a in alphas], dtype=np.int64)
-        return sup2v.size, cnt, chunk.dim
-
-    counts = np.zeros(len(alphas), dtype=np.int64)
-    n = 0
-    dim = None
-    for size, cnt, d in map_chunks_ordered(one, as_chunks(source), workers):
-        n += size
-        counts += cnt
-        dim = d
+    dim = source.dim
+    if rule == "optimized":
+        lams = [optimal_tail_lambda(a, horizon, dim) for a in alphas]
+    elif rule == "fixed":
+        lams = [1.0 / (2.0 * horizon * (1.0 + eta))] * len(alphas)
+    else:
+        raise ValueError(f"unknown lambda rule {rule!r}")
+    bounds = [tail_bound_value(a, lam, horizon, dim) for a, lam in zip(alphas, lams)]
+    _, sup = _forward_pass(source, b, horizon, workers)
+    sup2v = np.maximum(2.0 * sup, 0.0)
+    n = sup2v.size
     rows = []
     any_violation = False
-    for i, a in enumerate(alphas):
-        if rule == "optimized":
-            lam = optimal_tail_lambda(a, horizon, dim)
-        elif rule == "fixed":
-            lam = 1.0 / (2.0 * horizon * (1.0 + eta))
-        else:
-            raise ValueError(f"unknown lambda rule {rule!r}")
-        bound = tail_bound_value(a, lam, horizon, dim)
-        emp = counts[i] / n
+    for a, lam, bound in zip(alphas, lams, bounds):
+        emp = np.count_nonzero(sup2v >= a) / n
         se = math.sqrt(emp * (1.0 - emp) / n)
         violation = emp > bound + 3.0 * se
         any_violation |= violation
@@ -402,37 +390,40 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
     """
     from .paths import refine_bisect
 
+    if source.dim != 1:
+        raise ValueError("the anomalous-rate diagnostic is one-dimensional")
+    example36_rate_fn(source.grid.points)
     b = catalog_integrand("example36", dim=1)
-    sups_full, sups_proxy = [], []
-    grid_meta = None
-    t_min = math.inf
-    for realise in as_chunks(source):
-        chunk = realise()
-        if chunk.dim != 1:
-            raise ValueError("the anomalous-rate diagnostic is one-dimensional")
-        if np.any(chunk.grid.points >= EXP_MINUS_E):
-            raise DomainError("grid times must stay below e^-e")
+
+    def one(chunk):
         refined = chunk
         for _ in range(refinements):
             refined = refine_bisect(refined)
         t = refined.grid.points
-        t_min = min(t_min, float(t[0]))
-        grid_meta = {"kind": refined.grid.kind, **refined.grid.meta}
         trace = integrate_double(refined, b, keep="outer")
         rate = example36_rate_fn(t)
-        sups_full.append((trace.outer / rate[None, :]).max(axis=1))
         bvals = np.array([_lll_inverse(tk) for tk in t])
-        w2 = refined.paths[:, 0, :] ** 2
-        sups_proxy.append((0.5 * w2 * bvals[None, :] / rate[None, :]).max(axis=1))
+        # in place, in the order of 0.5 * W^2 * b / rate and V / rate (the
+        # same bits): one (P, N) array instead of one per operation
+        proxy = np.square(refined.paths[:, 0, :])
+        proxy *= 0.5
+        proxy *= bvals
+        proxy /= rate
+        trace.outer /= rate
+        return trace.outer.max(axis=1), proxy.max(axis=1), refined.grid
+
+    sups_full, sups_proxy, grids = zip(*(one(realise()) for realise in as_chunks(source)))
+    grid = grids[0]  # every chunk has the same refined grid
     full_sup = np.concatenate(sups_full)
     proxy_sup = np.concatenate(sups_proxy)
     full = LilEstimate(per_path_sup=full_sup, kind="example36", absolute=False,
-                       grid_meta=grid_meta, summary=_summarize(full_sup))
+                       grid_meta={"kind": grid.kind, **grid.meta},
+                       summary=_summarize(full_sup))
     rel = np.abs(full_sup - proxy_sup) / np.maximum(proxy_sup, 1e-300)
     return Example36Report(full=full, proxy_sup=proxy_sup,
                            proxy_summary=_summarize(proxy_sup),
                            consistency_median=float(np.median(rel)),
-                           t_min=t_min)
+                           t_min=float(grid.points[0]))
 
 
 @dataclass

@@ -2,6 +2,7 @@
 order, and giving the same bits whatever the worker count."""
 
 import dataclasses
+import math
 import threading
 import time
 
@@ -11,7 +12,7 @@ import pytest
 from smalltime import paths
 from smalltime.dpe import PdeGrid, solve_dpe
 from smalltime.hedge import StrategySpec, simulate_hedge
-from smalltime.lilab import moment_dominance, tail_bound_check
+from smalltime.lilab import example36_diag, moment_dominance, tail_bound_check
 from smalltime.market import MarketParams, call
 from smalltime.matcore import GammaBand
 from smalltime.paths import (BundleSpec, geometric_grid, map_chunks_ordered,
@@ -77,6 +78,47 @@ def test_reductions_are_bit_identical_across_workers_with_pool_sampling():
                                    params, workers=workers)),
         ])
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _hedge_on(spec):
+    params = MarketParams(sigma=0.2, horizon=1.0)
+    return simulate_hedge(spec, 100.0, 10.0, StrategySpec.constant(0.5), call(100.0),
+                          GammaBand(-0.5, 0.5), params)
+
+
+_ONE_D = BundleSpec(1, uniform_grid(0.5, 20), 40, seed=35, chunk_size=10)
+_SHORT = BundleSpec(1, uniform_grid(0.4, 20), 40, seed=35, chunk_size=10)
+_IDENTITY = catalog_integrand("identity", 1)
+_REJECTED = {
+    "moment_2_lam_T_is_1": lambda: moment_dominance(_ONE_D, _IDENTITY, 1.0, 0.5),
+    "moment_grid_short_of_horizon": lambda: moment_dominance(_SHORT, _IDENTITY, 0.5, 0.5),
+    "tail_grid_short_of_horizon": lambda: tail_bound_check(_SHORT, _IDENTITY, 0.5, [1.0]),
+    "tail_nan_horizon": lambda: tail_bound_check(_ONE_D, _IDENTITY, math.nan, [1.0]),
+    "tail_unknown_rule": lambda: tail_bound_check(_ONE_D, _IDENTITY, 0.5, [1.0],
+                                                  rule="bogus"),
+    "hedge_two_dimensional": lambda: _hedge_on(
+        BundleSpec(2, uniform_grid(1.0, 20), 40, seed=36, chunk_size=10)),
+    "example36_above_e_minus_e": lambda: example36_diag(
+        BundleSpec(1, geometric_grid(0.1, 0.5, 10), 40, seed=37, chunk_size=10)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REJECTED))
+def test_source_checks_happen_before_any_sampling(monkeypatch, case):
+    # BundleSpec.chunks looks sample_bundle up when it is iterated
+    sampled = []
+    orig = paths.sample_bundle
+
+    def counting(*args, **kwargs):
+        sampled.append(args)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(paths, "sample_bundle", counting)
+    with pytest.raises(ValueError):
+        _REJECTED[case]()
+    assert sampled == []
+    moment_dominance(_ONE_D, _IDENTITY, 0.5, 0.5)
+    assert len(sampled) == 4  # the counter sees every chunk of a valid run
 
 
 def test_a_positional_normals_wrapper_sees_every_draw(monkeypatch):

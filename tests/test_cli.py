@@ -253,14 +253,19 @@ def test_moment_run_writes_summary_and_checks(tmp_path):
     assert "config_hash" in summary and "version" in summary
 
 
-def test_rerun_artifacts_byte_identical_across_workers(tmp_path):
-    base = ["--experiment=moment", "--paths=4000", "--steps=40", "--chunk=1000"]
+@pytest.mark.parametrize("base", [
+    ["--experiment=moment", "--paths=4000", "--steps=40", "--chunk=1000"],
+    ["--experiment=example36", "--paths=300", "--levels=30", "--chunk=70",
+     "--refinements=2"],
+], ids=["moment", "example36"])
+def test_rerun_artifacts_byte_identical_across_workers(tmp_path, base):
     run(load_config(None, base + [f"--out={tmp_path}/a", "--workers=1"]))
     run(load_config(None, base + [f"--out={tmp_path}/b", "--workers=3"]))
-    for name in ("summary.json", "moment.csv"):
-        a = (tmp_path / "a" / name).read_bytes()
-        b = (tmp_path / "b" / name).read_bytes()
-        assert a == b
+    names = sorted(f.name for f in (tmp_path / "a").iterdir())
+    assert "summary.json" in names and len(names) == 2
+    assert names == sorted(f.name for f in (tmp_path / "b").iterdir())
+    for name in names:
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_dpe_price_run_matches_bs(tmp_path):

@@ -234,6 +234,9 @@ def test_tail_bound_identity_small():
 def test_tail_bound_value_validation():
     with pytest.raises(ValueError):
         tail_bound_value(1.0, 6.0, 0.1, 1)  # 2 lam T >= 1
+    for lam, horizon in ((0.5, math.nan), (math.nan, 0.1), (0.0, 0.1)):
+        with pytest.raises(ValueError):
+            tail_bound_value(1.0, lam, horizon, 1)
 
 
 # -------------------------------------------------------------------- ergodic
