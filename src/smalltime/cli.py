@@ -243,6 +243,16 @@ def _market(p):
         return params, _PAYOFFS[p["payoff"]](p["strike"])
 
 
+def _fits_in_memory(key: str, what: str, nbytes: int) -> None:
+    """Reject, naming key, a config one of whose arrays (what, of nbytes
+    bytes) alone would exceed the machine's physical memory."""
+    memory_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if nbytes > memory_bytes:
+        raise ConfigError(
+            f"key {key!r}: {what} needs at least {nbytes / 2 ** 30:.1f} GiB, more "
+            f"than the {memory_bytes / 2 ** 30:.1f} GiB of physical memory", key=key)
+
+
 def _dpe_plan(cfg: RunConfig):
     """(market, band, payoff, PDE grid, path spec) of a dpe-price, hedge or
     gap run; the path spec is None for dpe-price."""
@@ -253,13 +263,8 @@ def _dpe_plan(cfg: RunConfig):
     with _reading("s0"):
         grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
     # the solver holds several float64 surfaces of nx x (nt + 1) nodes
-    surface_bytes = 8 * grid.nx * (grid.nt + 1)
-    memory_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if surface_bytes > memory_bytes:
-        raise ConfigError(
-            f"key 'nx': a surface of {grid.nx} x {grid.nt + 1} nodes needs "
-            f"{surface_bytes / 2 ** 30:.1f} GiB, more than the "
-            f"{memory_bytes / 2 ** 30:.1f} GiB of physical memory", key="nx")
+    _fits_in_memory("nx", f"a surface of {grid.nx} x {grid.nt + 1} nodes",
+                    8 * grid.nx * (grid.nt + 1))
     spec = None
     if "steps" in p:
         with _reading("steps"):
@@ -329,9 +334,15 @@ def _ergodic_plan(cfg: RunConfig):
 
 
 def _example36_plan(cfg: RunConfig):
-    """The bundle spec of an example36 run, every grid time below e^-e."""
+    """The bundle spec of an example36 run, every grid time below e^-e, and
+    a refined chunk that fits in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg, example36_rate_fn)
+    # each chunk is refined in memory, to about grid size x 2^refinements
+    # float64 times per path; past 2^64 every count is as far out of reach
+    chunk, r = min(p["chunk"], p["paths"]), p["refinements"]
+    _fits_in_memory("refinements", f"a chunk of {chunk} paths refined {r} times",
+                    8 * chunk * grid.size << min(r, 64))
     return BundleSpec(1, grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
 
 
@@ -366,12 +377,12 @@ def _run_tail(cfg: RunConfig):
     b, spec = _forward_plan(cfg)
     rep = tail_bound_check(spec, b, p["horizon"], p["alphas"], rule=p["rule"],
                            eta=p["eta"], workers=cfg.workers)
-    header, rows = rep.csv_table()
-    results = {"rows": [dict(zip(header, row)) for row in rows],
+    table = rep.csv_table()
+    header, *columns = table
+    results = {"rows": [dict(zip(header, row)) for row in zip(*columns)],
                "n_paths": rep.n_paths}
     checks = {"no_exceedance_above_bound": {"pass": not rep.any_violation}}
-    csvs = {"tail_bound.csv": (header, rows)}
-    return results, {}, checks, csvs
+    return results, {}, checks, {"tail_bound.csv": table}
 
 
 def _run_lil_sup(cfg: RunConfig):

@@ -138,18 +138,15 @@ class DpeSolution:
         return out if isinstance(arr, tuple) else out[0]
 
     def csv_table(self, t_stride: int = 1, x_stride: int = 1):
-        """(header, rows) of the surface on every t_stride-th time and
-        x_stride-th space node; active_constraint holds the integer codes
-        ACTIVE_NONE, ACTIVE_LOWER and ACTIVE_UPPER."""
-        xs = slice(None, None, x_stride)
-        s = self.s_nodes[xs].tolist()
-        rows = []
-        for m in range(0, self.t_nodes.size, t_stride):
-            t = float(self.t_nodes[m])
-            rows += [[t, *node] for node in zip(
-                s, self.v[m, xs].tolist(), self.delta[m, xs].tolist(),
-                self.cash_gamma[m, xs].tolist(), self.active[m, xs].tolist())]
-        return ["t", "s", "v", "v_s", "s2_v_ss", "active_constraint"], rows
+        """(header, *columns) of the surface on every t_stride-th time and
+        x_stride-th space node, time-major; active_constraint holds the
+        integer codes ACTIVE_NONE, ACTIVE_LOWER and ACTIVE_UPPER."""
+        ts, xs = slice(None, None, t_stride), slice(None, None, x_stride)
+        t, s = self.t_nodes[ts], self.s_nodes[xs]
+        return (["t", "s", "v", "v_s", "s2_v_ss", "active_constraint"],
+                np.repeat(t, s.size), np.tile(s, t.size),
+                *(f[ts, xs].ravel() for f in (self.v, self.delta,
+                                              self.cash_gamma, self.active)))
 
 
 def _central_diff(f: np.ndarray, dx: float, out=None) -> np.ndarray:

@@ -33,16 +33,20 @@ def _dpe_drift_field(sol: DpeSolution) -> np.ndarray:
     """
     delta, g = sol.delta, sol.cash_gamma
     t, x = sol.t_nodes, sol.x_nodes
-    s = np.exp(x)
-    out = np.empty_like(delta)
+    # the curvature term, in place in gx; out holds 2 G until the time
+    # difference overwrites it
+    gx = _central_diff(g, x[1] - x[0])
+    out = np.multiply(g, 2.0)
+    gx -= out
+    gx *= 0.5 * sol.params.sigma ** 2
+    gx /= np.exp(x)
     if t.size > 1:
-        dt = t[1] - t[0]
-        out[:-1] = (delta[1:] - delta[:-1]) / dt
+        np.subtract(delta[1:], delta[:-1], out=out[:-1])
+        out[:-1] /= t[1] - t[0]
         out[-1] = out[-2]
     else:
         out[:] = 0.0
-    gx = _central_diff(g, x[1] - x[0])
-    out += 0.5 * sol.params.sigma ** 2 * (gx - 2.0 * g) / s[None, :]
+    out += gx
     return out
 
 
@@ -82,13 +86,17 @@ class StrategySpec:
     @classmethod
     def from_dpe(cls, solution: DpeSolution, name: str = "dpe_tracker") -> "StrategySpec":
         drift = _dpe_drift_field(solution)
-        if not np.all(np.isfinite(drift)):
+        # max |f| is the larger of |max f| and |min f|, and a NaN or an
+        # infinity shows in one of them; dividing a column by its s^2 > 0
+        # keeps the order of its entries
+        alpha_bound = max(abs(drift.max()), abs(drift.min()))
+        if not math.isfinite(alpha_bound):
             raise ValueError("surface drift is not finite on the grid")
-        s = solution.s_nodes
-        gamma_bound = float(np.max(np.abs(solution.cash_gamma) / (s * s)[None, :]))
+        g, s = solution.cash_gamma, solution.s_nodes
+        g_abs = np.maximum(np.abs(g.max(axis=0)), np.abs(g.min(axis=0)))
         spec = cls(kind="dpe", y0=None, solution=solution,
-                   alpha_bound=float(np.max(np.abs(drift))),
-                   gamma_bound=gamma_bound, name=name)
+                   alpha_bound=float(alpha_bound),
+                   gamma_bound=float(np.max(g_abs / (s * s))), name=name)
         spec._drift_field = drift
         return spec
 
@@ -148,10 +156,8 @@ class HedgeReport:
         return float(np.mean(self.shortfall < 0.0))
 
     def csv_table(self):
-        return (["path", "S_T", "X_T", "shortfall"],
-                [[i, *row] for i, row in enumerate(zip(
-                    self.s_terminal.tolist(), self.x_terminal.tolist(),
-                    self.shortfall.tolist()))])
+        return (["path", "S_T", "X_T", "shortfall"], np.arange(self.shortfall.size),
+                self.s_terminal, self.x_terminal, self.shortfall)
 
 
 def _summary_quantiles(shortfall: np.ndarray) -> dict:

@@ -57,8 +57,7 @@ class LilEstimate:
     summary: dict
 
     def csv_table(self):
-        return (["path", "sup"],
-                [[i, v] for i, v in enumerate(self.per_path_sup.tolist())])
+        return ["path", "sup"], np.arange(self.per_path_sup.size), self.per_path_sup
 
 
 def _summarize(values: np.ndarray) -> dict:
@@ -149,8 +148,8 @@ class MomentReport:
     def csv_table(self):
         return (["d", "lam", "horizon", "mc_mean", "std_err", "closed_form",
                  "dominance_margin"],
-                [[self.dim, self.lam, self.horizon, self.mc_mean, self.std_err,
-                  self.closed_form, self.dominance_margin]])
+                [self.dim], [self.lam], [self.horizon], [self.mc_mean],
+                [self.std_err], [self.closed_form], [self.dominance_margin])
 
 
 def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
@@ -254,7 +253,7 @@ class TailBoundReport:
 
     def csv_table(self):
         header = ["alpha", "lam", "bound", "empirical", "std_err", "violation"]
-        return header, [[getattr(r, key) for key in header] for r in self.rows]
+        return header, *([getattr(r, key) for r in self.rows] for key in header)
 
 
 def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
@@ -302,13 +301,12 @@ class ErgodicReport:
     per_path_min: np.ndarray
 
     def csv_table(self):
-        return (["path", "min_level_value"],
-                [[i, v] for i, v in enumerate(self.per_path_min.tolist())])
+        return (["path", "min_level_value"], np.arange(self.per_path_min.size),
+                self.per_path_min)
 
     def freq_csv_table(self):
-        """(header, rows) of the bundle-average frequency after n levels."""
-        return ["n", "avg_freq"], [[n, v] for n, v in
-                                   enumerate(self.freq_by_n.tolist(), 1)]
+        """(header, *columns) of the bundle-average frequency after n levels."""
+        return ["n", "avg_freq"], np.arange(1, self.freq_by_n.size + 1), self.freq_by_n
 
 
 def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
@@ -373,9 +371,8 @@ class Example36Report:
     t_min: float
 
     def csv_table(self):
-        return (["path", "full_sup", "proxy_sup"],
-                [[i, *sups] for i, sups in enumerate(zip(
-                    self.full.per_path_sup.tolist(), self.proxy_sup.tolist()))])
+        return (["path", "full_sup", "proxy_sup"], np.arange(self.proxy_sup.size),
+                self.full.per_path_sup, self.proxy_sup)
 
 
 def example36_diag(source, refinements: int = 4) -> Example36Report:
@@ -435,7 +432,7 @@ class WindowMedians:
     medians: list
 
     def csv_table(self):
-        return ["t_hi", "median"], [list(row) for row in zip(self.t_hi, self.medians)]
+        return ["t_hi", "median"], self.t_hi, self.medians
 
 
 def window_medians(trace: DriftIntegralTrace, window: int) -> WindowMedians:

@@ -214,6 +214,18 @@ def test_surface_larger_than_memory_is_a_config_error(tmp_path, capsys):
     _assert_plan_rejects(tmp_path, capsys, "nx", ["--experiment=dpe-price", "--nx=100000"])
 
 
+@pytest.mark.parametrize("refinements", [30, 10 ** 12])
+def test_refined_chunk_larger_than_memory_is_a_config_error(capsys, refinements):
+    """30 refinements of a 50-path chunk on 95 times ask for about 5e12
+    float64 values; checked by validate-config alone, so nothing is sampled."""
+    assert main(["validate-config", "--experiment=example36", "--paths=50",
+                 f"--refinements={refinements}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'refinements': ")
+    assert "physical memory" in err
+    assert main(["validate-config", "--experiment=example36", "--paths=50"]) == 0
+
+
 def test_bs_funding_funds_at_the_lognormal_price(tmp_path):
     out = tmp_path / "h"
     assert main(["run", "--experiment=hedge", "--funding=bs", "--nx=64",

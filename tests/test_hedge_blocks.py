@@ -1,13 +1,16 @@
 """The time-blocked strategy simulation against a plain per-step loop, byte
 for byte: wealth, shortfall, clamp and off-surface counts, and the largest
 drift, for both strategy kinds, one and two fundings, and uniform and
-non-uniform grids."""
+non-uniform grids; and the in-place surface drift field and strategy bounds
+against their out-of-place expressions."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
 from smalltime import hedge
-from smalltime.dpe import PdeGrid, solve_dpe
+from smalltime.dpe import PdeGrid, _central_diff, solve_dpe
 from smalltime.hedge import StrategySpec, _simulate_fundings
 from smalltime.market import MarketParams, call, simulate_gbm
 from smalltime.matcore import GammaBand
@@ -122,3 +125,40 @@ def test_blocked_simulation_matches_per_step_loop(p, kind, grid_kind, x0s,
         assert rep.clamp_events == ref["clamp_events"]
         assert rep.off_surface == ref["off_surface"]
         assert repr(rep.alpha_max) == repr(ref["alpha_max"])
+
+
+# ---------------------------------------------------- the surface drift field
+
+def _ref_drift(sol):
+    """The drift field as out-of-place expressions."""
+    delta, g = sol.delta, sol.cash_gamma
+    t, x = sol.t_nodes, sol.x_nodes
+    s = np.exp(x)
+    out = np.empty_like(delta)
+    out[:-1] = (delta[1:] - delta[:-1]) / (t[1] - t[0])
+    out[-1] = out[-2]
+    gx = _central_diff(g, x[1] - x[0])
+    out += 0.5 * sol.params.sigma ** 2 * (gx - 2.0 * g) / s[None, :]
+    return out
+
+
+@pytest.mark.parametrize("band", [BAND, GammaBand(-np.inf, np.inf)],
+                         ids=["banded", "unbanded"])
+def test_drift_field_and_bounds_match_the_out_of_place_expressions(band):
+    sol = solve_dpe(PAYOFF, band, PARAMS, PdeGrid.around_spot(100.0, PARAMS, nx=64))
+    want = _ref_drift(sol)
+    assert _same_bytes(hedge._dpe_drift_field(sol), want)
+    spec = StrategySpec.from_dpe(sol)
+    s = sol.s_nodes
+    assert repr(spec.alpha_bound) == repr(float(np.max(np.abs(want))))
+    assert repr(spec.gamma_bound) == repr(float(np.max(
+        np.abs(sol.cash_gamma) / (s * s)[None, :])))
+
+
+def test_a_surface_drift_that_is_not_finite_is_rejected():
+    sol = solve_dpe(PAYOFF, BAND, PARAMS, PdeGrid.around_spot(100.0, PARAMS, nx=64))
+    for bad in (np.nan, np.inf, -np.inf):
+        delta = sol.delta.copy()
+        delta[3, 5] = bad
+        with pytest.raises(ValueError, match="not finite"):
+            StrategySpec.from_dpe(dataclasses.replace(sol, delta=delta))

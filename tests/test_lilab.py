@@ -332,12 +332,12 @@ def test_window_medians_are_disjoint_window_medians():
     for w in (1, 4, 5, 13):
         rep = window_medians(tr, w)
         # a plain loop over the disjoint windows, a last partial one dropped
-        want, lo = [], 0
+        t_hi, medians, lo = [], [], 0
         while lo + w <= tr.times.size:
-            want.append([float(tr.times[lo + w - 1]),
-                         float(np.median(stat[:, lo:lo + w].max(axis=1)))])
+            t_hi.append(float(tr.times[lo + w - 1]))
+            medians.append(float(np.median(stat[:, lo:lo + w].max(axis=1))))
             lo += w
-        assert rep.csv_table() == (["t_hi", "median"], want)
+        assert rep.csv_table() == (["t_hi", "median"], t_hi, medians)
     for w in (0, 14):
         with pytest.raises(ValueError, match="window"):
             window_medians(tr, w)
