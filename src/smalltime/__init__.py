@@ -2,8 +2,8 @@
 stochastic integrals and for pricing and hedging under gamma constraints."""
 
 from .matcore import (DomainError, GammaBand, SymMatrix, dpe_operator_f,
-                      dpe_operator_fhat, eigen_extremes, lil_normalizer,
-                      operator_norm, support_function)
+                      dpe_operator_fhat, lil_normalizer, operator_norm,
+                      support_function)
 from .paths import (BrownianBundle, BundleSpec, TimeGrid, ergodic_grid,
                     geometric_grid, refine_bisect, rotate_bundle,
                     sample_bundle, uniform_grid)
@@ -23,6 +23,6 @@ from .market import (MarketParams, Payoff, bs_price, call, face_lift,
 from .dpe import (DpeSolution, OutOfGridError, PdeGrid, StabilityError,
                   greeks, solve_dpe)
 from .hedge import (STRATEGY_CATALOG, GapReport, HedgeReport, StrategySpec,
-                    replication_gap, simulate_hedge, strategy_from_catalog)
+                    replication_gap, simulate_hedge)
 
 __version__ = "0.1.0"

@@ -23,9 +23,10 @@ import numpy as np
 from . import __version__
 from .dpe import PdeGrid, greeks, solve_dpe
 from .hedge import STRATEGY_CATALOG, StrategySpec, replication_gap, simulate_hedge
-from .lilab import (_RATE_KINDS, ergodic_liminf, example36_diag,
-                    example36_rate_fn, moment_dominance, moment_identity,
-                    ratio_sup, tail_bound_check, window_medians)
+from .lilab import (_RATE_KINDS, ergodic_liminf, ergodic_reference,
+                    example36_diag, example36_rate_fn, moment_dominance,
+                    moment_identity, ratio_sup, tail_bound_check, tail_bounds,
+                    window_medians)
 from .market import MarketParams, bs_price, call, put
 from .matcore import GammaBand, SymMatrix
 from .paths import (BundleSpec, ergodic_grid, geometric_grid, sample_bundle,
@@ -234,7 +235,8 @@ def _reading(*keys):
 
 
 # A plan builds and checks what a run needs before any work, so that run
-# and validate-config reject the same configs with exit 2.
+# and validate-config reject the same configs with exit 2; run hands the
+# plan to the experiment's runner.
 
 def _market(p):
     with _reading("sigma", "horizon"):
@@ -253,6 +255,12 @@ def _fits_in_memory(key: str, what: str, nbytes: int) -> None:
             f"than the {memory_bytes / 2 ** 30:.1f} GiB of physical memory", key=key)
 
 
+def _bundle_fits(key: str, paths: int, dim: int, grid) -> None:
+    """_fits_in_memory for a bundle of paths x dim x grid-size float64 values."""
+    _fits_in_memory(key, f"a bundle of {paths} paths x {dim} x {grid.size} times",
+                    8 * paths * dim * grid.size)
+
+
 def _dpe_plan(cfg: RunConfig):
     """(market, band, payoff, PDE grid, path spec) of a dpe-price, hedge or
     gap run; the path spec is None for dpe-price."""
@@ -268,8 +276,9 @@ def _dpe_plan(cfg: RunConfig):
     spec = None
     if "steps" in p:
         with _reading("steps"):
-            spec = BundleSpec(1, uniform_grid(p["horizon"], p["steps"]),
-                              p["paths"], cfg.seed, chunk_size=p["chunk"])
+            times = uniform_grid(p["horizon"], p["steps"])
+        _bundle_fits("chunk", min(p["chunk"], p["paths"]), 1, times)
+        spec = BundleSpec(1, times, p["paths"], cfg.seed, chunk_size=p["chunk"])
     return params, band, payoff, grid, spec
 
 
@@ -289,8 +298,9 @@ def _integrand_plan(cfg: RunConfig):
 
 def _forward_plan(cfg: RunConfig):
     """The integrand and bundle spec of a moment or tail-bound run.  Both
-    bounds need an integrand of declared bound <= 1, and the moment one
-    needs 2 lam horizon < 1."""
+    bounds need an integrand of declared bound <= 1 and a chunk that fits
+    in memory; the moment one needs 2 lam horizon < 1, and the tail one the
+    lambdas and bounds of tail_bounds."""
     p = cfg.params
     b = _integrand_plan(cfg)
     if not b.unit_bounded:
@@ -302,6 +312,10 @@ def _forward_plan(cfg: RunConfig):
             moment_identity(p["lam"], p["horizon"], p["d"])
     with _reading("horizon", "steps"):
         grid = uniform_grid(p["horizon"], p["steps"])
+    if "alphas" in p:
+        with _reading("eta", "horizon"):
+            tail_bounds(p["alphas"], p["horizon"], p["d"], p["rule"], p["eta"])
+    _bundle_fits("chunk", min(p["chunk"], p["paths"]), p["d"], grid)
     return b, BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
 
 
@@ -319,18 +333,25 @@ def _geometric_plan(cfg: RunConfig, rate_fn=None):
 
 
 def _lil_sup_plan(cfg: RunConfig):
-    """The integrand and grid of a lil-sup run."""
-    rate_fn = _RATE_KINDS[cfg.params["kind"]][0]
-    return _integrand_plan(cfg), _geometric_plan(cfg, rate_fn)
+    """The integrand and grid of a lil-sup run, whose bundle fits in memory."""
+    p = cfg.params
+    b, grid = _integrand_plan(cfg), _geometric_plan(cfg, _RATE_KINDS[p["kind"]][0])
+    _bundle_fits("paths", p["paths"], p["d"], grid)
+    return b, grid
 
 
 def _ergodic_plan(cfg: RunConfig):
-    """The e^-n grid and the matrix beta * I of an ergodic run."""
+    """The e^-n grid and the matrix beta * I of an ergodic run, a valid
+    delta and a bundle that fits in memory."""
     p = cfg.params
     with _reading("levels"):
         grid = ergodic_grid(p["levels"])
     with _reading("beta"):
-        return grid, SymMatrix(p["beta"] * np.eye(p["d"]))
+        beta = SymMatrix(p["beta"] * np.eye(p["d"]))
+    with _reading("delta"):
+        ergodic_reference(beta.entries, p["delta"])
+    _bundle_fits("paths", p["paths"], p["d"], grid)
+    return grid, beta
 
 
 def _example36_plan(cfg: RunConfig):
@@ -347,8 +368,8 @@ def _example36_plan(cfg: RunConfig):
 
 
 def _prop39_plan(cfg: RunConfig):
-    """The geometric grid of a prop39 run, with room for one window and a
-    valid exponent eps."""
+    """The geometric grid of a prop39 run, with room for one window, a
+    valid exponent eps and a bundle that fits in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg)
     if not 1 <= p["window"] <= grid.size:
@@ -356,12 +377,13 @@ def _prop39_plan(cfg: RunConfig):
                           f"size), got {p['window']}", key="window")
     with _reading("eps"):
         drift_scale(grid.points, p["eps"])
+    _bundle_fits("paths", p["paths"], 1, grid)
     return grid
 
 
-def _run_moment(cfg: RunConfig):
+def _run_moment(cfg: RunConfig, plan):
     p = cfg.params
-    b, spec = _forward_plan(cfg)
+    b, spec = plan
     rep = moment_dominance(spec, b, p["lam"], p["horizon"], workers=cfg.workers)
     z = (rep.mc_mean - rep.closed_form) / rep.std_err if rep.std_err > 0 else 0.0
     results = {"mc_mean": rep.mc_mean, "std_err": rep.std_err, "z": z,
@@ -372,9 +394,9 @@ def _run_moment(cfg: RunConfig):
     return results, references, checks, {"moment.csv": rep.csv_table()}
 
 
-def _run_tail(cfg: RunConfig):
+def _run_tail(cfg: RunConfig, plan):
     p = cfg.params
-    b, spec = _forward_plan(cfg)
+    b, spec = plan
     rep = tail_bound_check(spec, b, p["horizon"], p["alphas"], rule=p["rule"],
                            eta=p["eta"], workers=cfg.workers)
     table = rep.csv_table()
@@ -385,9 +407,9 @@ def _run_tail(cfg: RunConfig):
     return results, {}, checks, {"tail_bound.csv": table}
 
 
-def _run_lil_sup(cfg: RunConfig):
+def _run_lil_sup(cfg: RunConfig, plan):
     p = cfg.params
-    b, grid = _lil_sup_plan(cfg)
+    b, grid = plan
     bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
     trace = integrate_double(bundle, b, keep="outer")
     est = ratio_sup(trace, kind=p["kind"], absolute=p["absolute"])
@@ -404,9 +426,9 @@ def _run_lil_sup(cfg: RunConfig):
     return results, references, checks, {"lil_sup.csv": est.csv_table()}
 
 
-def _run_ergodic(cfg: RunConfig):
+def _run_ergodic(cfg: RunConfig, plan):
     p = cfg.params
-    grid, beta = _ergodic_plan(cfg)
+    grid, beta = plan
     bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
     rep = ergodic_liminf(bundle, beta, p["delta"])
     err = abs(rep.final_freq - rep.reference)
@@ -421,9 +443,8 @@ def _run_ergodic(cfg: RunConfig):
     return results, references, checks, csvs
 
 
-def _run_example36(cfg: RunConfig):
+def _run_example36(cfg: RunConfig, spec):
     p = cfg.params
-    spec = _example36_plan(cfg)
     rep = example36_diag(spec, refinements=p["refinements"])
     med = rep.proxy_summary["median"]
     results = {"full_summary": rep.full.summary, "proxy_summary": rep.proxy_summary,
@@ -439,9 +460,9 @@ def _run_example36(cfg: RunConfig):
     return results, {}, checks, {"example36.csv": rep.csv_table()}
 
 
-def _run_prop39(cfg: RunConfig):
+def _run_prop39(cfg: RunConfig, grid):
     p = cfg.params
-    bundle = sample_bundle(1, _prop39_plan(cfg), p["paths"], cfg.seed)
+    bundle = sample_bundle(1, grid, p["paths"], cfg.seed)
     a = VectorSpec.constant([1.0])
     m = catalog_integrand("identity", 1)
     dtr = drift_integral(bundle, a, m, eps=p["eps"])
@@ -456,9 +477,9 @@ def _run_prop39(cfg: RunConfig):
     return results, {}, checks, {"prop39.csv": rep.csv_table()}
 
 
-def _run_dpe_price(cfg: RunConfig):
+def _run_dpe_price(cfg: RunConfig, plan):
     p = cfg.params
-    params, band, payoff, grid, _ = _dpe_plan(cfg)
+    params, band, payoff, grid, _ = plan
     sol = solve_dpe(payoff, band, params, grid)
     v0 = float(greeks(sol, 0.0, p["s0"])[0])
     bs0 = float(bs_price(payoff, p["s0"], 0.0, params))
@@ -474,13 +495,13 @@ def _run_dpe_price(cfg: RunConfig):
     return results, references, checks, {"surface.csv": sol.csv_table(stride)}
 
 
-def _run_bs_price(cfg: RunConfig):
-    return {"price": _bs_plan(cfg)}, {}, {}, {}
+def _run_bs_price(cfg: RunConfig, price):
+    return {"price": price}, {}, {}, {}
 
 
-def _run_hedge(cfg: RunConfig):
+def _run_hedge(cfg: RunConfig, plan):
     p = cfg.params
-    params, band, payoff, grid, spec = _dpe_plan(cfg)
+    params, band, payoff, grid, spec = plan
     sol = solve_dpe(payoff, band, params, grid)
     v0 = float(greeks(sol, 0.0, p["s0"])[0])
     bs0 = float(bs_price(payoff, p["s0"], 0.0, params))
@@ -502,9 +523,9 @@ def _run_hedge(cfg: RunConfig):
     return results, references, checks, {"shortfall.csv": rep.csv_table()}
 
 
-def _run_gap(cfg: RunConfig):
+def _run_gap(cfg: RunConfig, plan):
     p = cfg.params
-    params, band, payoff, grid, spec = _dpe_plan(cfg)
+    params, band, payoff, grid, spec = plan
     rep = replication_gap(payoff, band, params, p["s0"], spec, grid=grid,
                           workers=cfg.workers)
     results = {"price_gap": rep.price_gap,
@@ -527,37 +548,26 @@ def _run_gap(cfg: RunConfig):
     return results, references, checks, csvs
 
 
-_PLANNERS = {
-    "moment": _forward_plan,
-    "tail-bound": _forward_plan,
-    "lil-sup": _lil_sup_plan,
-    "ergodic": _ergodic_plan,
-    "example36": _example36_plan,
-    "prop39": _prop39_plan,
-    "dpe-price": _dpe_plan,
-    "bs-price": _bs_plan,
-    "hedge": _dpe_plan,
-    "gap": _dpe_plan,
-}
-
-_RUNNERS = {
-    "moment": _run_moment,
-    "tail-bound": _run_tail,
-    "lil-sup": _run_lil_sup,
-    "ergodic": _run_ergodic,
-    "example36": _run_example36,
-    "prop39": _run_prop39,
-    "dpe-price": _run_dpe_price,
-    "bs-price": _run_bs_price,
-    "hedge": _run_hedge,
-    "gap": _run_gap,
+# experiment -> (planner, runner)
+_EXPERIMENTS = {
+    "moment": (_forward_plan, _run_moment),
+    "tail-bound": (_forward_plan, _run_tail),
+    "lil-sup": (_lil_sup_plan, _run_lil_sup),
+    "ergodic": (_ergodic_plan, _run_ergodic),
+    "example36": (_example36_plan, _run_example36),
+    "prop39": (_prop39_plan, _run_prop39),
+    "dpe-price": (_dpe_plan, _run_dpe_price),
+    "bs-price": (_bs_plan, _run_bs_price),
+    "hedge": (_dpe_plan, _run_hedge),
+    "gap": (_dpe_plan, _run_gap),
 }
 
 
 def run(cfg: RunConfig) -> int:
-    """Execute the experiment, write artifacts, return the exit status."""
-    runner = _RUNNERS[cfg.experiment]
-    results, references, checks, csvs = runner(cfg)
+    """Plan and execute the experiment, write artifacts, return the exit
+    status."""
+    planner, runner = _EXPERIMENTS[cfg.experiment]
+    results, references, checks, csvs = runner(cfg, planner(cfg))
     all_pass = all(c["pass"] for c in checks.values())
     summary = {
         "experiment": cfg.experiment,
@@ -610,7 +620,7 @@ def main(argv=None) -> int:
         cfg = load_config(getattr(args, "config", None), extra)
         if args.command == "run":
             return run(cfg)
-        _PLANNERS[cfg.experiment](cfg)
+        _EXPERIMENTS[cfg.experiment][0](cfg)
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2

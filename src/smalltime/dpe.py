@@ -62,16 +62,15 @@ class PdeGrid:
         return np.linspace(self.x_min, self.x_max, self.nx)
 
     @classmethod
-    def around_spot(cls, s0: float, params: MarketParams, nx: int = 400,
-                    width_sigmas: float = 6.0, safety: float = 0.9) -> "PdeGrid":
-        """Grid of nx nodes spanning +/- width_sigmas * sigma * sqrt(T)
-        around log s0, with nt chosen from the stability bound."""
+    def around_spot(cls, s0: float, params: MarketParams, nx: int = 400) -> "PdeGrid":
+        """Grid of nx nodes spanning +/- 6 sigma sqrt(T) around log s0, with
+        nt chosen so that dt is at most 0.9 times the stability bound."""
         if not 0.0 < s0 < math.inf:
             raise ValueError("spot s0 must be positive and finite")
-        half = width_sigmas * params.sigma * math.sqrt(params.horizon)
+        half = 6.0 * params.sigma * math.sqrt(params.horizon)
         x0 = math.log(s0)
         dx = 2.0 * half / (nx - 1)
-        dt_max = safety * dx * dx / params.sigma ** 2
+        dt_max = 0.9 * dx * dx / params.sigma ** 2
         nt = max(1, int(math.ceil(params.horizon / dt_max)))
         return cls(x_min=x0 - half, x_max=x0 + half, nx=nx, nt=nt)
 
@@ -93,12 +92,9 @@ class DpeSolution:
     delta: np.ndarray
     cash_gamma: np.ndarray
     active: np.ndarray
-    band: GammaBand
     params: MarketParams
-    terminal: np.ndarray
     residual_max: float
     breach_count: int
-    breach_tol: float
     meta: dict = field(default_factory=dict)
 
     @property
@@ -137,16 +133,15 @@ class DpeSolution:
                     for f in (arr if isinstance(arr, tuple) else (arr,)))
         return out if isinstance(arr, tuple) else out[0]
 
-    def csv_table(self, t_stride: int = 1, x_stride: int = 1):
+    def csv_table(self, t_stride: int = 1):
         """(header, *columns) of the surface on every t_stride-th time and
-        x_stride-th space node, time-major; active_constraint holds the
-        integer codes ACTIVE_NONE, ACTIVE_LOWER and ACTIVE_UPPER."""
-        ts, xs = slice(None, None, t_stride), slice(None, None, x_stride)
-        t, s = self.t_nodes[ts], self.s_nodes[xs]
+        every space node, time-major; active_constraint holds the integer
+        codes ACTIVE_NONE, ACTIVE_LOWER and ACTIVE_UPPER."""
+        t, s = self.t_nodes[::t_stride], self.s_nodes
         return (["t", "s", "v", "v_s", "s2_v_ss", "active_constraint"],
                 np.repeat(t, s.size), np.tile(s, t.size),
-                *(f[ts, xs].ravel() for f in (self.v, self.delta,
-                                              self.cash_gamma, self.active)))
+                *(f[::t_stride].ravel() for f in (self.v, self.delta,
+                                                  self.cash_gamma, self.active)))
 
 
 def _central_diff(f: np.ndarray, dx: float, out=None) -> np.ndarray:
@@ -216,7 +211,7 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
     t_nodes = np.linspace(0.0, params.horizon, nt + 1)
     half_sig2 = 0.5 * sigma * sigma
     coef = dt * half_sig2
-    breach_tol = 5.0 * (dx + dt) * sigma ** 2
+    tol = 5.0 * (dx + dt) * sigma ** 2
     breach_count = 0
     residual_max = 0.0
     step = np.empty(grid.nx)
@@ -229,9 +224,9 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
             # the largest does; a NaN maximum takes the full count, which
             # skips NaN nodes
             top = a.max()
-            if top - band.upper > breach_tol or math.isnan(top):
+            if top - band.upper > tol or math.isnan(top):
                 over = a - band.upper
-                n_over = int(np.sum(over > breach_tol))
+                n_over = int(np.sum(over > tol))
                 if n_over:
                     breach_count += n_over
                     residual_max = max(residual_max, half_sig2 * float(over.max()))
@@ -249,10 +244,8 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
         active[cash_gamma > band.upper] = ACTIVE_UPPER
 
     return DpeSolution(t_nodes=t_nodes, x_nodes=x, v=v, delta=delta,
-                       cash_gamma=cash_gamma, active=active, band=band,
-                       params=params, terminal=g_t,
+                       cash_gamma=cash_gamma, active=active, params=params,
                        residual_max=residual_max, breach_count=breach_count,
-                       breach_tol=breach_tol,
                        meta={"nx": grid.nx, "nt": nt, "dx": dx, "dt": dt})
 
 

@@ -74,10 +74,6 @@ class StrategySpec:
             raise ValueError("declared strategy bounds must be finite")
 
     @classmethod
-    def zero(cls, y0: float = 0.0) -> "StrategySpec":
-        return cls(kind="constant", y0=y0, name="zero")
-
-    @classmethod
     def constant(cls, y0: float, alpha: float = 0.0, gamma: float = 0.0,
                  name: str = "constant") -> "StrategySpec":
         return cls(kind="constant", y0=y0, alpha_value=alpha, gamma_value=gamma,
@@ -109,23 +105,6 @@ STRATEGY_CATALOG = {
     "dpe_tracker": "delta, gamma and drift read off the solved value "
                    "surface; the super-replication strategy",
 }
-
-
-def strategy_from_catalog(name: str, y0: float = 0.0, alpha: float = 0.0,
-                          gamma: float = 0.0, solution: DpeSolution | None = None
-                          ) -> StrategySpec:
-    if name == "zero":
-        return StrategySpec.zero(y0=0.0)
-    if name == "buy_and_hold":
-        return StrategySpec.constant(y0=y0, name="buy_and_hold")
-    if name == "constant_gamma":
-        return StrategySpec.constant(y0=y0, alpha=alpha, gamma=gamma,
-                                     name="constant_gamma")
-    if name == "dpe_tracker":
-        if solution is None:
-            raise ValueError("dpe_tracker needs a solved surface")
-        return StrategySpec.from_dpe(solution)
-    raise KeyError(f"unknown strategy catalog entry {name!r}")
 
 
 @dataclass

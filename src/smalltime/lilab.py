@@ -51,9 +51,6 @@ class LilEstimate:
     """Per-path sup of the normalized outer integral plus summary stats."""
 
     per_path_sup: np.ndarray
-    kind: str
-    absolute: bool
-    grid_meta: dict
     summary: dict
 
     def csv_table(self):
@@ -95,16 +92,15 @@ def ratio_sup(trace: DoubleIntegralTrace, kind: str, absolute: bool = False) -> 
     sup = ratios.max(axis=1)
     if not np.all(np.isfinite(sup)):
         raise ValueError("non-finite ratio sup; check grid and integrand domains")
-    return LilEstimate(per_path_sup=sup, kind=kind, absolute=absolute,
-                       grid_meta=dict(trace.grid_meta), summary=_summarize(sup))
+    return LilEstimate(per_path_sup=sup, summary=_summarize(sup))
 
 
 def moment_identity(lam: float, horizon: float, dim: int) -> float:
     """Closed form exp(-lam*d*T) * (1 - 2*lam*T)^(-d/2) for the identity integrand."""
     if lam < 0.0:
         raise ValueError("moment closed form needs lam >= 0")
-    if not horizon > 0.0:
-        raise ValueError("moment closed form needs horizon > 0")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("moment closed form needs a finite horizon > 0")
     if dim < 1:
         raise ValueError("moment closed form needs dim >= 1")
     if not 2.0 * lam * horizon < 1.0:
@@ -246,7 +242,6 @@ class TailRow:
 class TailBoundReport:
     horizon: float
     dim: int
-    rule: str
     n_paths: int
     rows: list
     any_violation: bool
@@ -256,25 +251,32 @@ class TailBoundReport:
         return header, *([getattr(r, key) for r in self.rows] for key in header)
 
 
-def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
-                     rule: str = "optimized", eta: float = 0.1,
-                     workers: int = 1) -> TailBoundReport:
-    """Empirical exceedance of sup 2V against the analytic tail bound.
-
-    rule "optimized" minimizes the bound over lam per alpha (golden
-    section); rule "fixed" uses lam = 1/(2T(1+eta)) for every alpha.  A row
-    is flagged when the empirical frequency exceeds the bound by more than
-    three binomial standard errors.
-    """
-    alphas = [float(a) for a in alphas]
-    dim = source.dim
+def tail_bounds(alphas, horizon: float, dim: int, rule: str, eta: float):
+    """(lams, bounds): the lam of each alpha under the rule and its analytic
+    tail bound.  rule "optimized" minimizes the bound over lam per alpha
+    (golden section); rule "fixed" uses lam = 1/(2T(1+eta)) for every
+    alpha, which needs eta > 0."""
     if rule == "optimized":
         lams = [optimal_tail_lambda(a, horizon, dim) for a in alphas]
     elif rule == "fixed":
+        if not eta > 0.0:
+            raise ValueError("fixed lambda rule needs eta > 0")
         lams = [1.0 / (2.0 * horizon * (1.0 + eta))] * len(alphas)
     else:
         raise ValueError(f"unknown lambda rule {rule!r}")
-    bounds = [tail_bound_value(a, lam, horizon, dim) for a, lam in zip(alphas, lams)]
+    return lams, [tail_bound_value(a, lam, horizon, dim) for a, lam in zip(alphas, lams)]
+
+
+def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
+                     rule: str = "optimized", eta: float = 0.1,
+                     workers: int = 1) -> TailBoundReport:
+    """Empirical exceedance of sup 2V against the analytic tail bound of
+    tail_bounds.  A row is flagged when the empirical frequency exceeds the
+    bound by more than three binomial standard errors.
+    """
+    alphas = [float(a) for a in alphas]
+    dim = source.dim
+    lams, bounds = tail_bounds(alphas, horizon, dim, rule, eta)
     _, sup = _forward_pass(source, b, horizon, workers)
     sup2v = np.maximum(2.0 * sup, 0.0)
     n = sup2v.size
@@ -287,14 +289,13 @@ def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
         any_violation |= violation
         rows.append(TailRow(alpha=a, lam=lam, bound=bound, empirical=float(emp),
                             std_err=float(se), violation=bool(violation)))
-    return TailBoundReport(horizon=horizon, dim=dim, rule=rule, n_paths=n,
+    return TailBoundReport(horizon=horizon, dim=dim, n_paths=n,
                            rows=rows, any_violation=any_violation)
 
 
 @dataclass
 class ErgodicReport:
     delta: float
-    n_levels: int
     reference: float
     freq_by_n: np.ndarray
     final_freq: float
@@ -309,13 +310,29 @@ class ErgodicReport:
         return ["n", "avg_freq"], np.arange(1, self.freq_by_n.size + 1), self.freq_by_n
 
 
+def ergodic_reference(mat: np.ndarray, delta: float) -> float:
+    """The limit frequency P[Y(0) <= delta], Y(0) = |Z^T mat Z| for standard
+    normal Z, for delta > 0: exact through the chi-square law when the
+    symmetric part of mat is a multiple of the identity, and from a large
+    deterministic reference sample otherwise."""
+    if not delta > 0.0:
+        raise ValueError("ergodic frequency needs delta > 0")
+    d = mat.shape[0]
+    evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
+    if np.all(evals == evals[0]):  # Y(0) is |b0| times a chi-square with d degrees
+        b0 = abs(float(evals[0]))
+        return 1.0 if b0 == 0.0 else float(chdtr(d, delta / b0))
+    rng = np.random.default_rng(1414213562)
+    z = rng.standard_normal((2_000_000, d))
+    sample = np.abs((z * z) @ evals)
+    return float(np.mean(sample <= delta))
+
+
 def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     """Running frequency of Y(n) <= delta for Y(n) = e^n |W(e^-n)^T beta W(e^-n)|.
 
     Needs the e^-n grid.  The bundle-average frequency should approach
-    P[Y(0) <= delta], computed exactly through the chi-square law when the
-    symmetric part of beta is a multiple of the identity, and by a large
-    deterministic reference sample otherwise.
+    ergodic_reference(beta, delta).
     """
     meta = bundle.grid.meta
     if (bundle.grid.kind != "geometric"
@@ -327,27 +344,19 @@ def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     d = bundle.dim
     if mat.shape != (d, d):
         raise ValueError("beta shape must match the bundle dimension")
-    n_levels = int(meta["levels"]) + 1
+    reference = ergodic_reference(mat, delta)
+    levels = int(meta["levels"]) + 1
     w = bundle.paths
-    y = np.empty((bundle.path_count, n_levels))
-    for j in range(n_levels):
+    y = np.empty((bundle.path_count, levels))
+    for j in range(levels):
         n = j + 1
-        idx = n_levels - 1 - j
+        idx = levels - 1 - j
         x = math.exp(0.5 * n) * w[:, :, idx]
         y[:, j] = np.abs(np.einsum("pi,ij,pj->p", x, mat, x))
     hits = (y <= delta).astype(float)
-    freq = np.cumsum(hits, axis=1) / np.arange(1, n_levels + 1)[None, :]
+    freq = np.cumsum(hits, axis=1) / np.arange(1, levels + 1)[None, :]
     freq_by_n = freq.mean(axis=0)
-    evals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    if np.all(evals == evals[0]):  # Y(0) is |b0| times a chi-square with d degrees
-        b0 = abs(float(evals[0]))
-        reference = 1.0 if b0 == 0.0 else float(chdtr(d, delta / b0))
-    else:
-        rng = np.random.default_rng(1414213562)
-        z = rng.standard_normal((2_000_000, d))
-        sample = np.abs((z * z) @ evals)
-        reference = float(np.mean(sample <= delta))
-    return ErgodicReport(delta=float(delta), n_levels=n_levels, reference=reference,
+    return ErgodicReport(delta=float(delta), reference=reference,
                          freq_by_n=freq_by_n, final_freq=float(freq_by_n[-1]),
                          per_path_min=y.min(axis=1))
 
@@ -413,9 +422,7 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
     grid = grids[0]  # every chunk has the same refined grid
     full_sup = np.concatenate(sups_full)
     proxy_sup = np.concatenate(sups_proxy)
-    full = LilEstimate(per_path_sup=full_sup, kind="example36", absolute=False,
-                       grid_meta={"kind": grid.kind, **grid.meta},
-                       summary=_summarize(full_sup))
+    full = LilEstimate(per_path_sup=full_sup, summary=_summarize(full_sup))
     rel = np.abs(full_sup - proxy_sup) / np.maximum(proxy_sup, 1e-300)
     return Example36Report(full=full, proxy_sup=proxy_sup,
                            proxy_summary=_summarize(proxy_sup),

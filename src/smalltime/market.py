@@ -4,7 +4,7 @@ pricing, and payoff face-lifting for the upper gamma bound."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr, roots_hermite
@@ -44,7 +44,6 @@ class Payoff:
     value_at_first: float = 0.0
     s_nodes: np.ndarray | None = None
     values: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
 
     def __call__(self, s):
         s_arr = np.asarray(s, dtype=float)
@@ -273,22 +272,5 @@ def face_lift(payoff: Payoff, band: GammaBand, s_grid) -> Payoff:
     lifted[~inside] = hy[-1] + ray_slope * (s_user[~inside] - hx[-1])
     lifted -= gu * np.log(s_user)
     lifted = np.maximum(lifted, payoff(s_user))  # dominance, exactly
-    out = tabulated(s_user, lifted)
-    out.meta = {"lifted_from": payoff.kind, "gamma_upper": gu}
-    return out
+    return tabulated(s_user, lifted)
 
-
-def discrete_cash_gamma(s_nodes, values):
-    """Second-difference cash gamma g_xx - g_x on a log grid, interior nodes.
-
-    Used to verify that a lifted payoff respects the upper bound in the
-    discrete sense.
-    """
-    x = np.log(np.asarray(s_nodes, dtype=float))
-    v = np.asarray(values, dtype=float)
-    dxl = x[1:-1] - x[:-2]
-    dxr = x[2:] - x[1:-1]
-    vxx = 2.0 * (v[:-2] / (dxl * (dxl + dxr)) - v[1:-1] / (dxl * dxr)
-                 + v[2:] / (dxr * (dxl + dxr)))
-    vx = (v[2:] - v[:-2]) / (dxl + dxr)
-    return vxx - vx

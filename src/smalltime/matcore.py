@@ -47,33 +47,6 @@ class SymMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def trace(self) -> float:
-        return float(np.trace(self.entries))
-
-
-def _as_symmetric(m, tol=1e-12):
-    if isinstance(m, SymMatrix):
-        return m.entries
-    a = np.asarray(m, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > tol * scale:
-        raise ValueError("matrix is not symmetric")
-    return 0.5 * (a + a.T)
-
-
-def eigen_extremes(m):
-    """Smallest and largest eigenvalue of a symmetric matrix, plus the
-    orthogonal U with U @ m @ U.T diagonal (rows of U are eigenvectors,
-    ordered by descending eigenvalue).
-
-    The extremes equal min/max of the quadratic form y.T @ m @ y over unit
-    vectors y.
-    """
-    evals, vecs = np.linalg.eigh(_as_symmetric(m))
-    return float(evals[0]), float(evals[-1]), vecs.T[::-1]
-
 
 def operator_norm(m) -> float:
     """Largest singular value, sup |m y| over unit y."""

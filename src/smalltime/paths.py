@@ -97,6 +97,8 @@ class TimeGrid:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 1:
             raise ValueError("TimeGrid needs a 1-d array of times")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("TimeGrid points must be finite")
         if np.any(np.diff(pts) <= 0.0):
             raise ValueError("TimeGrid points must be strictly increasing")
         if pts[0] < 0.0 or (pts.size > 1 and np.any(pts[1:] <= 0.0)):
@@ -113,8 +115,8 @@ class TimeGrid:
 
 
 def uniform_grid(horizon: float, steps: int) -> TimeGrid:
-    if not horizon > 0.0:
-        raise ValueError("uniform grid needs horizon > 0")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("uniform grid needs a finite horizon > 0")
     if steps < 1:
         raise ValueError("uniform grid needs steps >= 1")
     pts = np.linspace(0.0, horizon, steps + 1)
@@ -130,8 +132,8 @@ def geometric_grid(t0: float, theta: float, levels: int) -> TimeGrid:
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("geometric grid needs theta in (0, 1)")
-    if not t0 > 0.0:
-        raise ValueError("geometric grid needs t0 > 0")
+    if not 0.0 < t0 < math.inf:
+        raise ValueError("geometric grid needs a finite t0 > 0")
     if levels < 0:
         raise ValueError("geometric grid needs levels >= 0")
     ks = np.arange(levels, -1, -1, dtype=float)
@@ -143,11 +145,11 @@ def geometric_grid(t0: float, theta: float, levels: int) -> TimeGrid:
                     meta={"t0": float(t0), "theta": float(theta), "levels": int(levels)})
 
 
-def ergodic_grid(n_levels: int) -> TimeGrid:
-    """Times e^-n for n = 1..n_levels, the clock of the ergodic diagnostics."""
-    if n_levels < 1:
+def ergodic_grid(levels: int) -> TimeGrid:
+    """Times e^-n for n = 1..levels, the clock of the ergodic diagnostics."""
+    if levels < 1:
         raise ValueError("ergodic grid needs at least one level")
-    return geometric_grid(t0=math.exp(-1.0), theta=math.exp(-1.0), levels=n_levels - 1)
+    return geometric_grid(t0=math.exp(-1.0), theta=math.exp(-1.0), levels=levels - 1)
 
 
 @dataclass
@@ -164,26 +166,10 @@ class BrownianBundle:
     paths: np.ndarray
     seed: int
     first_path: int = 0
-    note: str = ""
 
     @property
     def path_count(self) -> int:
         return self.paths.shape[0]
-
-    def increment_variance_zscore(self) -> float:
-        """z-score of the pooled variance of normalized increments.
-
-        Increments over disjoint intervals, divided by sqrt(dt), should be
-        standard normal; the pooled squared mean has standard error
-        sqrt(2/n).
-        """
-        origin = {} if self.grid.points[0] == 0.0 else {"prepend": 0.0}
-        dt = np.diff(self.grid.points, **origin)
-        dw = np.diff(self.paths, axis=2, **origin)
-        z = dw / np.sqrt(dt)
-        n = z.size
-        s2 = float(np.mean(z * z))
-        return (s2 - 1.0) / math.sqrt(2.0 / n)
 
 
 def sample_bundle(dim: int, grid: TimeGrid, path_count: int, seed: int,
@@ -261,8 +247,7 @@ def rotate_bundle(bundle: BrownianBundle, u) -> BrownianBundle:
         raise ValueError("rotation matrix must be orthogonal within 1e-12")
     rotated = np.einsum("ij,pjk->pik", mat, bundle.paths)
     return BrownianBundle(dim=d, grid=bundle.grid, paths=rotated, seed=bundle.seed,
-                          first_path=bundle.first_path,
-                          note=(bundle.note + "|rotated").lstrip("|"))
+                          first_path=bundle.first_path)
 
 
 def refine_bisect(bundle: BrownianBundle) -> BrownianBundle:
@@ -308,7 +293,7 @@ def refine_bisect(bundle: BrownianBundle) -> BrownianBundle:
     meta["bisections"] = depth + 1
     grid = TimeGrid(new_t, kind=bundle.grid.kind, meta=meta)
     return BrownianBundle(dim=bundle.dim, grid=grid, paths=new_w, seed=bundle.seed,
-                          first_path=bundle.first_path, note=bundle.note)
+                          first_path=bundle.first_path)
 
 
 @dataclass

@@ -49,7 +49,6 @@ class IntegrandSpec:
     path_fn: object = None
     bound: float | None = None
     t_max: float | None = None
-    params: dict = field(default_factory=dict)
 
     @classmethod
     def constant(cls, matrix, name: str = "constant") -> "IntegrandSpec":
@@ -109,42 +108,38 @@ class CatalogEntry:
     name: str
     kind: str
     anchor: str
-    build: object  # (dim, params) -> IntegrandSpec
+    build: object  # dim -> IntegrandSpec
 
 
-def _build_zero(dim, params):
+def _build_zero(dim):
     return IntegrandSpec.constant(np.zeros((dim, dim)), name="zero")
 
 
-def _build_identity(dim, params):
+def _build_identity(dim):
     return IntegrandSpec.constant(np.eye(dim), name="identity")
 
 
-def _build_sign_flip(dim, params):
+def _build_sign_flip(dim):
     return IntegrandSpec.constant(-np.eye(dim), name="sign_flip")
 
 
-def _build_rotation(dim, params):
+def _build_rotation(dim):
+    """A quarter-pi rotation in the first two coordinates."""
     if dim < 2:
         raise ValueError("rotation integrand needs dim >= 2")
-    angle = float(params.get("angle", math.pi / 4.0))
     m = np.eye(dim)
-    c, s = math.cos(angle), math.sin(angle)
+    c, s = math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)
     m[0, 0], m[0, 1], m[1, 0], m[1, 1] = c, -s, s, c
     spec = IntegrandSpec.constant(m, name="rotation")
-    spec.params = {"angle": angle}
     spec.bound = 1.0
     return spec
 
 
-def _build_scaled_identity(dim, params):
-    c = float(params.get("c", 0.5))
-    spec = IntegrandSpec.constant(c * np.eye(dim), name="scaled_identity")
-    spec.params = {"c": c}
-    return spec
+def _build_scaled_identity(dim):
+    return IntegrandSpec.constant(0.5 * np.eye(dim), name="scaled_identity")
 
 
-def _build_example36(dim, params):
+def _build_example36(dim):
     eye = np.eye(dim)
 
     def fn(t):
@@ -154,38 +149,34 @@ def _build_example36(dim, params):
                          bound=None, t_max=EXP_MINUS_E)
 
 
-def _build_linear_time(dim, params):
-    rate = float(params.get("rate", 1.0))
+def _build_linear_time(dim):
     eye = np.eye(dim)
 
     def fn(t):
-        return (1.0 + rate * t) * eye
+        return (1.0 + t) * eye
 
     return IntegrandSpec(kind="time", dim=dim, name="linear_time", time_fn=fn,
-                         bound=None, params={"rate": rate})
+                         bound=None)
 
 
-def _build_tanh_w(dim, params):
-    scale = float(params.get("scale", 1.0))
+def _build_tanh_w(dim):
     eye = np.eye(dim)
 
     def fn(t, w):
-        return np.tanh(scale * w[:, 0])[:, None, None] * eye[None, :, :]
+        return np.tanh(w[:, 0])[:, None, None] * eye[None, :, :]
 
     return IntegrandSpec(kind="path", dim=dim, name="tanh_w", path_fn=fn,
-                         bound=1.0, params={"scale": scale})
+                         bound=1.0)
 
 
-def _build_clamp_w(dim, params):
-    lo = float(params.get("lo", -1.0))
-    hi = float(params.get("hi", 1.0))
+def _build_clamp_w(dim):
     eye = np.eye(dim)
 
     def fn(t, w):
-        return np.clip(w[:, 0], lo, hi)[:, None, None] * eye[None, :, :]
+        return np.clip(w[:, 0], -1.0, 1.0)[:, None, None] * eye[None, :, :]
 
     return IntegrandSpec(kind="path", dim=dim, name="clamp_w", path_fn=fn,
-                         bound=max(abs(lo), abs(hi)), params={"lo": lo, "hi": hi})
+                         bound=1.0)
 
 
 INTEGRAND_CATALOG = {
@@ -235,13 +226,12 @@ INTEGRAND_CATALOG = {
 }
 
 
-def catalog_integrand(name: str, dim: int, **params) -> IntegrandSpec:
+def catalog_integrand(name: str, dim: int) -> IntegrandSpec:
     try:
         entry = INTEGRAND_CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown integrand catalog entry {name!r}") from None
-    spec = entry.build(dim, params)
-    return spec
+    return entry.build(dim)
 
 
 def unit_bound_names(dim: int) -> list:
@@ -495,7 +485,6 @@ class MartingaleDecomposition:
     r1: np.ndarray
     r2: np.ndarray
     recon_error: float
-    grid_meta: dict = field(default_factory=dict)
 
 
 def integrate_double_martingale(bundle: BrownianBundle, b: IntegrandSpec,
@@ -535,11 +524,9 @@ def integrate_double_martingale(bundle: BrownianBundle, b: IntegrandSpec,
 
     (x, cpc, r1, r2), _ = _left_point(bundle, block, 4)
     recon = np.abs(x - (cpc + r1 + r2)) / (1.0 + np.abs(x))
-    meta = {"kind": bundle.grid.kind, **bundle.grid.meta}
     return MartingaleDecomposition(times=bundle.grid.points.copy(), x=x,
                                    c_piece=cpc, r1=r1, r2=r2,
-                                   recon_error=float(recon.max()),
-                                   grid_meta=meta)
+                                   recon_error=float(recon.max()))
 
 
 @dataclass

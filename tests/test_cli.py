@@ -164,15 +164,47 @@ def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
     ("lam", ["--experiment=moment", "--lam=-1"]),
     ("integrand", ["--experiment=moment", "--integrand=linear_time"]),
     ("integrand", ["--experiment=tail-bound", "--integrand=linear_time"]),
+    ("t0", ["--experiment=prop39", "--t0=inf", "--paths=100"]),
+    ("horizon", ["--experiment=tail-bound", "--horizon=inf"]),
+    ("horizon", ["--experiment=moment", "--horizon=inf"]),
+    ("eta", ["--experiment=tail-bound", "--rule=fixed", "--eta=-2"]),
+    ("eta", ["--experiment=tail-bound", "--rule=fixed", "--eta=-1"]),
+    ("eta", ["--experiment=tail-bound", "--rule=fixed", "--eta=-0.5"]),
+    ("eta", ["--experiment=tail-bound", "--rule=fixed", "--eta=0"]),
+    ("delta", ["--experiment=ergodic", "--delta=-1"]),
 ], ids=["lil-sup-levels", "lil-sup-t0", "ergodic-levels", "example36-t0",
         "prop39-eps", "moment-lam", "moment-negative-lam", "moment-bound",
-        "tail-bound-bound"])
+        "tail-bound-bound", "prop39-infinite-t0", "tail-bound-infinite-horizon",
+        "moment-infinite-horizon", "fixed-eta-minus-two", "fixed-eta-minus-one",
+        "fixed-eta-minus-half", "fixed-eta-zero", "ergodic-negative-delta"])
 def test_small_time_and_moment_plans_reject_before_sampling(tmp_path, capsys, key,
                                                             args):
-    """Grids the grid builders reject, times outside the rate's domain, a
-    drift exponent outside (0, 1] and the moment and tail bounds' hypotheses
-    fail in the plan, not after sampling."""
+    """Grids the grid builders reject (infinite times among them), times
+    outside the rate's domain, a drift exponent outside (0, 1], the moment
+    and tail bounds' hypotheses (a fixed-rule eta <= 0 among them) and a
+    delta <= 0 fail in the plan, not after sampling."""
     _assert_plan_rejects(tmp_path, capsys, key, args)
+
+
+@pytest.mark.parametrize("key,args", [
+    ("chunk", ["--experiment=moment", "--d=3"]),
+    ("chunk", ["--experiment=tail-bound", "--steps=1000"]),
+    ("chunk", ["--experiment=hedge"]),
+    ("chunk", ["--experiment=gap"]),
+    ("paths", ["--experiment=ergodic", "--d=3"]),
+    ("paths", ["--experiment=lil-sup", "--d=3"]),
+    ("paths", ["--experiment=prop39"]),
+])
+def test_bundle_larger_than_memory_is_a_config_error(capsys, key, args):
+    """10^12 paths in one chunk (or one bundle) ask for at least 8 TB of
+    float64 path values; checked by validate-config alone, so nothing is
+    sampled."""
+    sizes = [f"--paths={10 ** 12}"] + ([f"--chunk={10 ** 12}"] if key == "chunk" else [])
+    assert main(["validate-config"] + args + sizes) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: key {key!r}: a bundle of ")
+    assert "physical memory" in err
+    assert main(["validate-config"] + args) == 0
 
 
 def test_zero_dimension_is_a_config_error(tmp_path, capsys):

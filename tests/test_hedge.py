@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from smalltime.dpe import PdeGrid, greeks, solve_dpe
 from smalltime.hedge import (STRATEGY_CATALOG, StrategySpec, replication_gap,
-                             simulate_hedge, strategy_from_catalog)
+                             simulate_hedge)
 from smalltime.market import MarketParams, bs_price, call, simulate_gbm
 from smalltime.matcore import GammaBand
 from smalltime.reports import write_csv
@@ -15,6 +15,7 @@ from smalltime.paths import BundleSpec, sample_bundle, uniform_grid
 
 PARAMS = MarketParams(sigma=0.2, horizon=1.0)
 BAND = GammaBand.upper_only(0.5)
+ZERO = StrategySpec.constant(0.0, name="zero")
 
 
 def _bundle(paths=500, steps=200, seed=101):
@@ -23,7 +24,7 @@ def _bundle(paths=500, steps=200, seed=101):
 
 def test_zero_strategy_keeps_capital():
     b = _bundle()
-    rep = simulate_hedge(b, 100.0, 7.0, StrategySpec.zero(), call(100.0),
+    rep = simulate_hedge(b, 100.0, 7.0, ZERO, call(100.0),
                          BAND, PARAMS)
     s_t = simulate_gbm(b, 100.0, PARAMS)[:, -1]
     assert np.allclose(rep.x_terminal, 7.0)
@@ -32,7 +33,7 @@ def test_zero_strategy_keeps_capital():
 
 def test_buy_and_hold_telescopes_exactly():
     b = _bundle()
-    strat = strategy_from_catalog("buy_and_hold", y0=1.0)
+    strat = StrategySpec.constant(1.0, name="buy_and_hold")
     rep = simulate_hedge(b, 100.0, 5.0, strat, call(100.0), BAND, PARAMS)
     s_t = simulate_gbm(b, 100.0, PARAMS)[:, -1]
     assert np.allclose(rep.x_terminal, 5.0 + s_t - 100.0, atol=1e-9)
@@ -40,9 +41,9 @@ def test_buy_and_hold_telescopes_exactly():
 
 def test_wealth_is_a_discrete_martingale():
     spec = BundleSpec(1, uniform_grid(1.0, 200), 40_000, seed=7, chunk_size=10_000)
-    for strat in (StrategySpec.zero(),
-                  strategy_from_catalog("buy_and_hold", y0=0.7),
-                  strategy_from_catalog("constant_gamma", y0=0.3, gamma=2e-5)):
+    for strat in (ZERO,
+                  StrategySpec.constant(0.7, name="buy_and_hold"),
+                  StrategySpec.constant(0.3, gamma=2e-5, name="constant_gamma")):
         rep = simulate_hedge(spec, 100.0, 10.0, strat, call(100.0), BAND, PARAMS)
         se = float(np.std(rep.x_terminal, ddof=1)) / math.sqrt(rep.x_terminal.size)
         assert abs(float(np.mean(rep.x_terminal)) - 10.0) <= 4.0 * se + 1e-12
@@ -50,7 +51,7 @@ def test_wealth_is_a_discrete_martingale():
 
 def test_funding_shift_is_pathwise_additive():
     b = _bundle()
-    strat = strategy_from_catalog("buy_and_hold", y0=0.5)
+    strat = StrategySpec.constant(0.5, name="buy_and_hold")
     r1 = simulate_hedge(b, 100.0, 5.0, strat, call(100.0), BAND, PARAMS)
     r2 = simulate_hedge(b, 100.0, 6.5, strat, call(100.0), BAND, PARAMS)
     assert np.allclose(r2.shortfall - r1.shortfall, 1.5, atol=1e-9)
@@ -59,7 +60,7 @@ def test_funding_shift_is_pathwise_additive():
 def test_gamma_clamp_counts_events():
     b = _bundle(paths=100, steps=50)
     # cash gamma = gamma * S^2 ~ 2.0 at S=100, far above the 0.5 bound
-    strat = strategy_from_catalog("constant_gamma", y0=0.0, gamma=2e-4)
+    strat = StrategySpec.constant(0.0, gamma=2e-4, name="constant_gamma")
     rep = simulate_hedge(b, 100.0, 5.0, strat, call(100.0), BAND, PARAMS)
     assert rep.clamp_events > 0
     assert 0.0 < rep.clamp_rate <= 1.0
@@ -92,10 +93,6 @@ def test_strategy_bounds_must_be_finite():
 def test_strategy_catalog_contents():
     assert set(STRATEGY_CATALOG) == {"zero", "buy_and_hold", "constant_gamma",
                                      "dpe_tracker"}
-    with pytest.raises(KeyError):
-        strategy_from_catalog("nope")
-    with pytest.raises(ValueError):
-        strategy_from_catalog("dpe_tracker")  # needs a surface
 
 
 def test_replication_gap_inactive_constraints():
@@ -146,7 +143,7 @@ def test_lower_constraint_gap_on_concave_payoff():
 
 def test_hedge_report_csv(tmp_path):
     rep = simulate_hedge(_bundle(paths=5, steps=10), 100.0, 5.0,
-                         StrategySpec.zero(), call(100.0), BAND, PARAMS)
+                         ZERO, call(100.0), BAND, PARAMS)
     f = tmp_path / "shortfall.csv"
     write_csv(f, *rep.csv_table())
     lines = f.read_text().splitlines()
@@ -156,7 +153,7 @@ def test_hedge_report_csv(tmp_path):
 
 def test_workers_do_not_change_hedge_results():
     spec = BundleSpec(1, uniform_grid(1.0, 100), 2000, seed=29, chunk_size=500)
-    strat = strategy_from_catalog("buy_and_hold", y0=0.4)
+    strat = StrategySpec.constant(0.4, name="buy_and_hold")
     r1 = simulate_hedge(spec, 100.0, 5.0, strat, call(100.0), BAND, PARAMS, workers=1)
     r2 = simulate_hedge(spec, 100.0, 5.0, strat, call(100.0), BAND, PARAMS, workers=3)
     assert np.array_equal(r1.shortfall, r2.shortfall)
@@ -178,7 +175,7 @@ def test_off_surface_queries_are_counted():
     assert 0 < expected < s_k.size
     assert rep.off_surface == expected
     # surface-free strategies make no surface queries
-    plain = simulate_hedge(bundle, 100.0, 2.0, StrategySpec.zero(), call(100.0),
+    plain = simulate_hedge(bundle, 100.0, 2.0, ZERO, call(100.0),
                            BAND, params)
     assert plain.off_surface == 0
 
@@ -193,7 +190,7 @@ _SMALL_SOL = solve_dpe(call(100.0), GammaBand(-0.5, 0.5), PARAMS,
 def test_hedge_results_are_bit_identical_for_chunk_sizes_one_to_seven(paths, seed,
                                                                       kind):
     strat = (StrategySpec.from_dpe(_SMALL_SOL) if kind == "dpe" else
-             strategy_from_catalog("constant_gamma", y0=0.3, gamma=4e-5))
+             StrategySpec.constant(0.3, gamma=4e-5, name="constant_gamma"))
     grid = uniform_grid(1.0, 12)
     reports = [simulate_hedge(BundleSpec(1, grid, paths, seed, chunk_size=c),
                               100.0, 5.0, strat, call(100.0), BAND, PARAMS)

@@ -11,7 +11,7 @@ from smalltime.lilab import (GridMismatchError, conditional_moment_fn,
                              ergodic_liminf, example36_diag,
                              example36_rate_fn, moment_dominance,
                              moment_identity, optimal_tail_lambda, ratio_sup,
-                             tail_bound_check, tail_bound_value,
+                             tail_bound_check, tail_bound_value, tail_bounds,
                              window_medians)
 from smalltime.matcore import DomainError, lil_normalizer
 from smalltime.paths import (BundleSpec, ergodic_grid, geometric_grid,
@@ -239,6 +239,21 @@ def test_tail_bound_value_validation():
             tail_bound_value(1.0, lam, horizon, 1)
 
 
+def test_fixed_lambda_rule_needs_positive_eta():
+    """eta <= 0 puts lam = 1/(2T(1+eta)) at or past 1/(2T), or divides by
+    zero; it is rejected before any sampling."""
+    spec = BundleSpec(1, uniform_grid(0.1, 10), 5, seed=3)
+    for eta in (-2.0, -1.0, -0.5, 0.0):
+        with pytest.raises(ValueError, match="eta > 0"):
+            tail_bounds([1.0], 0.1, 1, rule="fixed", eta=eta)
+        with pytest.raises(ValueError, match="eta > 0"):
+            tail_bound_check(spec, catalog_integrand("identity", 1), 0.1, [1.0],
+                             rule="fixed", eta=eta)
+    lams, bounds = tail_bounds([1.0, 2.0], 0.1, 1, rule="fixed", eta=0.1)
+    assert lams == [1.0 / (2.0 * 0.1 * 1.1)] * 2
+    assert bounds == [tail_bound_value(a, lams[0], 0.1, 1) for a in (1.0, 2.0)]
+
+
 # -------------------------------------------------------------------- ergodic
 
 def test_ergodic_zero_matrix():
@@ -280,6 +295,13 @@ def test_ergodic_per_path_minimum():
     rep = ergodic_liminf(b, [[1.0]], delta=0.1)
     # independence oracle: P[min > 0.05] ~ (1 - chi2.cdf(0.05,1))^60 ~ 1e-5
     assert float(np.mean(rep.per_path_min < 0.05)) >= 0.99
+
+
+def test_ergodic_needs_positive_delta():
+    b = sample_bundle(1, ergodic_grid(5), 5, seed=20)
+    for delta in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="delta > 0"):
+            ergodic_liminf(b, [[1.0]], delta=delta)
 
 
 def test_ergodic_grid_mismatch():

@@ -7,8 +7,8 @@ from hypothesis import strategies as hst
 
 from smalltime.matcore import (DomainError, GammaBand, SymMatrix,
                                dpe_operator_f, dpe_operator_fhat,
-                               eigen_extremes, lil_normalizer,
-                               operator_norm, support_function)
+                               lil_normalizer, operator_norm,
+                               support_function)
 
 
 # ---------------------------------------------------------------- normalizer
@@ -33,82 +33,7 @@ def test_normalizer_tiny_times_finite():
     assert np.all(np.isfinite(vals)) and np.all(vals > 0)
 
 
-# --------------------------------------------------------------------- eigen
-
-def _mesh_extremes(m, n=200_000):
-    """Brute-force min/max of y^T m y over a fine mesh of unit vectors (d=2)."""
-    ang = np.linspace(0.0, np.pi, n)
-    y = np.stack([np.cos(ang), np.sin(ang)])
-    q = np.einsum("in,ij,jn->n", y, m, y)
-    return q.min(), q.max()
-
-
-def test_eigen_diagonal():
-    lmin, lmax, _ = eigen_extremes(np.diag([2.0, -1.0]))
-    assert (lmin, lmax) == (-1.0, 2.0)
-
-
-def test_eigen_identity():
-    lmin, lmax, _ = eigen_extremes(np.eye(3))
-    assert lmin == pytest.approx(1.0) and lmax == pytest.approx(1.0)
-
-
-def test_eigen_offdiagonal_vs_mesh():
-    m = np.array([[2.0, 1.0], [1.0, 2.0]])
-    lmin, lmax, _ = eigen_extremes(m)
-    mesh_min, mesh_max = _mesh_extremes(m)
-    assert lmin == pytest.approx(1.0, abs=1e-9)
-    assert lmax == pytest.approx(3.0, abs=1e-9)
-    assert lmin == pytest.approx(mesh_min, abs=1e-6)
-    assert lmax == pytest.approx(mesh_max, abs=1e-6)
-
-
-def test_eigen_diagonalizes_and_is_orthogonal():
-    rng = np.random.default_rng(7)
-    for d in (2, 3, 5, 8):
-        m = rng.normal(size=(d, d))
-        m = 0.5 * (m + m.T)
-        scale = operator_norm(m)
-        _, _, u = eigen_extremes(m)
-        diag = u @ m @ u.T
-        off = diag - np.diag(np.diag(diag))
-        assert np.abs(off).max() <= 1e-12 * max(scale, 1e-12)
-        assert np.abs(u @ u.T - np.eye(d)).max() <= 1e-12
-
-
-def test_eigen_matches_lapack():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        d = rng.integers(1, 7)
-        m = rng.normal(size=(d, d))
-        m = 0.5 * (m + m.T)
-        lmin, lmax, u = eigen_extremes(m)
-        ref = np.linalg.eigvalsh(m)[::-1]
-        # rows of U are eigenvectors, ordered by descending eigenvalue
-        assert np.allclose(np.diag(u @ m @ u.T), ref, atol=1e-10)
-        assert np.allclose([lmin, lmax], [ref[-1], ref[0]], atol=1e-10)
-
-
-def test_eigen_quadratic_form_bounds():
-    rng = np.random.default_rng(11)
-    m = rng.normal(size=(4, 4))
-    m = 0.5 * (m + m.T)
-    lmin, lmax, _ = eigen_extremes(m)
-    y = rng.normal(size=(100, 4))
-    y /= np.linalg.norm(y, axis=1, keepdims=True)
-    q = np.einsum("ni,ij,nj->n", y, m, y)
-    assert np.all(q >= lmin - 1e-10) and np.all(q <= lmax + 1e-10)
-
-
-@given(c=hst.floats(min_value=-5, max_value=5, allow_nan=False))
-@settings(max_examples=30, deadline=None)
-def test_eigen_shift_equivariance(c):
-    m = np.array([[1.0, 0.3, -0.2], [0.3, -0.7, 0.5], [-0.2, 0.5, 2.0]])
-    lmin0, lmax0, _ = eigen_extremes(m)
-    lmin1, lmax1, _ = eigen_extremes(m + c * np.eye(3))
-    assert lmax1 == pytest.approx(lmax0 + c, abs=1e-9)
-    assert lmin1 == pytest.approx(lmin0 + c, abs=1e-9)
-
+# ------------------------------------------------------------------ symmetric
 
 def test_symmatrix_symmetrizes_exactly():
     s = SymMatrix(np.array([[1.0, 2.0], [0.0, 3.0]]))

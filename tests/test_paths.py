@@ -8,6 +8,19 @@ from smalltime.paths import (BrownianBundle, BundleSpec, TimeGrid,
                              rotate_bundle, sample_bundle, uniform_grid)
 
 
+def _increment_variance_zscore(bundle: BrownianBundle) -> float:
+    """z-score of the pooled variance of normalized increments.
+
+    Increments over disjoint intervals, divided by sqrt(dt), should be
+    standard normal; the pooled squared mean has standard error sqrt(2/n).
+    """
+    origin = {} if bundle.grid.points[0] == 0.0 else {"prepend": 0.0}
+    dt = np.diff(bundle.grid.points, **origin)
+    z = np.diff(bundle.paths, axis=2, **origin) / np.sqrt(dt)
+    s2 = float(np.mean(z * z))
+    return (s2 - 1.0) / math.sqrt(2.0 / z.size)
+
+
 # --------------------------------------------------------------------- grids
 
 def test_uniform_grid_points():
@@ -41,6 +54,15 @@ def test_grid_invariants():
         TimeGrid(np.array([0.0, 0.5, 0.5]))
     with pytest.raises(ValueError):
         TimeGrid(np.array([-1.0, 0.5]))
+    # a NaN difference compares false against 0 and a last time of inf still
+    # increases strictly, so finiteness is a check of its own
+    for points in ([0.0, math.nan], [0.0, 1.0, math.inf], [math.nan, math.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            TimeGrid(np.array(points))
+    with pytest.raises(ValueError, match="horizon"):
+        uniform_grid(math.inf, 4)
+    with pytest.raises(ValueError, match="t0"):
+        geometric_grid(math.inf, 0.5, 3)
 
 
 def test_ergodic_grid_times():
@@ -82,7 +104,7 @@ def test_gaussian_statistics():
 
 def test_increment_sanity_zscore():
     b = sample_bundle(2, uniform_grid(1.0, 50), 2000, seed=5)
-    assert abs(b.increment_variance_zscore()) < 5.0
+    assert abs(_increment_variance_zscore(b)) < 5.0
 
 
 def test_geometric_bundle_statistics_and_nesting():
@@ -92,7 +114,7 @@ def test_geometric_bundle_statistics_and_nesting():
     b = sample_bundle(1, g_big, 500, seed=31)
     # coarsest-first bridge: extending the grid extends the paths
     assert np.array_equal(a.paths, b.paths[:, :, 15:])
-    assert abs(b.increment_variance_zscore()) < 5.0
+    assert abs(_increment_variance_zscore(b)) < 5.0
 
 
 def test_self_similarity_spot_check():
@@ -131,7 +153,7 @@ def test_rotated_bundle_keeps_increment_statistics():
     ang = 0.7
     u = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
     r = rotate_bundle(b, u)
-    assert abs(r.increment_variance_zscore()) < 5.0
+    assert abs(_increment_variance_zscore(r)) < 5.0
 
 
 # ---------------------------------------------------------------- refinement
@@ -144,7 +166,7 @@ def test_refine_bisect_couples_shared_times():
     finer = refine_bisect(fine)
     assert np.array_equal(finer.paths[:, :, ::4], b.paths)
     # refinement draws fresh increments each level, and stays Brownian
-    assert abs(finer.increment_variance_zscore()) < 5.0
+    assert abs(_increment_variance_zscore(finer)) < 5.0
 
 
 def test_refine_bisect_deterministic():
