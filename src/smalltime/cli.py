@@ -246,8 +246,9 @@ def _market(p):
 
 
 def _fits_in_memory(key: str, what: str, nbytes: int) -> None:
-    """Reject, naming key, a config one of whose arrays (what, of nbytes
-    bytes) alone would exceed the machine's physical memory."""
+    """Reject, naming key, a config whose arrays described by what (nbytes
+    bytes, one array or a set held at once) would by themselves exceed the
+    machine's physical memory."""
     memory_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory_bytes:
         raise ConfigError(
@@ -259,6 +260,12 @@ def _bundle_fits(key: str, paths: int, dim: int, grid) -> None:
     """_fits_in_memory for a bundle of paths x dim x grid-size float64 values."""
     _fits_in_memory(key, f"a bundle of {paths} paths x {dim} x {grid.size} times",
                     8 * paths * dim * grid.size)
+
+
+def _grid_fits(key: str, size: int) -> None:
+    """_fits_in_memory for a time grid of size float64 values, checked
+    before the grid is built."""
+    _fits_in_memory(key, f"a grid of {size} times", 8 * size)
 
 
 def _dpe_plan(cfg: RunConfig):
@@ -275,9 +282,15 @@ def _dpe_plan(cfg: RunConfig):
                     8 * grid.nx * (grid.nt + 1))
     spec = None
     if "steps" in p:
+        _grid_fits("steps", p["steps"] + 1)
         with _reading("steps"):
             times = uniform_grid(p["horizon"], p["steps"])
         _bundle_fits("chunk", min(p["chunk"], p["paths"]), 1, times)
+        # the simulation keeps four float64 values per path for each funding;
+        # gap runs two fundings in one pass
+        fundings = 2 if cfg.experiment == "gap" else 1
+        _fits_in_memory("paths", f"keeping the results of {p['paths']} paths",
+                        32 * fundings * p["paths"])
         spec = BundleSpec(1, times, p["paths"], cfg.seed, chunk_size=p["chunk"])
     return params, band, payoff, grid, spec
 
@@ -310,12 +323,16 @@ def _forward_plan(cfg: RunConfig):
     if "lam" in p:
         with _reading("lam", "horizon"):
             moment_identity(p["lam"], p["horizon"], p["d"])
+    _grid_fits("steps", p["steps"] + 1)
     with _reading("horizon", "steps"):
         grid = uniform_grid(p["horizon"], p["steps"])
     if "alphas" in p:
         with _reading("eta", "horizon"):
             tail_bounds(p["alphas"], p["horizon"], p["d"], p["rule"], p["eta"])
     _bundle_fits("chunk", min(p["chunk"], p["paths"]), p["d"], grid)
+    # the forward pass keeps V^b(T) and sup V^b, two float64 values, per path
+    _fits_in_memory("paths", f"keeping the results of {p['paths']} paths",
+                    16 * p["paths"])
     return b, BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
 
 
@@ -324,6 +341,7 @@ def _geometric_plan(cfg: RunConfig, rate_fn=None):
     rate function, every grid time must lie in the rate's domain, and the
     largest time is t0."""
     p = cfg.params
+    _grid_fits("levels", p["levels"] + 1)
     with _reading("t0", "theta", "levels"):
         grid = geometric_grid(p["t0"], p["theta"], p["levels"])
     if rate_fn is not None:
@@ -344,6 +362,7 @@ def _ergodic_plan(cfg: RunConfig):
     """The e^-n grid and the matrix beta * I of an ergodic run, a valid
     delta and a bundle that fits in memory."""
     p = cfg.params
+    _grid_fits("levels", p["levels"])
     with _reading("levels"):
         grid = ergodic_grid(p["levels"])
     with _reading("beta"):

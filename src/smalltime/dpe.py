@@ -148,14 +148,19 @@ def _central_diff(f: np.ndarray, dx: float, out=None) -> np.ndarray:
     """d/dx along the last axis (at least four nodes): central differences
     inside, one-sided at the two end nodes."""
     out = np.empty_like(f) if out is None else out
-    n = f.shape[-1]
     np.subtract(f[..., 2:], f[..., :-2], out=out[..., 1:-1])
     np.divide(out[..., 1:-1], 2.0 * dx, out=out[..., 1:-1])
-    # both end nodes in one stride: f[1] - f[0] and f[n-1] - f[n-2]
+    _end_diff(f, dx, out)
+    return out
+
+
+def _end_diff(f: np.ndarray, dx: float, out: np.ndarray) -> np.ndarray:
+    """One-sided d/dx at the two end nodes along the last axis, f[1] - f[0]
+    and f[n-1] - f[n-2] over dx, into (and returned as) out[..., ::n-1]."""
+    n = f.shape[-1]
     ends = out[..., ::n - 1]
     np.subtract(f[..., 1::n - 2], f[..., ::n - 2], out=ends)
-    np.divide(ends, dx, out=ends)
-    return out
+    return np.divide(ends, dx, out=ends)
 
 
 def _space_operators(v: np.ndarray, dx: float, out=None):
@@ -212,36 +217,56 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
     half_sig2 = 0.5 * sigma * sigma
     coef = dt * half_sig2
     tol = 5.0 * (dx + dt) * sigma ** 2
+    n = grid.nx
+    # rows of the interior and end-node views are all the loop touches
+    left, mid, right = v[:, :-2], v[:, 1:-1], v[:, 2:]
+    vx_in, a_in = delta[:, 1:-1], cash_gamma[:, 1:-1]
+    ends, next1, next2 = v[:, ::n - 1], v[:, 1::n - 3], v[:, 2::n - 5]
+    step = np.empty(n - 2)
+    two_dx, dx2 = 2.0 * dx, dx * dx
+    lower, upper = band.lower, band.upper
+    for m in range(nt - 1, -1, -1):
+        # row k = m+1 is final: its interior operators are stored as they
+        # are used, in the operation order of _space_operators (delta holds
+        # v_x until the division by s below)
+        k = m + 1
+        v0, v1, v2, vx, a = left[k], mid[k], right[k], vx_in[k], a_in[k]
+        np.subtract(v2, v0, out=vx)
+        np.divide(vx, two_dx, out=vx)
+        np.multiply(v1, 2.0, out=a)
+        np.subtract(v2, a, out=a)
+        np.add(a, v0, out=a)
+        np.divide(a, dx2, out=a)
+        np.subtract(a, vx, out=a)
+        # GammaBand.clamp of A, times dt sigma^2/2, onto the interior
+        np.minimum(upper, np.maximum(lower, a, out=step), out=step)
+        np.multiply(step, coef, out=step)
+        np.add(v1, step, out=mid[m])
+        # both end nodes extrapolate linearly: 2 v[1] - v[2], 2 v[n-2] - v[n-3]
+        e = np.multiply(next1[m], 2.0, out=ends[m])
+        np.subtract(e, next2[m], out=e)
+    _space_operators(v[0], dx, out=(delta[0], cash_gamma[0]))
+    # the end columns of rows 1..nt, one-sided as _space_operators sets them
+    np.negative(_end_diff(v[1:], dx, delta[1:]), out=cash_gamma[1:, ::n - 1])
+    np.divide(delta, s, out=delta)
+
     breach_count = 0
     residual_max = 0.0
-    step = np.empty(grid.nx)
-    for m in range(nt - 1, -1, -1):
-        # row m+1 is final: its operators are stored as they are used
-        # (delta holds v_x until the division by s below)
-        _, a = _space_operators(v[m + 1], dx, out=(delta[m + 1], cash_gamma[m + 1]))
-        if band.has_upper:
-            # rounding is monotone, so no node exceeds the tolerance unless
-            # the largest does; a NaN maximum takes the full count, which
-            # skips NaN nodes
-            top = a.max()
-            if top - band.upper > tol or math.isnan(top):
-                over = a - band.upper
-                n_over = int(np.sum(over > tol))
-                if n_over:
-                    breach_count += n_over
-                    residual_max = max(residual_max, half_sig2 * float(over.max()))
-        band.clamp(a, out=step)
-        np.multiply(step, coef, out=step)
-        row = np.add(v[m + 1], step, out=v[m])
-        row[0] = 2.0 * row[1] - row[2]
-        row[-1] = 2.0 * row[-2] - row[-3]
-    _space_operators(v[0], dx, out=(delta[0], cash_gamma[0]))
-    np.divide(delta, s, out=delta)
-    active = np.zeros(v.shape, dtype=np.int8)
-    if band.has_lower:
-        active[cash_gamma < band.lower] = ACTIVE_LOWER
     if band.has_upper:
-        active[cash_gamma > band.upper] = ACTIVE_UPPER
+        # rounding is monotone, so no node of a row exceeds the tolerance
+        # unless its largest does; a NaN maximum takes the full count, which
+        # skips NaN nodes.  Rows go in the loop's order, nt down to 1.
+        tops = cash_gamma[1:].max(axis=1)
+        for k in np.flatnonzero((tops - upper > tol) | np.isnan(tops))[::-1] + 1:
+            over = cash_gamma[k] - upper
+            n_over = int(np.sum(over > tol))
+            if n_over:
+                breach_count += n_over
+                residual_max = max(residual_max, half_sig2 * float(over.max()))
+    # the two branches exclude each other and a NaN binds neither, so their
+    # codes add; a true bool viewed as int8 is ACTIVE_LOWER
+    active = np.less(cash_gamma, lower).view(np.int8)
+    active += ACTIVE_UPPER * np.greater(cash_gamma, upper).view(np.int8)
 
     return DpeSolution(t_nodes=t_nodes, x_nodes=x, v=v, delta=delta,
                        cash_gamma=cash_gamma, active=active, params=params,

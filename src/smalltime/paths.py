@@ -136,11 +136,12 @@ def geometric_grid(t0: float, theta: float, levels: int) -> TimeGrid:
         raise ValueError("geometric grid needs a finite t0 > 0")
     if levels < 0:
         raise ValueError("geometric grid needs levels >= 0")
-    ks = np.arange(levels, -1, -1, dtype=float)
-    log_pts = math.log(t0) + ks * math.log(theta)
-    if log_pts[0] < math.log(_T_FLOOR):
+    # the smallest point's log, as the array below computes it, before any
+    # array is built
+    if math.log(t0) + float(levels) * math.log(theta) < math.log(_T_FLOOR):
         raise ValueError("geometric grid would go below the 1e-300 time floor")
-    pts = np.exp(log_pts)
+    ks = np.arange(levels, -1, -1, dtype=float)
+    pts = np.exp(math.log(t0) + ks * math.log(theta))
     return TimeGrid(pts, kind="geometric",
                     meta={"t0": float(t0), "theta": float(theta), "levels": int(levels)})
 

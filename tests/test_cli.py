@@ -207,6 +207,39 @@ def test_bundle_larger_than_memory_is_a_config_error(capsys, key, args):
     assert main(["validate-config"] + args) == 0
 
 
+@pytest.mark.parametrize("key,experiment", [
+    ("steps", "moment"), ("steps", "tail-bound"), ("steps", "hedge"),
+    ("steps", "gap"), ("levels", "lil-sup"), ("levels", "ergodic"),
+    ("levels", "example36"), ("levels", "prop39"),
+])
+def test_grid_larger_than_memory_is_a_config_error(capsys, key, experiment):
+    """10^13 steps or levels ask for a grid of about 73 TiB of float64
+    times; the plan rejects it before any grid is built."""
+    assert main(["validate-config", f"--experiment={experiment}",
+                 f"--{key}={10 ** 13}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: key {key!r}: a grid of ")
+    assert "physical memory" in err
+
+
+def test_geometric_time_floor_is_checked_before_the_grid_is_built(capsys):
+    """10^8 levels (800 MB of float64 times) fit in memory, but their
+    smallest time is far below 1e-300: rejected in closed form."""
+    assert main(["validate-config", "--experiment=lil-sup", f"--levels={10 ** 8}"]) == 2
+    assert "1e-300 time floor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("experiment", ["moment", "tail-bound", "hedge", "gap"])
+def test_per_path_results_larger_than_memory_are_a_config_error(capsys, experiment):
+    """10^12 paths in default chunks keep at least two float64 results per
+    path (16 TB); checked by validate-config alone, so nothing is sampled."""
+    assert main(["validate-config", f"--experiment={experiment}",
+                 f"--paths={10 ** 12}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'paths': keeping the results of ")
+    assert "physical memory" in err
+
+
 def test_zero_dimension_is_a_config_error(tmp_path, capsys):
     _assert_key_rejected(tmp_path, capsys, "moment", "d", 0)
 

@@ -24,6 +24,14 @@ ARTIFACT_DIGESTS = {
     "surface_unbanded": (
         ("dpe-price", "--nx=64"), "surface.csv",
         "1ffe3d60b6776c6e782c4115a238b79a91a8619d2e4b85b965560aa86af10857"),
+    # the benchmark's grid size, digests of the solver before its loop
+    # stepped only the interior nodes
+    "surface_banded_400": (
+        ("dpe-price", "--nx=400", "--lower=-0.5", "--upper=0.5"), "surface.csv",
+        "b8fd3d287214d2ea8863a7c12d83646112119fbba6de341e31893d19f3355e17"),
+    "surface_unbanded_400": (
+        ("dpe-price", "--nx=400"), "surface.csv",
+        "64a2e3359e25b8431db4d79f1a900f584bc1d565b3a2980548df9dfa84c8e06d"),
     "shortfall": (
         ("hedge", "--nx=64", "--paths=100", "--steps=50", "--chunk=50",
          "--lower=-0.5"), "shortfall.csv",

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from smalltime.dpe import (OutOfGridError, PdeGrid, StabilityError,
-                           DpeSolution, _space_operators, greeks, solve_dpe)
+from smalltime.dpe import (ACTIVE_LOWER, ACTIVE_UPPER, OutOfGridError, PdeGrid,
+                           StabilityError, DpeSolution, _space_operators, greeks,
+                           solve_dpe)
 from smalltime.market import MarketParams, bs_price, call, face_lift, put, tabulated
 from smalltime.matcore import GammaBand, dpe_operator_fhat
 from smalltime.market import piecewise_linear
@@ -221,6 +222,35 @@ def test_solver_step_solves_the_pricing_operator(band):
     assert checked > 0.99 * (sol.t_nodes.size - 1) * sol.x_nodes.size
 
 
+def _same_bits(x, y) -> bool:
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _assert_operators_pinned(sol, band):
+    """The loop stores each row's operators inline; every row must hold the
+    bits _space_operators gives it, and active the codes of the masked
+    assignments."""
+    dx, s = sol.meta["dx"], sol.s_nodes
+    for m in range(sol.t_nodes.size):
+        vx, a = _space_operators(sol.v[m], dx)
+        assert _same_bits(a, sol.cash_gamma[m])
+        assert _same_bits(vx / s, sol.delta[m])
+    active = np.zeros(sol.v.shape, dtype=np.int8)
+    if band.has_lower:
+        active[sol.cash_gamma < band.lower] = ACTIVE_LOWER
+    if band.has_upper:
+        active[sol.cash_gamma > band.upper] = ACTIVE_UPPER
+    assert _same_bits(sol.active, active)
+
+
+@pytest.mark.parametrize("nx", [16, 64, 400])
+@pytest.mark.parametrize("band", [FREE, GammaBand.lower_only(0.2),
+                                  GammaBand.upper_only(0.5), GammaBand(-0.5, 0.5)],
+                         ids=["free", "lower", "upper", "both"])
+def test_stored_operators_are_the_space_operators_row_by_row(band, nx):
+    _assert_operators_pinned(solve_dpe(call(100.0), band, PARAMS, _grid(nx)), band)
+
+
 def _ref_backward(terminal, band, grid):
     """The backward loop one step at a time: v(0), the breach count and the
     largest residual, plus per step the number of breaching nodes and
@@ -292,3 +322,13 @@ def test_breach_count_skips_nan_nodes_as_the_per_step_loop_does(monkeypatch):
     assert np.array_equal(sol.v[0], v0, equal_nan=True)
     assert sol.breach_count == count
     assert repr(sol.residual_max) == repr(resid)
+
+
+def test_stored_operators_of_a_breaching_surface_row_by_row(monkeypatch):
+    """The raw call breaches the upper bound, so both codes of active occur."""
+    from smalltime import dpe
+    monkeypatch.setattr(dpe, "face_lift", _unlifted())
+    band = GammaBand(-0.5, 0.5)
+    sol = solve_dpe(call(100.0), band, PARAMS, _grid(64))
+    assert {ACTIVE_LOWER, ACTIVE_UPPER} <= set(np.unique(sol.active).tolist())
+    _assert_operators_pinned(sol, band)
