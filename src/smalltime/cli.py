@@ -374,8 +374,8 @@ def _ergodic_plan(cfg: RunConfig):
 
 
 def _example36_plan(cfg: RunConfig):
-    """The bundle spec of an example36 run, every grid time below e^-e, and
-    a refined chunk that fits in memory."""
+    """The bundle spec of an example36 run, every grid time below e^-e, a
+    refined chunk and the per-path results that fit in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg, example36_rate_fn)
     # each chunk is refined in memory, to about grid size x 2^refinements
@@ -383,6 +383,9 @@ def _example36_plan(cfg: RunConfig):
     chunk, r = min(p["chunk"], p["paths"]), p["refinements"]
     _fits_in_memory("refinements", f"a chunk of {chunk} paths refined {r} times",
                     8 * chunk * grid.size << min(r, 64))
+    # the full and the proxy sup, two float64 values, per path
+    _fits_in_memory("paths", f"keeping the results of {p['paths']} paths",
+                    16 * p["paths"])
     return BundleSpec(1, grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
 
 

@@ -328,11 +328,52 @@ def ergodic_reference(mat: np.ndarray, delta: float) -> float:
     return float(np.mean(sample <= delta))
 
 
+# a row block of the ergodic pass spans about this many path values
+# (paths x dimension x levels): few enough that its scratch stays in cache
+# and adds little to peak memory
+_ERGODIC_VALUES = 1 << 13
+
+
+def _ergodic_levels(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """Y(n) = e^n |W(e^-n)^T mat W(e^-n)| of the e^-n grid's paths w, of
+    shape (P, d, levels), one column per n = 1..levels.
+
+    One pass over row blocks of paths (about _ERGODIC_VALUES values each)
+    forms every level of a block at once: W(e^-n) is scaled by e^(n/2), and
+    the quadratic form adds the terms (x_i mat_ij) x_j with i outer and j
+    inner, the order and bits of a per-level einsum("pi,ij,pj->p").  The
+    block's scratch is freed on return.
+    """
+    p, d, levels = w.shape
+    # grid column k holds W(e^-n) for n = levels - k: the levels run backwards
+    scale = np.array([math.exp(0.5 * (levels - k)) for k in range(levels)])
+    rows = max(1, _ERGODIC_VALUES // (d * levels))
+    x = np.empty((d, min(rows, p), levels))
+    term = np.empty((min(rows, p), levels))
+    y = np.empty((p, levels))
+    for r0 in range(0, p, rows):
+        r1 = min(r0 + rows, p)
+        xb, tb = x[:, :r1 - r0], term[:r1 - r0]
+        qb = y[r0:r1, ::-1]  # the sum is formed in place, in grid order
+        np.multiply(w[r0:r1].transpose(1, 0, 2), scale, out=xb)
+        # the first term starts the sum (0 + t differs from t only in the
+        # sign of a zero, which abs drops) and the others are added in turn
+        for n, (i, j) in enumerate(np.ndindex(d, d)):
+            out = tb if n else qb
+            np.multiply(xb[i], mat[i, j], out=out)
+            out *= xb[j]
+            if n:
+                qb += tb
+        np.abs(qb, out=qb)
+    return y
+
+
 def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     """Running frequency of Y(n) <= delta for Y(n) = e^n |W(e^-n)^T beta W(e^-n)|.
 
     Needs the e^-n grid.  The bundle-average frequency should approach
-    ergodic_reference(beta, delta).
+    ergodic_reference(beta, delta).  Y is formed in one blocked pass over
+    the paths (_ergodic_levels), with the bits of one einsum per level.
     """
     meta = bundle.grid.meta
     if (bundle.grid.kind != "geometric"
@@ -346,13 +387,7 @@ def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
         raise ValueError("beta shape must match the bundle dimension")
     reference = ergodic_reference(mat, delta)
     levels = int(meta["levels"]) + 1
-    w = bundle.paths
-    y = np.empty((bundle.path_count, levels))
-    for j in range(levels):
-        n = j + 1
-        idx = levels - 1 - j
-        x = math.exp(0.5 * n) * w[:, :, idx]
-        y[:, j] = np.abs(np.einsum("pi,ij,pj->p", x, mat, x))
+    y = _ergodic_levels(bundle.paths, mat)
     hits = (y <= delta).astype(float)
     freq = np.cumsum(hits, axis=1) / np.arange(1, levels + 1)[None, :]
     freq_by_n = freq.mean(axis=0)

@@ -139,7 +139,8 @@ def geometric_grid(t0: float, theta: float, levels: int) -> TimeGrid:
     # the smallest point's log, as the array below computes it, before any
     # array is built
     if math.log(t0) + float(levels) * math.log(theta) < math.log(_T_FLOOR):
-        raise ValueError("geometric grid would go below the 1e-300 time floor")
+        raise ValueError(f"geometric grid of {levels} levels would go below the "
+                         "1e-300 time floor")
     ks = np.arange(levels, -1, -1, dtype=float)
     pts = np.exp(math.log(t0) + ks * math.log(theta))
     return TimeGrid(pts, kind="geometric",

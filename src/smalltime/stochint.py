@@ -285,6 +285,8 @@ _BLOCK_VALUES = 1 << 16
 def _apply(mat, vec):
     """mat @ vec for mat of shape (d, d) or (P, d, d) and vec of shape (P, d)."""
     if mat.ndim == 2:
+        if mat.shape == (1, 1):  # one term: an elementwise product has its bits
+            return vec * mat[0, 0]
         if vec.shape[0] == 1:  # a lone row would round as a BLAS vector product
             return (np.repeat(vec, 2, axis=0) @ mat.T)[:1]
         return vec @ mat.T
@@ -314,6 +316,8 @@ def _apply_block(mat, v):
     """mat @ v row by row, v of shape (B, P, d), mat from _eval_block; the
     bits are those of one _apply per step."""
     if isinstance(mat, list):
+        if v.shape[2] == 1:  # (1, 1) matrices: one elementwise product
+            return v * np.stack(mat)
         if v.shape[1] == 1:  # a lone row rounds as _apply's repeated pair
             return np.stack([_apply(m_k, v_k) for m_k, v_k in zip(mat, v)])
         return np.matmul(v, np.stack(mat).transpose(0, 2, 1))
@@ -553,7 +557,9 @@ def drift_integral(bundle: BrownianBundle, a: VectorSpec, m: IntegrandSpec,
     power = drift_scale(t, eps)
     if a.dim != bundle.dim or m.dim != bundle.dim:
         raise ValueError("process dimensions must match the bundle")
-    ia = np.zeros((bundle.path_count, bundle.dim))
+    # the inner integral of a du is the same on every path: one row, which
+    # the product with m dW broadcasts over the paths
+    ia = np.zeros((1, bundle.dim))
 
     def block(cols, t, dt, w, dw, inc):
         da = np.array([a.eval(t_k) for t_k in t]) * dt[:, None]

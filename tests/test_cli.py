@@ -222,14 +222,20 @@ def test_grid_larger_than_memory_is_a_config_error(capsys, key, experiment):
     assert "physical memory" in err
 
 
-def test_geometric_time_floor_is_checked_before_the_grid_is_built(capsys):
+@pytest.mark.parametrize("experiment", ["lil-sup", "prop39", "example36"])
+def test_geometric_time_floor_is_checked_before_the_grid_is_built(capsys, experiment):
     """10^8 levels (800 MB of float64 times) fit in memory, but their
-    smallest time is far below 1e-300: rejected in closed form."""
-    assert main(["validate-config", "--experiment=lil-sup", f"--levels={10 ** 8}"]) == 2
-    assert "1e-300 time floor" in capsys.readouterr().err
+    smallest time is far below 1e-300: rejected in closed form, naming
+    levels."""
+    assert main(["validate-config", f"--experiment={experiment}",
+                 f"--levels={10 ** 8}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'levels': ")
+    assert "1e-300 time floor" in err
 
 
-@pytest.mark.parametrize("experiment", ["moment", "tail-bound", "hedge", "gap"])
+@pytest.mark.parametrize("experiment", ["moment", "tail-bound", "hedge", "gap",
+                                        "example36"])
 def test_per_path_results_larger_than_memory_are_a_config_error(capsys, experiment):
     """10^12 paths in default chunks keep at least two float64 results per
     path (16 TB); checked by validate-config alone, so nothing is sampled."""

@@ -39,6 +39,20 @@ ARTIFACT_DIGESTS = {
     "lil_sup": (
         ("lil-sup", "--paths=200", "--levels=10"), "lil_sup.csv",
         "1f42c924a69b44ad77aefaed3ac835809412373dfb3cb9baaa8bd405df198b6c"),
+    # the rest of the small-time artifacts; uneven chunks of 70 paths
+    "example36": (
+        ("example36", "--paths=200", "--levels=40", "--chunk=70",
+         "--refinements=2"), "example36.csv",
+        "1668499cb334609dd23e167e7eee0d8cb0c027e9f5672c707345ce0ec63ff6fe"),
+    "ergodic_paths": (
+        ("ergodic", "--d=2", "--paths=300", "--levels=20"), "ergodic_paths.csv",
+        "0a1a858a79f6671d23e7772e8ecbc7df343f279906426c5681b21b34c5836501"),
+    "ergodic_freq": (
+        ("ergodic", "--d=2", "--paths=300", "--levels=20"), "ergodic_freq.csv",
+        "57d9cf4d98aece8a7dd3826b7e6b5613974cb26ee59cf5f4f22381cdfb22ab54"),
+    "prop39": (
+        ("prop39", "--paths=200", "--levels=30"), "prop39.csv",
+        "dd0a54ad3164b8b49d7265471c695070bbb0ad29ddb3cc0897398da8ba6f6297"),
     # bool cells
     "tail_bound": (
         ("tail-bound", "--paths=300", "--steps=50", "--chunk=100"), "tail_bound.csv",
