@@ -111,8 +111,9 @@ class DpeSolution:
         tn, xn = self.t_nodes, self.x_nodes
         eps_t = 1e-9 * max(1.0, tn[-1])
         eps_x = 1e-12 * max(1.0, abs(xn[-1]), abs(xn[0]))
-        if (np.any(t_arr < tn[0] - eps_t) or np.any(t_arr > tn[-1] + eps_t)
-                or np.any(x_arr < xn[0] - eps_x) or np.any(x_arr > xn[-1] + eps_x)):
+        # written so that a NaN, which compares False, fails the check
+        if not (np.all(t_arr >= tn[0] - eps_t) and np.all(t_arr <= tn[-1] + eps_t)
+                and np.all(x_arr >= xn[0] - eps_x) and np.all(x_arr <= xn[-1] + eps_x)):
             raise OutOfGridError("query point outside the solved surface")
         dx = xn[1] - xn[0]
         ix = np.clip(((x_arr - xn[0]) / dx).astype(int), 0, xn.size - 2)
@@ -218,38 +219,43 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
     coef = dt * half_sig2
     tol = 5.0 * (dx + dt) * sigma ** 2
     n = grid.nx
-    # rows of the interior and end-node views are all the loop touches
-    left, mid, right = v[:, :-2], v[:, 1:-1], v[:, 2:]
-    vx_in, a_in = delta[:, 1:-1], cash_gamma[:, 1:-1]
-    ends, next1, next2 = v[:, ::n - 1], v[:, 1::n - 3], v[:, 2::n - 5]
+    # the loop walks rows nt..1 of the interior views (row k is final, its
+    # operators are stored as they are used) and writes rows nt-1..0 of v
+    rows = zip(v[:0:-1, :-2], v[:0:-1, 1:-1], v[:0:-1, 2:], delta[:0:-1, 1:-1],
+               cash_gamma[:0:-1, 1:-1], v[-2::-1, 1:-1], v[-2::-1])
     step = np.empty(n - 2)
-    two_dx, dx2 = 2.0 * dx, dx * dx
-    lower, upper = band.lower, band.upper
-    for m in range(nt - 1, -1, -1):
-        # row k = m+1 is final: its interior operators are stored as they
-        # are used, in the operation order of _space_operators (delta holds
-        # v_x until the division by s below)
-        k = m + 1
-        v0, v1, v2, vx, a = left[k], mid[k], right[k], vx_in[k], a_in[k]
-        np.subtract(v2, v0, out=vx)
-        np.divide(vx, two_dx, out=vx)
-        np.multiply(v1, 2.0, out=a)
-        np.subtract(v2, a, out=a)
-        np.add(a, v0, out=a)
-        np.divide(a, dx2, out=a)
-        np.subtract(a, vx, out=a)
-        # GammaBand.clamp of A, times dt sigma^2/2, onto the interior
-        np.minimum(upper, np.maximum(lower, a, out=step), out=step)
-        np.multiply(step, coef, out=step)
-        np.add(v1, step, out=mid[m])
+    # 0-d operands: a Python float is converted again on every ufunc call
+    two_dx, dx2, two, coef_0d = (np.array(f) for f in (2.0 * dx, dx * dx, 2.0, coef))
+    # a side at +-inf returns A itself, NaN included, so it is skipped
+    lo = np.array(band.lower) if band.has_lower else None
+    up = np.array(band.upper) if band.has_upper else None
+    for v0, v1, v2, vx, a, inner, row in rows:
+        # the operation order of _space_operators (delta holds v_x until the
+        # division by s below)
+        np.subtract(v2, v0, vx)
+        np.divide(vx, two_dx, vx)
+        np.multiply(v1, two, a)
+        np.subtract(v2, a, a)
+        np.add(a, v0, a)
+        np.divide(a, dx2, a)
+        np.subtract(a, vx, a)
+        # GammaBand.clamp of A, min(max(A, lower), upper), times dt sigma^2/2
+        clamped = a
+        if lo is not None:
+            clamped = np.maximum(lo, clamped, out=step)
+        if up is not None:
+            clamped = np.minimum(up, clamped, out=step)
+        np.multiply(clamped, coef_0d, step)
+        np.add(v1, step, inner)
         # both end nodes extrapolate linearly: 2 v[1] - v[2], 2 v[n-2] - v[n-3]
-        e = np.multiply(next1[m], 2.0, out=ends[m])
-        np.subtract(e, next2[m], out=e)
+        row[0] = 2.0 * row[1] - row[2]
+        row[-1] = 2.0 * row[-2] - row[-3]
     _space_operators(v[0], dx, out=(delta[0], cash_gamma[0]))
     # the end columns of rows 1..nt, one-sided as _space_operators sets them
     np.negative(_end_diff(v[1:], dx, delta[1:]), out=cash_gamma[1:, ::n - 1])
     np.divide(delta, s, out=delta)
 
+    lower, upper = band.lower, band.upper
     breach_count = 0
     residual_max = 0.0
     if band.has_upper:

@@ -25,28 +25,41 @@ from .paths import as_chunks, map_chunks_ordered
 from .stochint import _running
 
 
+# surface values per row block of the drift field
+_DRIFT_VALUES = 1 << 14
+
+
 def _dpe_drift_field(sol: DpeSolution) -> np.ndarray:
     """Drift alpha(t, x) = d(delta)/dt + sigma^2/2 * s^2 * v_sss.
 
     The third derivative comes from the stored cash gamma G = s^2 v_ss via
-    sigma^2/2 * (G_x - 2 G) / s.
+    sigma^2/2 * (G_x - 2 G) / s.  The surface needs two time rows; the
+    last one keeps the time difference of the row before it.  Rows go in
+    blocks of about _DRIFT_VALUES values through one block of scratch.
     """
     delta, g = sol.delta, sol.cash_gamma
     t, x = sol.t_nodes, sol.x_nodes
-    # the curvature term, in place in gx; out holds 2 G until the time
-    # difference overwrites it
-    gx = _central_diff(g, x[1] - x[0])
-    out = np.multiply(g, 2.0)
-    gx -= out
-    gx *= 0.5 * sol.params.sigma ** 2
-    gx /= np.exp(x)
-    if t.size > 1:
-        np.subtract(delta[1:], delta[:-1], out=out[:-1])
-        out[:-1] /= t[1] - t[0]
-        out[-1] = out[-2]
-    else:
-        out[:] = 0.0
-    out += gx
+    dx, s = x[1] - x[0], np.exp(x)
+    half_sig2 = 0.5 * sol.params.sigma ** 2
+    last = t.size - 1
+    out = np.empty_like(g)
+    rows = max(1, _DRIFT_VALUES // x.size)
+    scratch = np.empty((min(rows, t.size), x.size))
+    for r0 in range(0, t.size, rows):
+        r1 = min(r0 + rows, t.size)
+        # the curvature term, in place in gx; blk holds 2 G until the time
+        # difference overwrites it
+        gx = _central_diff(g[r0:r1], dx, out=scratch[:r1 - r0])
+        blk = np.multiply(g[r0:r1], 2.0, out=out[r0:r1])
+        gx -= blk
+        gx *= half_sig2
+        gx /= s
+        k1 = min(r1, last)
+        np.subtract(delta[r0 + 1:k1 + 1], delta[r0:k1], out=blk[:k1 - r0])
+        if r1 > last:
+            np.subtract(delta[last], delta[last - 1], out=blk[-1])
+        blk /= t[1] - t[0]
+        blk += gx
     return out
 
 

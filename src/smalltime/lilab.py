@@ -388,8 +388,10 @@ def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     reference = ergodic_reference(mat, delta)
     levels = int(meta["levels"]) + 1
     y = _ergodic_levels(bundle.paths, mat)
-    hits = (y <= delta).astype(float)
-    freq = np.cumsum(hits, axis=1) / np.arange(1, levels + 1)[None, :]
+    # the running frequency of the hits, in place
+    freq = (y <= delta).astype(float)
+    np.cumsum(freq, axis=1, out=freq)
+    freq /= np.arange(1, levels + 1)
     freq_by_n = freq.mean(axis=0)
     return ErgodicReport(delta=float(delta), reference=reference,
                          freq_by_n=freq_by_n, final_freq=float(freq_by_n[-1]),

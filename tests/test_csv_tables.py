@@ -24,6 +24,13 @@ ARTIFACT_DIGESTS = {
     "surface_unbanded": (
         ("dpe-price", "--nx=64"), "surface.csv",
         "1ffe3d60b6776c6e782c4115a238b79a91a8619d2e4b85b965560aa86af10857"),
+    # one-sided bands: the solver's loop skips the clamp side at +-inf
+    "surface_lower_only": (
+        ("dpe-price", "--nx=64", "--lower=0.2"), "surface.csv",
+        "db98a5b66fbfb61f73f4b274239dc86e197de9ce1eb85484e6a8dd5e7bacbf40"),
+    "surface_upper_only": (
+        ("dpe-price", "--nx=64", "--upper=0.5"), "surface.csv",
+        "6ca1f51e914d9c7fc95280a1a3cd8744edc7982b7822c3fc264f5dd57bdf856b"),
     # the benchmark's grid size, digests of the solver before its loop
     # stepped only the interior nodes
     "surface_banded_400": (

@@ -182,6 +182,17 @@ def test_greeks_out_of_grid():
         greeks(sol, 5.0, 100.0)
 
 
+@pytest.mark.parametrize("t, s", [(0.0, math.nan), (math.nan, 100.0),
+                                  (0.5, [100.0, math.nan]), ([0.0, math.nan], 100.0)],
+                         ids=["nan-s", "nan-t", "nan-in-s-array", "nan-in-t-array"])
+def test_greeks_at_a_nan_query_is_out_of_grid(t, s):
+    """NaN compares False with every bound, so a check for points below or
+    above the grid would pass it and interpolate NaN."""
+    sol = solve_dpe(call(100.0), FREE, PARAMS, _grid(64))
+    with pytest.raises(OutOfGridError):
+        greeks(sol, t, s)
+
+
 def test_active_flags_and_csv(tmp_path):
     band = GammaBand(0.2, 1.0)  # forces the lower branch on flat regions
     sol = solve_dpe(call(100.0), band, PARAMS, _grid())
@@ -252,31 +263,50 @@ def test_stored_operators_are_the_space_operators_row_by_row(band, nx):
 
 
 def _ref_backward(terminal, band, grid):
-    """The backward loop one step at a time: v(0), the breach count and the
-    largest residual, plus per step the number of breaching nodes and
-    whether the measured cash gamma held a NaN."""
+    """The backward loop one step at a time, on whole rows: the surface v,
+    the breach count and the largest residual, plus per step the number of
+    breaching nodes and whether the measured cash gamma held a NaN."""
     sigma = PARAMS.sigma
     dx, dt = grid.dx, PARAMS.horizon / grid.nt
     half_sig2 = 0.5 * sigma * sigma
     tol = 5.0 * (dx + dt) * sigma ** 2
-    v = terminal.copy()
+    v = np.empty((grid.nt + 1, terminal.size))
+    v[grid.nt] = terminal
     count, resid, steps = 0, 0.0, []
-    for _ in range(grid.nt):
-        a = np.empty_like(v)
-        a[1:-1] = ((v[2:] - 2.0 * v[1:-1] + v[:-2]) / (dx * dx)
-                   - (v[2:] - v[:-2]) / (2.0 * dx))
-        a[0] = -((v[1] - v[0]) / dx)
-        a[-1] = -((v[-1] - v[-2]) / dx)
+    for m in range(grid.nt - 1, -1, -1):
+        w = v[m + 1]
+        a = np.empty_like(w)
+        a[1:-1] = ((w[2:] - 2.0 * w[1:-1] + w[:-2]) / (dx * dx)
+                   - (w[2:] - w[:-2]) / (2.0 * dx))
+        a[0] = -((w[1] - w[0]) / dx)
+        a[-1] = -((w[-1] - w[-2]) / dx)
         over = a - band.upper
         n_over = int(np.sum(over > tol))
         if n_over:
             count += n_over
             resid = max(resid, half_sig2 * float(over.max()))
         steps.append((n_over, bool(np.isnan(a).any())))
-        v = v + dt * half_sig2 * np.minimum(band.upper, np.maximum(band.lower, a))
-        v[0] = 2.0 * v[1] - v[2]
-        v[-1] = 2.0 * v[-2] - v[-3]
+        v[m] = w + dt * half_sig2 * np.minimum(band.upper, np.maximum(band.lower, a))
+        v[m, 0] = 2.0 * v[m, 1] - v[m, 2]
+        v[m, -1] = 2.0 * v[m, -2] - v[m, -3]
     return v, count, resid, steps
+
+
+@pytest.mark.parametrize("nx", [16, 64, 400])
+@pytest.mark.parametrize("band", [FREE, GammaBand.lower_only(0.2),
+                                  GammaBand.upper_only(0.5), GammaBand(-0.5, 0.5)],
+                         ids=["free", "lower", "upper", "both"])
+def test_every_row_of_the_surface_matches_the_per_step_loop(band, nx):
+    """The loop skips a clamp side at +-inf and steps only the interior;
+    each band shape takes its own branch, and every row keeps the bits of
+    the whole-row step."""
+    grid = _grid(nx)
+    sol = solve_dpe(call(100.0), band, PARAMS, grid)
+    terminal = face_lift(call(100.0), band, sol.s_nodes)(sol.s_nodes)
+    v, count, resid, _ = _ref_backward(terminal, band, grid)
+    assert _same_bits(sol.v, v)
+    assert sol.breach_count == count
+    assert repr(sol.residual_max) == repr(resid)
 
 
 def _unlifted(nan_node=None):
@@ -300,8 +330,8 @@ def test_breaches_of_raw_payoffs_match_the_per_step_loop(monkeypatch):
     # the call's kink breaches at every step; the shallow kink smooths out
     for payoff in (call(100.0), piecewise_linear([100.0], [0.001])):
         sol = solve_dpe(payoff, band, PARAMS, grid)
-        v0, count, resid, steps = _ref_backward(payoff(sol.s_nodes), band, grid)
-        assert np.array_equal(sol.v[0], v0)
+        v, count, resid, steps = _ref_backward(payoff(sol.s_nodes), band, grid)
+        assert _same_bits(sol.v, v)
         assert sol.breach_count == count > 0
         assert repr(sol.residual_max) == repr(resid)
         outcomes |= {n > 0 for n, _ in steps}
@@ -315,11 +345,11 @@ def test_breach_count_skips_nan_nodes_as_the_per_step_loop_does(monkeypatch):
     band, grid = GammaBand.upper_only(0.5), _grid()
     sol = solve_dpe(call(100.0), band, PARAMS, grid)
     terminal = _unlifted(nan_node=5)(call(100.0), band, None)(sol.s_nodes)
-    v0, count, resid, steps = _ref_backward(terminal, band, grid)
+    v, count, resid, steps = _ref_backward(terminal, band, grid)
     # steps whose cash gamma holds a NaN and still breaches elsewhere: a
     # check on the maximum alone (NaN) would miss their counts
     assert any(n > 0 and has_nan for n, has_nan in steps)
-    assert np.array_equal(sol.v[0], v0, equal_nan=True)
+    assert _same_bits(sol.v, v)
     assert sol.breach_count == count
     assert repr(sol.residual_max) == repr(resid)
 

@@ -1,8 +1,8 @@
 """The time-blocked strategy simulation against a plain per-step loop, byte
 for byte: wealth, shortfall, clamp and off-surface counts, and the largest
 drift, for both strategy kinds, one and two fundings, and uniform and
-non-uniform grids; and the in-place surface drift field and strategy bounds
-against their out-of-place expressions."""
+non-uniform grids; and the row-blocked surface drift field and strategy
+bounds against their whole-surface and out-of-place expressions."""
 
 import dataclasses
 
@@ -153,6 +153,41 @@ def test_drift_field_and_bounds_match_the_out_of_place_expressions(band):
     assert repr(spec.alpha_bound) == repr(float(np.max(np.abs(want))))
     assert repr(spec.gamma_bound) == repr(float(np.max(
         np.abs(sol.cash_gamma) / (s * s)[None, :])))
+
+
+def _ref_drift_unblocked(sol):
+    """The drift field as whole surfaces, before it was formed in row
+    blocks: the same in-place operations on two full-size arrays."""
+    delta, g = sol.delta, sol.cash_gamma
+    t, x = sol.t_nodes, sol.x_nodes
+    gx = _central_diff(g, x[1] - x[0])
+    out = np.multiply(g, 2.0)
+    gx -= out
+    gx *= 0.5 * sol.params.sigma ** 2
+    gx /= np.exp(x)
+    np.subtract(delta[1:], delta[:-1], out=out[:-1])
+    out[:-1] /= t[1] - t[0]
+    out[-1] = out[-2]
+    out += gx
+    return out
+
+
+@pytest.mark.parametrize("rows", [None, 1, 7, -1],
+                         ids=["budget-default", "one-row", "seven-rows", "last-row-alone"])
+@pytest.mark.parametrize("nx", [64, 400])
+@pytest.mark.parametrize("band", [BAND, GammaBand(-np.inf, np.inf)],
+                         ids=["banded", "unbanded"])
+def test_blocked_drift_field_matches_the_whole_surface_pass(band, nx, rows, monkeypatch):
+    """Blocks of one row, of a non-divisor of the nt + 1 rows, of nt rows
+    (the last row alone in the second block, its time difference taken
+    from the row before) and of the default budget (one block at nx = 64,
+    31 at nx = 400)."""
+    sol = solve_dpe(PAYOFF, band, PARAMS, PdeGrid.around_spot(100.0, PARAMS, nx=nx))
+    nt = sol.t_nodes.size - 1
+    assert (nt + 1) % 7
+    if rows is not None:
+        monkeypatch.setattr(hedge, "_DRIFT_VALUES", (nt if rows == -1 else rows) * nx)
+    assert _same_bytes(hedge._dpe_drift_field(sol), _ref_drift_unblocked(sol))
 
 
 def test_a_surface_drift_that_is_not_finite_is_rejected():
