@@ -277,9 +277,11 @@ def _dpe_plan(cfg: RunConfig):
         band = GammaBand(p["lower"], p["upper"])
     with _reading("s0"):
         grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
-    # the solver holds several float64 surfaces of nx x (nt + 1) nodes
-    _fits_in_memory("nx", f"a surface of {grid.nx} x {grid.nt + 1} nodes",
-                    8 * grid.nx * (grid.nt + 1))
+    # the solver holds three float64 surfaces and the int8 active codes of
+    # nx x (nt + 1) nodes; a surface strategy adds the float64 drift field
+    node_bytes = 25 if cfg.experiment == "dpe-price" else 33
+    _fits_in_memory("nx", f"a DPE run on {grid.nx} x {grid.nt + 1} nodes",
+                    node_bytes * grid.nx * (grid.nt + 1))
     spec = None
     if "steps" in p:
         _grid_fits("steps", p["steps"] + 1)

@@ -118,15 +118,12 @@ class DpeSolution:
         dx = xn[1] - xn[0]
         ix = np.clip(((x_arr - xn[0]) / dx).astype(int), 0, xn.size - 2)
         wx = np.clip((x_arr - xn[ix]) / dx, 0.0, 1.0)
-        if tn.size > 1:
-            dt = tn[1] - tn[0]
-            it = np.clip(((t_arr - tn[0]) / dt).astype(int), 0, tn.size - 2)
-            wt = np.clip((t_arr - tn[it]) / dt, 0.0, 1.0)
-            i00, row = it * xn.size + ix, xn.size
-        else:
-            wt, i00, row = 0.0, ix, 0
+        dt = tn[1] - tn[0]
+        it = np.clip(((t_arr - tn[0]) / dt).astype(int), 0, tn.size - 2)
+        wt = np.clip((t_arr - tn[it]) / dt, 0.0, 1.0)
         # flat indices of the four corners, shared by every field
-        i01, i10 = i00 + 1, i00 + row
+        i00 = it * xn.size + ix
+        i01, i10 = i00 + 1, i00 + xn.size
         i11 = i10 + 1
         ux, ut = 1 - wx, 1 - wt
         out = tuple(ut * (ux * f.take(i00) + wx * f.take(i01))

@@ -79,7 +79,6 @@ class StrategySpec:
     solution: DpeSolution | None = None
     alpha_bound: float = 0.0
     gamma_bound: float = 0.0
-    name: str = "constant"
     _drift_field: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -87,13 +86,13 @@ class StrategySpec:
             raise ValueError("declared strategy bounds must be finite")
 
     @classmethod
-    def constant(cls, y0: float, alpha: float = 0.0, gamma: float = 0.0,
-                 name: str = "constant") -> "StrategySpec":
+    def constant(cls, y0: float, alpha: float = 0.0,
+                 gamma: float = 0.0) -> "StrategySpec":
         return cls(kind="constant", y0=y0, alpha_value=alpha, gamma_value=gamma,
-                   alpha_bound=abs(alpha), gamma_bound=abs(gamma), name=name)
+                   alpha_bound=abs(alpha), gamma_bound=abs(gamma))
 
     @classmethod
-    def from_dpe(cls, solution: DpeSolution, name: str = "dpe_tracker") -> "StrategySpec":
+    def from_dpe(cls, solution: DpeSolution) -> "StrategySpec":
         drift = _dpe_drift_field(solution)
         # max |f| is the larger of |max f| and |min f|, and a NaN or an
         # infinity shows in one of them; dividing a column by its s^2 > 0
@@ -105,7 +104,7 @@ class StrategySpec:
         g_abs = np.maximum(np.abs(g.max(axis=0)), np.abs(g.min(axis=0)))
         spec = cls(kind="dpe", y0=None, solution=solution,
                    alpha_bound=float(alpha_bound),
-                   gamma_bound=float(np.max(g_abs / (s * s))), name=name)
+                   gamma_bound=float(np.max(g_abs / (s * s))))
         spec._drift_field = drift
         return spec
 

@@ -95,12 +95,11 @@ class GammaBand:
     def lower_only(cls, lower: float) -> "GammaBand":
         return cls(lower, math.inf)
 
-    def clamp(self, x, out=None):
+    def clamp(self, x):
         # np.clip's values (x itself on a tie, since np.maximum/np.minimum
         # return their second argument then) at about two thirds of its call
-        # overhead on the few-hundred-element rows of the DPE and hedge steps;
-        # out (which may be x) receives the result
-        return np.minimum(self.upper, np.maximum(self.lower, x, out=out), out=out)
+        # overhead on the hedge step's blocks of cash gamma
+        return np.minimum(self.upper, np.maximum(self.lower, x))
 
 
 def support_function(u: float, band: GammaBand) -> float:

@@ -88,14 +88,11 @@ class VectorSpec:
     dim: int
     vector: np.ndarray | None = None
     time_fn: object = None
-    bound: float | None = None
-    name: str = "constant"
 
     @classmethod
     def constant(cls, vector) -> "VectorSpec":
         v = np.atleast_1d(np.asarray(vector, dtype=float))
-        return cls(kind="constant", dim=v.size, vector=v,
-                   bound=float(np.linalg.norm(v)))
+        return cls(kind="constant", dim=v.size, vector=v)
 
     def eval(self, t: float) -> np.ndarray:
         if self.kind == "constant":
@@ -105,124 +102,82 @@ class VectorSpec:
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    name: str
     kind: str
     anchor: str
-    build: object  # dim -> IntegrandSpec
+    build: object  # (name, dim) -> IntegrandSpec
 
 
-def _build_zero(dim):
-    return IntegrandSpec.constant(np.zeros((dim, dim)), name="zero")
+def _times_eye(kind: str, c, anchor: str, bound: float | None = None,
+               t_max: float | None = None) -> CatalogEntry:
+    """The entry whose integrand is c times the unit matrix, for c a
+    constant, a function c(t) or a function c(W_1) of the first path
+    coordinate, as kind says."""
+
+    def build(name, dim):
+        eye = np.eye(dim)
+        if kind == "constant":
+            return IntegrandSpec.constant(c * eye, name=name)
+        if kind == "time":
+            return IntegrandSpec(kind, dim, name, time_fn=lambda t: c(t) * eye,
+                                 bound=bound, t_max=t_max)
+        return IntegrandSpec(
+            kind, dim, name, bound=bound,
+            path_fn=lambda t, w: c(w[:, 0])[:, None, None] * eye[None])
+
+    return CatalogEntry(kind, anchor, build)
 
 
-def _build_identity(dim):
-    return IntegrandSpec.constant(np.eye(dim), name="identity")
-
-
-def _build_sign_flip(dim):
-    return IntegrandSpec.constant(-np.eye(dim), name="sign_flip")
-
-
-def _build_rotation(dim):
+def _build_rotation(name, dim):
     """A quarter-pi rotation in the first two coordinates."""
     if dim < 2:
         raise ValueError("rotation integrand needs dim >= 2")
     m = np.eye(dim)
     c, s = math.cos(math.pi / 4.0), math.sin(math.pi / 4.0)
     m[0, 0], m[0, 1], m[1, 0], m[1, 1] = c, -s, s, c
-    spec = IntegrandSpec.constant(m, name="rotation")
+    spec = IntegrandSpec.constant(m, name=name)
     spec.bound = 1.0
     return spec
 
 
-def _build_scaled_identity(dim):
-    return IntegrandSpec.constant(0.5 * np.eye(dim), name="scaled_identity")
-
-
-def _build_example36(dim):
-    eye = np.eye(dim)
-
-    def fn(t):
-        return _lll_inverse(t) * eye
-
-    return IntegrandSpec(kind="time", dim=dim, name="example36", time_fn=fn,
-                         bound=None, t_max=EXP_MINUS_E)
-
-
-def _build_linear_time(dim):
-    eye = np.eye(dim)
-
-    def fn(t):
-        return (1.0 + t) * eye
-
-    return IntegrandSpec(kind="time", dim=dim, name="linear_time", time_fn=fn,
-                         bound=None)
-
-
-def _build_tanh_w(dim):
-    eye = np.eye(dim)
-
-    def fn(t, w):
-        return np.tanh(w[:, 0])[:, None, None] * eye[None, :, :]
-
-    return IntegrandSpec(kind="path", dim=dim, name="tanh_w", path_fn=fn,
-                         bound=1.0)
-
-
-def _build_clamp_w(dim):
-    eye = np.eye(dim)
-
-    def fn(t, w):
-        return np.clip(w[:, 0], -1.0, 1.0)[:, None, None] * eye[None, :, :]
-
-    return IntegrandSpec(kind="path", dim=dim, name="clamp_w", path_fn=fn,
-                         bound=1.0)
-
-
 INTEGRAND_CATALOG = {
-    "zero": CatalogEntry(
-        "zero", "constant",
-        "vanishing integrand; the double integral is identically zero",
-        _build_zero),
-    "identity": CatalogEntry(
-        "identity", "constant",
+    "zero": _times_eye(
+        "constant", 0.0,
+        "vanishing integrand; the double integral is identically zero"),
+    "identity": _times_eye(
+        "constant", 1.0,
         "unit-matrix integrand; extreme case of the exponential-moment "
-        "comparison, with chi-square closed forms",
-        _build_identity),
-    "sign_flip": CatalogEntry(
-        "sign_flip", "constant",
-        "negated unit matrix; maps liminf statements to limsup statements",
-        _build_sign_flip),
+        "comparison, with chi-square closed forms"),
+    "sign_flip": _times_eye(
+        "constant", -1.0,
+        "negated unit matrix; maps liminf statements to limsup statements"),
     "rotation": CatalogEntry(
-        "rotation", "constant",
+        "constant",
         "orthogonal nonsymmetric matrix of unit operator norm; stresses the "
         "moment dominance beyond symmetric integrands",
         _build_rotation),
-    "scaled_identity": CatalogEntry(
-        "scaled_identity", "constant",
+    "scaled_identity": _times_eye(
+        "constant", 0.5,
         "c times the unit matrix; exercises linear scaling of the ratio "
-        "diagnostics",
-        _build_scaled_identity),
-    "example36": CatalogEntry(
-        "example36", "time",
+        "diagnostics"),
+    "example36": _times_eye(
+        "time", _lll_inverse,
         "slowly varying scalar integrand 1/logloglog(1/t) with the anomalous "
         "small-time rate t loglog(1/t)/logloglog(1/t)",
-        _build_example36),
-    "linear_time": CatalogEntry(
-        "linear_time", "time",
+        t_max=EXP_MINUS_E),
+    "linear_time": _times_eye(
+        "time", lambda t: 1.0 + t,
         "(1 + rate*t) times the unit matrix; drives the residual terms of "
-        "the martingale-driven decomposition",
-        _build_linear_time),
-    "tanh_w": CatalogEntry(
-        "tanh_w", "path",
+        "the martingale-driven decomposition"),
+    "tanh_w": _times_eye(
+        "path", np.tanh,
         "smooth clamp of the first coordinate; bounded progressively "
         "measurable path functional",
-        _build_tanh_w),
-    "clamp_w": CatalogEntry(
-        "clamp_w", "path",
+        bound=1.0),
+    "clamp_w": _times_eye(
+        "path", lambda w: np.clip(w, -1.0, 1.0),
         "hard clamp of the first coordinate; bounded progressively "
         "measurable path functional",
-        _build_clamp_w),
+        bound=1.0),
 }
 
 
@@ -231,7 +186,7 @@ def catalog_integrand(name: str, dim: int) -> IntegrandSpec:
         entry = INTEGRAND_CATALOG[name]
     except KeyError:
         raise KeyError(f"unknown integrand catalog entry {name!r}") from None
-    return entry.build(dim)
+    return entry.build(name, dim)
 
 
 def unit_bound_names(dim: int) -> list:
@@ -263,10 +218,6 @@ class DoubleIntegralTrace:
     qv_outer: np.ndarray
     grid_meta: dict = field(default_factory=dict)
     outer_sup: np.ndarray | None = None
-
-    @property
-    def path_count(self) -> int:
-        return self.outer.shape[0]
 
     @property
     def dim(self) -> int:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -281,8 +282,25 @@ def test_single_letter_keys_are_matched_as_words(tmp_path, capsys):
 
 
 def test_surface_larger_than_memory_is_a_config_error(tmp_path, capsys):
-    """nx = 1e5 asks for a surface of about 7.7e12 nodes (56 TiB of float64)."""
+    """nx = 1e5 asks for about 7.7e12 nodes (56 TiB for one float64 surface)."""
     _assert_plan_rejects(tmp_path, capsys, "nx", ["--experiment=dpe-price", "--nx=100000"])
+
+
+@pytest.mark.parametrize("experiment,need", [("dpe-price", "11.5"), ("hedge", "15.2"),
+                                             ("gap", "15.2")])
+def test_every_surface_of_a_dpe_run_is_counted(capsys, monkeypatch, experiment, need):
+    """At nx = 4000 one float64 surface of 4000 x 123 397 nodes is 3.7 GiB,
+    but the solver holds three of them and the int8 active codes (25 bytes
+    a node), and hedge and gap add the drift field (33 bytes): on a host of
+    8 GiB the run is rejected.  Checked by validate-config alone, so nothing
+    is solved."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+    assert main(["validate-config", f"--experiment={experiment}", "--nx=4000"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'nx': a DPE run on 4000 x ")
+    assert f"needs at least {need} GiB, more than the 8.0 GiB" in err
+    assert main(["validate-config", f"--experiment={experiment}", "--nx=2000"]) == 0
 
 
 @pytest.mark.parametrize("refinements", [30, 10 ** 12])

@@ -15,7 +15,7 @@ from smalltime.paths import BundleSpec, sample_bundle, uniform_grid
 
 PARAMS = MarketParams(sigma=0.2, horizon=1.0)
 BAND = GammaBand.upper_only(0.5)
-ZERO = StrategySpec.constant(0.0, name="zero")
+ZERO = StrategySpec.constant(0.0)
 
 
 def _bundle(paths=500, steps=200, seed=101):
@@ -33,7 +33,7 @@ def test_zero_strategy_keeps_capital():
 
 def test_buy_and_hold_telescopes_exactly():
     b = _bundle()
-    strat = StrategySpec.constant(1.0, name="buy_and_hold")
+    strat = StrategySpec.constant(1.0)
     rep = simulate_hedge(b, 100.0, 5.0, strat, call(100.0), BAND, PARAMS)
     s_t = simulate_gbm(b, 100.0, PARAMS)[:, -1]
     assert np.allclose(rep.x_terminal, 5.0 + s_t - 100.0, atol=1e-9)
@@ -42,8 +42,8 @@ def test_buy_and_hold_telescopes_exactly():
 def test_wealth_is_a_discrete_martingale():
     spec = BundleSpec(1, uniform_grid(1.0, 200), 40_000, seed=7, chunk_size=10_000)
     for strat in (ZERO,
-                  StrategySpec.constant(0.7, name="buy_and_hold"),
-                  StrategySpec.constant(0.3, gamma=2e-5, name="constant_gamma")):
+                  StrategySpec.constant(0.7),
+                  StrategySpec.constant(0.3, gamma=2e-5)):
         rep = simulate_hedge(spec, 100.0, 10.0, strat, call(100.0), BAND, PARAMS)
         se = float(np.std(rep.x_terminal, ddof=1)) / math.sqrt(rep.x_terminal.size)
         assert abs(float(np.mean(rep.x_terminal)) - 10.0) <= 4.0 * se + 1e-12
@@ -51,7 +51,7 @@ def test_wealth_is_a_discrete_martingale():
 
 def test_funding_shift_is_pathwise_additive():
     b = _bundle()
-    strat = StrategySpec.constant(0.5, name="buy_and_hold")
+    strat = StrategySpec.constant(0.5)
     r1 = simulate_hedge(b, 100.0, 5.0, strat, call(100.0), BAND, PARAMS)
     r2 = simulate_hedge(b, 100.0, 6.5, strat, call(100.0), BAND, PARAMS)
     assert np.allclose(r2.shortfall - r1.shortfall, 1.5, atol=1e-9)
@@ -60,7 +60,7 @@ def test_funding_shift_is_pathwise_additive():
 def test_gamma_clamp_counts_events():
     b = _bundle(paths=100, steps=50)
     # cash gamma = gamma * S^2 ~ 2.0 at S=100, far above the 0.5 bound
-    strat = StrategySpec.constant(0.0, gamma=2e-4, name="constant_gamma")
+    strat = StrategySpec.constant(0.0, gamma=2e-4)
     rep = simulate_hedge(b, 100.0, 5.0, strat, call(100.0), BAND, PARAMS)
     assert rep.clamp_events > 0
     assert 0.0 < rep.clamp_rate <= 1.0
@@ -153,7 +153,7 @@ def test_hedge_report_csv(tmp_path):
 
 def test_workers_do_not_change_hedge_results():
     spec = BundleSpec(1, uniform_grid(1.0, 100), 2000, seed=29, chunk_size=500)
-    strat = StrategySpec.constant(0.4, name="buy_and_hold")
+    strat = StrategySpec.constant(0.4)
     r1 = simulate_hedge(spec, 100.0, 5.0, strat, call(100.0), BAND, PARAMS, workers=1)
     r2 = simulate_hedge(spec, 100.0, 5.0, strat, call(100.0), BAND, PARAMS, workers=3)
     assert np.array_equal(r1.shortfall, r2.shortfall)
@@ -190,7 +190,7 @@ _SMALL_SOL = solve_dpe(call(100.0), GammaBand(-0.5, 0.5), PARAMS,
 def test_hedge_results_are_bit_identical_for_chunk_sizes_one_to_seven(paths, seed,
                                                                       kind):
     strat = (StrategySpec.from_dpe(_SMALL_SOL) if kind == "dpe" else
-             StrategySpec.constant(0.3, gamma=4e-5, name="constant_gamma"))
+             StrategySpec.constant(0.3, gamma=4e-5))
     grid = uniform_grid(1.0, 12)
     reports = [simulate_hedge(BundleSpec(1, grid, paths, seed, chunk_size=c),
                               100.0, 5.0, strat, call(100.0), BAND, PARAMS)

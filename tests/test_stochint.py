@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smalltime.cli import list_catalog
 from smalltime.matcore import DomainError, SymMatrix
 from smalltime.paths import (BrownianBundle, TimeGrid, geometric_grid,
                              refine_bisect, sample_bundle, uniform_grid)
@@ -299,6 +301,92 @@ def test_unit_bound_catalog_contents():
 def test_catalog_unknown_name():
     with pytest.raises(KeyError):
         catalog_integrand("not_there", 1)
+
+
+# SHA-256 of every catalog spec's fields and values: the constant matrix,
+# time_fn at times below e^-e, path_fn on rows holding 0, +-0.5 and +-2
+_PIN_TIMES = (0.0, 1e-300, 1e-30, 1e-3, 0.05)
+_PIN_W = np.array([0.0, 0.5, -0.5, 2.0, -2.0])
+_CATALOG_PINS = {
+    ("clamp_w", 1):
+        "c2db0f79512283b3c600bcbfd9994014fb9562113b88c4f8ebd617532ae44e50",
+    ("clamp_w", 2):
+        "b637fcf2b21aa0af39eaeabaaebf0ef942e89af5c8b370a15ff3aa4df0134da5",
+    ("clamp_w", 3):
+        "16e7344c186fa4710e541bee0b6f5bcf0017d36174ad1ae5b2da68c079b46754",
+    ("example36", 1):
+        "b3bff476d372c9d6ca7f121c52a39715cbee8f9ea309ebc3d75598c79b776f63",
+    ("example36", 2):
+        "5f486470f3de21bc0a60d170f0499e9e9ba848edbc3a88f7442344edbc433794",
+    ("example36", 3):
+        "f3894c0ae1e217a4cbb649c82691914999f87351ebcb6f95e99ec927b61d6abd",
+    ("identity", 1):
+        "fd73867400cf1ee48126df91afc6bda8fa1f268c8843e889c8312cafd68b96fc",
+    ("identity", 2):
+        "9908f8cef43ae685074fd120be7bc17a6e3f5f10d4543d3d173aa2ae3564ba57",
+    ("identity", 3):
+        "beb2452951e22de639917d10acbf9cad6e0fb31aaa9eae6811e50970ae5123bb",
+    ("linear_time", 1):
+        "c661a9b94053b9d0e6a9039d519a4eaf1f10c545ca10234f3ebcc8955b123193",
+    ("linear_time", 2):
+        "94370838087e2baaf72fb4e0eca7680e37d3ad1e916aebb99915d29e98bf7f64",
+    ("linear_time", 3):
+        "9f740937f6567ab2f4520bc140fde1da5ea7a2e32e3228942b43bb0dcb42dd1f",
+    ("rotation", 2):
+        "66bcd9c89542e99d17fb6d41363b5c94d2639c81dcd4d38235f0a097653512be",
+    ("rotation", 3):
+        "4023b60670d471d75577135398eee4ad63b805ff6ebf64ed39722b97b3a68330",
+    ("scaled_identity", 1):
+        "e011eefbea210d329b3c484945953c88255f99af2110b7bbe5697ce18ac96880",
+    ("scaled_identity", 2):
+        "74edba3e7c35b4f336ca63484b4632f12f6ccc370eb6055764c34d3f3ce7f615",
+    ("scaled_identity", 3):
+        "67931a4942e1d84abc53cbc7972d40ba62d8da849a96976bac40a4b29bd9634e",
+    ("sign_flip", 1):
+        "fab90774892bfaeb6a962aac65265a02c317b202d58f51bca5c2bf1512ec3a64",
+    ("sign_flip", 2):
+        "dbff5da6f4fe50e1a71c3859bd1c521d118c821f9cc2326e639692dd5c78e31c",
+    ("sign_flip", 3):
+        "ad3570204e7eed14d29d9440d1f01d9a067b3903914417efb21da60dce99cc94",
+    ("tanh_w", 1):
+        "bcdc2cab089bf1bc5519ee6d3f9c5e8da8a396515db12341a279a8f1d889dc07",
+    ("tanh_w", 2):
+        "11f6b93c0b044a0808c4e4916b17cac49401fe8160f3a0254247a53adaf2a357",
+    ("tanh_w", 3):
+        "1505f1a7697a623c2eaedd46150be1c4a739257424988c6672a067c2f3cdcb05",
+    ("zero", 1):
+        "5ec0758fdf591589ceb9af611f8f0a8f44ea1d52f8cd0bc7906687a80d8fc7de",
+    ("zero", 2):
+        "6495ab9aa432f2b21952b017085c7de197c7edc293dfb778a101c98e2cd52622",
+    ("zero", 3):
+        "ef8c46c735c77c0be55bd06dfe5d9f4db91dbb87fa77519fba8dacca3ca018c4",
+}
+_LIST_CATALOG_PIN = "aab83d730b8c4c44a6f81719c0001dc82a2f2fc628334b50fadda8a47b38320f"
+
+
+def _spec_digest(name, d):
+    spec = catalog_integrand(name, d)
+    h = hashlib.sha256(repr((spec.kind, spec.dim, spec.name, spec.bound,
+                             spec.t_max)).encode())
+    if spec.kind == "constant":
+        values = [spec.matrix]
+    elif spec.kind == "time":
+        values = [spec.time_fn(t) for t in _PIN_TIMES]
+    else:
+        w = np.stack([np.roll(_PIN_W, k) for k in range(d)], axis=1)
+        values = [spec.path_fn(np.full(len(_PIN_W), 0.25), w)]
+    for v in values:
+        h.update(repr((v.shape, v.dtype.str)).encode())
+        h.update(v.tobytes())
+    return h.hexdigest()
+
+
+def test_catalog_specs_keep_their_bits():
+    assert set(_CATALOG_PINS) == {(n, d) for n in INTEGRAND_CATALOG for d in (1, 2, 3)
+                                  if not (n == "rotation" and d < 2)}
+    for (name, d), digest in _CATALOG_PINS.items():
+        assert _spec_digest(name, d) == digest, (name, d)
+    assert hashlib.sha256(list_catalog().encode()).hexdigest() == _LIST_CATALOG_PIN
 
 
 # ------------------------------------------------------------ keep= modes
