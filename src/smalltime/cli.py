@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, dpe, hedge, lilab, paths
 from .dpe import PdeGrid, greeks, solve_dpe
 from .hedge import STRATEGY_CATALOG, StrategySpec, replication_gap, simulate_hedge
 from .lilab import (_RATE_KINDS, ergodic_liminf, ergodic_reference,
@@ -256,16 +256,28 @@ def _fits_in_memory(key: str, what: str, nbytes: int) -> None:
             f"than the {memory_bytes / 2 ** 30:.1f} GiB of physical memory", key=key)
 
 
-def _bundle_fits(key: str, paths: int, dim: int, grid) -> None:
-    """_fits_in_memory for a bundle of paths x dim x grid-size float64 values."""
-    _fits_in_memory(key, f"a bundle of {paths} paths x {dim} x {grid.size} times",
-                    8 * paths * dim * grid.size)
-
-
 def _grid_fits(key: str, size: int) -> None:
-    """_fits_in_memory for a time grid of size float64 values, checked
+    """_fits_in_memory for a grid of size times (one path's values), checked
     before the grid is built."""
-    _fits_in_memory(key, f"a grid of {size} times", 8 * size)
+    _fits_in_memory(key, f"a grid of {size} times", paths.bundle_bytes(1, size, 1))
+
+
+def _pass_fits(key: str, n_paths: int, chunk: int, dim: int, size: int, workers: int,
+               nbytes: tuple, held: int = 0) -> None:
+    """_fits_in_memory for a pass over n_paths paths on size times in chunks
+    of chunk paths, one in work per worker, before any of it is built.
+    nbytes is (matrices, chunk, path) bytes as the layers that allocate
+    count them: the (d, d) matrices, naming d; the chunks in work beside
+    held bytes, naming key; and the per-path results beside them, naming
+    paths."""
+    matrices, chunk_bytes, path_bytes = nbytes
+    _fits_in_memory("d", f"holding the {dim} x {dim} matrices of the pass", matrices)
+    in_work = min(workers, -(-n_paths // chunk))
+    total = held + in_work * chunk_bytes
+    _fits_in_memory(key, f"a bundle of {chunk} paths x {dim} x {size} times with its "
+                    f"pass's arrays, {in_work} at once,", total)
+    _fits_in_memory("paths", f"keeping the results of {n_paths} paths beside them",
+                    total + n_paths * path_bytes)
 
 
 def _dpe_plan(cfg: RunConfig):
@@ -275,24 +287,19 @@ def _dpe_plan(cfg: RunConfig):
     params, payoff = _market(p)
     with _reading("lower", "upper"):
         band = GammaBand(p["lower"], p["upper"])
-    with _reading("s0"):
+    with _reading("horizon", "sigma", "s0"):
         grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
-    # the solver holds three float64 surfaces and the int8 active codes of
-    # nx x (nt + 1) nodes; a surface strategy adds the float64 drift field
-    node_bytes = 25 if cfg.experiment == "dpe-price" else 33
-    _fits_in_memory("nx", f"a DPE run on {grid.nx} x {grid.nt + 1} nodes",
-                    node_bytes * grid.nx * (grid.nt + 1))
+    # a hedge or gap run keeps its surface strategy's drift field too
+    surfaces = dpe.solve_bytes(grid) + (hedge.strategy_bytes(grid) if "steps" in p else 0)
+    _fits_in_memory("nx", f"a DPE run on {grid.nx} x {grid.nt + 1} nodes", surfaces)
     spec = None
     if "steps" in p:
         _grid_fits("steps", p["steps"] + 1)
         with _reading("steps"):
             times = uniform_grid(p["horizon"], p["steps"])
-        _bundle_fits("chunk", min(p["chunk"], p["paths"]), 1, times)
-        # the simulation keeps four float64 values per path for each funding;
-        # gap runs two fundings in one pass
-        fundings = 2 if cfg.experiment == "gap" else 1
-        _fits_in_memory("paths", f"keeping the results of {p['paths']} paths",
-                        32 * fundings * p["paths"])
+        chunk, fundings = min(p["chunk"], p["paths"]), 1 + (cfg.experiment == "gap")
+        _pass_fits("chunk", p["paths"], chunk, 1, times.size, cfg.workers,
+                   (0, *hedge.simulate_bytes(times.size, chunk, fundings)), surfaces)
         spec = BundleSpec(1, times, p["paths"], cfg.seed, chunk_size=p["chunk"])
     return params, band, payoff, grid, spec
 
@@ -301,8 +308,11 @@ def _bs_plan(cfg: RunConfig) -> float:
     """The bs-price run's whole work: the lognormal price."""
     p = cfg.params
     params, payoff = _market(p)
-    with _reading("s", "t"):
-        return float(bs_price(payoff, p["s"], p["t"], params))
+    try:
+        with _reading("s", "t"):
+            return float(bs_price(payoff, p["s"], p["t"], params))
+    except OverflowError:
+        raise ConfigError("key 'sigma': sigma^2 (horizon - t) overflows", key="sigma") from None
 
 
 def _integrand_plan(cfg: RunConfig):
@@ -317,6 +327,10 @@ def _forward_plan(cfg: RunConfig):
     in memory; the moment one needs 2 lam horizon < 1, and the tail one the
     lambdas and bounds of tail_bounds."""
     p = cfg.params
+    chunk, d, size = min(p["chunk"], p["paths"]), p["d"], p["steps"] + 1
+    _grid_fits("steps", size)
+    _pass_fits("chunk", p["paths"], chunk, d, size, cfg.workers,
+               lilab.forward_bytes(p["integrand"], d, size, chunk, "lam" in p))
     b = _integrand_plan(cfg)
     if not b.unit_bounded:
         raise ConfigError(f"key 'integrand': {cfg.experiment} needs an integrand "
@@ -325,16 +339,11 @@ def _forward_plan(cfg: RunConfig):
     if "lam" in p:
         with _reading("lam", "horizon"):
             moment_identity(p["lam"], p["horizon"], p["d"])
-    _grid_fits("steps", p["steps"] + 1)
     with _reading("horizon", "steps"):
         grid = uniform_grid(p["horizon"], p["steps"])
     if "alphas" in p:
         with _reading("eta", "horizon"):
             tail_bounds(p["alphas"], p["horizon"], p["d"], p["rule"], p["eta"])
-    _bundle_fits("chunk", min(p["chunk"], p["paths"]), p["d"], grid)
-    # the forward pass keeps V^b(T) and sup V^b, two float64 values, per path
-    _fits_in_memory("paths", f"keeping the results of {p['paths']} paths",
-                    16 * p["paths"])
     return b, BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
 
 
@@ -353,47 +362,46 @@ def _geometric_plan(cfg: RunConfig, rate_fn=None):
 
 
 def _lil_sup_plan(cfg: RunConfig):
-    """The integrand and grid of a lil-sup run, whose bundle fits in memory."""
+    """The integrand and grid of a lil-sup run, whose pass, one chunk of
+    every path, fits in memory."""
     p = cfg.params
-    b, grid = _integrand_plan(cfg), _geometric_plan(cfg, _RATE_KINDS[p["kind"]][0])
-    _bundle_fits("paths", p["paths"], p["d"], grid)
-    return b, grid
+    grid = _geometric_plan(cfg, _RATE_KINDS[p["kind"]][0])
+    n, d, size = p["paths"], p["d"], grid.size
+    _pass_fits("paths", n, n, d, size, 1, lilab.trace_pass_bytes(p["integrand"], d, size, n))
+    return _integrand_plan(cfg), grid
 
 
 def _ergodic_plan(cfg: RunConfig):
     """The e^-n grid and the matrix beta * I of an ergodic run, a valid
-    delta and a bundle that fits in memory."""
+    delta, and (d, d) matrices and a pass that fit in memory."""
     p = cfg.params
     _grid_fits("levels", p["levels"])
     with _reading("levels"):
         grid = ergodic_grid(p["levels"])
+    n, d = p["paths"], p["d"]
+    _pass_fits("paths", n, n, d, grid.size, 1, lilab.ergodic_bytes(d, grid.size, n))
     with _reading("beta"):
-        beta = SymMatrix(p["beta"] * np.eye(p["d"]))
+        beta = SymMatrix(p["beta"] * np.eye(d))
     with _reading("delta"):
         ergodic_reference(beta.entries, p["delta"])
-    _bundle_fits("paths", p["paths"], p["d"], grid)
     return grid, beta
 
 
 def _example36_plan(cfg: RunConfig):
-    """The bundle spec of an example36 run, every grid time below e^-e, a
-    refined chunk and the per-path results that fit in memory."""
+    """The bundle spec of an example36 run, every grid time below e^-e, and
+    refined chunks, walked in turn whatever the worker count, and per-path
+    results that fit in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg, example36_rate_fn)
-    # each chunk is refined in memory, to about grid size x 2^refinements
-    # float64 times per path; past 2^64 every count is as far out of reach
-    chunk, r = min(p["chunk"], p["paths"]), p["refinements"]
-    _fits_in_memory("refinements", f"a chunk of {chunk} paths refined {r} times",
-                    8 * chunk * grid.size << min(r, 64))
-    # the full and the proxy sup, two float64 values, per path
-    _fits_in_memory("paths", f"keeping the results of {p['paths']} paths",
-                    16 * p["paths"])
+    chunk = min(p["chunk"], p["paths"])
+    _pass_fits("refinements", p["paths"], chunk, 1, grid.size, 1,
+               lilab.example36_bytes(grid.size, chunk, p["refinements"]))
     return BundleSpec(1, grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
 
 
 def _prop39_plan(cfg: RunConfig):
     """The geometric grid of a prop39 run, with room for one window, a
-    valid exponent eps and a bundle that fits in memory."""
+    valid exponent eps and a pass that fits in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg)
     if not 1 <= p["window"] <= grid.size:
@@ -401,7 +409,8 @@ def _prop39_plan(cfg: RunConfig):
                           f"size), got {p['window']}", key="window")
     with _reading("eps"):
         drift_scale(grid.points, p["eps"])
-    _bundle_fits("paths", p["paths"], 1, grid)
+    n = p["paths"]
+    _pass_fits("paths", n, n, 1, grid.size, 1, lilab.trace_pass_bytes("identity", 1, grid.size, n))
     return grid
 
 

@@ -67,10 +67,15 @@ class PdeGrid:
         nt chosen so that dt is at most 0.9 times the stability bound."""
         if not 0.0 < s0 < math.inf:
             raise ValueError("spot s0 must be positive and finite")
+        if not 0.0 < params.sigma * params.sigma < math.inf:
+            raise ValueError("sigma^2 must be a positive finite double")
         half = 6.0 * params.sigma * math.sqrt(params.horizon)
         x0 = math.log(s0)
         dx = 2.0 * half / (nx - 1)
         dt_max = 0.9 * dx * dx / params.sigma ** 2
+        if not (x0 - half < x0 + half and dt_max > 0.0):
+            raise ValueError("the grid's half-width 6 sigma sqrt(horizon) or its "
+                             "stability bound vanishes in double precision")
         nt = max(1, int(math.ceil(params.horizon / dt_max)))
         return cls(x_min=x0 - half, x_max=x0 + half, nx=nx, nt=nt)
 
@@ -178,6 +183,11 @@ def _space_operators(v: np.ndarray, dx: float, out=None):
     return vx, a
 
 
+def solve_bytes(grid: PdeGrid) -> int:
+    """Bytes solve_dpe holds: v, delta, cash_gamma (float64) and active (int8) per node."""
+    return 25 * grid.nx * (grid.nt + 1)
+
+
 def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
               grid: PdeGrid) -> DpeSolution:
     """Backward explicit solve of the constrained pricing equation.
@@ -267,9 +277,13 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
                 breach_count += n_over
                 residual_max = max(residual_max, half_sig2 * float(over.max()))
     # the two branches exclude each other and a NaN binds neither, so their
-    # codes add; a true bool viewed as int8 is ACTIVE_LOWER
+    # codes add; a true bool viewed as int8 is ACTIVE_LOWER.  Row blocks of
+    # about 2^16 nodes keep the upper code's temporaries out of solve_bytes
     active = np.less(cash_gamma, lower).view(np.int8)
-    active += ACTIVE_UPPER * np.greater(cash_gamma, upper).view(np.int8)
+    block = max(1, (1 << 16) // n)
+    for k in range(0, nt + 1, block):
+        active[k:k + block] += ACTIVE_UPPER * np.greater(cash_gamma[k:k + block],
+                                                         upper).view(np.int8)
 
     return DpeSolution(t_nodes=t_nodes, x_nodes=x, v=v, delta=delta,
                        cash_gamma=cash_gamma, active=active, params=params,

@@ -21,7 +21,7 @@ import numpy as np
 from .dpe import DpeSolution, PdeGrid, _central_diff, greeks, solve_dpe
 from .market import MarketParams, Payoff, bs_price, simulate_gbm
 from .matcore import GammaBand
-from .paths import as_chunks, map_chunks_ordered
+from .paths import as_chunks, bundle_bytes, map_chunks_ordered
 from .stochint import _running
 
 
@@ -61,6 +61,11 @@ def _dpe_drift_field(sol: DpeSolution) -> np.ndarray:
         blk /= t[1] - t[0]
         blk += gx
     return out
+
+
+def strategy_bytes(grid: PdeGrid) -> int:
+    """Bytes StrategySpec.from_dpe adds to a solve on grid: the drift field."""
+    return 8 * grid.nx * (grid.nt + 1)
 
 
 @dataclass
@@ -178,6 +183,14 @@ def simulate_hedge(source, s0: float, x0: float, strategy: StrategySpec,
 
 # path-values per time block of the strategy simulation
 _BLOCK_VALUES = 1 << 14
+
+
+def simulate_bytes(size: int, chunk: int, fundings: int) -> tuple:
+    """(chunk, path) bytes of _simulate_fundings on size times: a chunk and
+    the temporary of its prices; per path, its prices, which the terminal
+    price (a view) keeps to the end of the pass, and its terminal values,
+    per chunk and concatenated."""
+    return 2 * bundle_bytes(1, size, chunk), 8 * size + 16 * (2 * fundings + 1)
 
 
 def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,

@@ -16,10 +16,10 @@ import numpy as np
 from scipy.special import chdtr
 
 from .matcore import DomainError, lil_normalizer
-from .paths import BrownianBundle, as_chunks, map_chunks_ordered
+from .paths import BrownianBundle, as_chunks, bundle_bytes, map_chunks_ordered
 from .stochint import (EXP_MINUS_E, DoubleIntegralTrace, DriftIntegralTrace,
                        IntegrandSpec, _lll_inverse, catalog_integrand,
-                       integrate_double)
+                       integrate_double, kernel_bytes)
 
 
 class GridMismatchError(ValueError):
@@ -65,6 +65,18 @@ def _summarize(values: np.ndarray) -> dict:
         "q95": float(np.quantile(values, 0.95)),
         "q99": float(np.quantile(values, 0.99)),
     }
+
+
+def trace_pass_bytes(name: str, dim: int, size: int, paths: int) -> tuple:
+    """(matrices, pass, 0) bytes of a lil-sup or prop39 run, one chunk of
+    every path: a bundle of paths on size times and a kernel keeping one
+    series, V or drift_integral's x, then ratio_sup or window_medians,
+    which hold three arrays of its size (V, the scaled V and the ratios; x,
+    scaled and |scaled|) once the kernel's copy is freed, and per path the
+    sups or window maxima."""
+    mats, arrays = kernel_bytes(name, dim, size, paths, "outer")
+    arrays = max(arrays, 8 * paths * (3 * size + 4))
+    return mats, mats + bundle_bytes(dim, size, paths) + arrays, 0
 
 
 def ratio_sup(trace: DoubleIntegralTrace, kind: str, absolute: bool = False) -> LilEstimate:
@@ -148,6 +160,16 @@ class MomentReport:
                 [self.std_err], [self.closed_form], [self.dominance_margin])
 
 
+def forward_bytes(name: str, dim: int, size: int, chunk: int, moment: bool) -> tuple:
+    """(matrices, chunk, path) bytes of moment_dominance (moment true) or
+    tail_bound_check: kernel_bytes's matrices; a chunk on size times with
+    its kernel; per path V(T) and sup V, per chunk and concatenated, then
+    for the moment exp(2 lam V), its square and a list of Python floats
+    (32 bytes a value) for math.fsum."""
+    mats, arrays = kernel_bytes(name, dim, size, chunk, "last")
+    return mats, mats + bundle_bytes(dim, size, chunk) + arrays, 64 if moment else 32
+
+
 def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
     """V^b(T) and sup_t V^b of every path of the source, in path order.
 
@@ -204,7 +226,9 @@ def optimal_tail_lambda(alpha: float, horizon: float, dim: int,
     """Golden-section minimizer of the tail bound over lam in (0, 1/(2T)).
 
     The log of the bound is convex in lam, so golden-section search is
-    exact up to the interval tolerance.
+    exact up to the interval tolerance, or up to the spacing of doubles
+    near 1/(2T) where that is wider: the search also stops at an interval
+    of two adjacent doubles, which no step can narrow.
     """
     def logf(lam):
         return -lam * (alpha + dim * horizon) - 0.5 * dim * math.log(1.0 - 2.0 * lam * horizon)
@@ -216,7 +240,7 @@ def optimal_tail_lambda(alpha: float, horizon: float, dim: int,
     c = bb - inv_phi * (bb - a)
     d_ = a + inv_phi * (bb - a)
     fc, fd = logf(c), logf(d_)
-    while bb - a > tol:
+    while bb - a > tol and math.nextafter(a, math.inf) < bb:
         if fc < fd:
             bb, d_, fd = d_, c, fc
             c = bb - inv_phi * (bb - a)
@@ -368,6 +392,16 @@ def _ergodic_levels(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return y
 
 
+def ergodic_bytes(dim: int, size: int, paths: int) -> tuple:
+    """(matrices, pass, 0) bytes of an ergodic run, one chunk of every path:
+    beta I with SymMatrix's copy and sum of it (eigvalsh's symmetric part
+    and LAPACK's copy of it take no more), and a bundle of paths on size
+    times with Y, its hits and their running frequency (17 bytes a value),
+    and the per-path minima."""
+    mats = 24 * dim * dim
+    return mats, mats + bundle_bytes(dim, size, paths) + paths * (17 * size + 24), 0
+
+
 def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     """Running frequency of Y(n) <= delta for Y(n) = e^n |W(e^-n)^T beta W(e^-n)|.
 
@@ -419,6 +453,17 @@ class Example36Report:
     def csv_table(self):
         return (["path", "full_sup", "proxy_sup"], np.arange(self.proxy_sup.size),
                 self.full.per_path_sup, self.proxy_sup)
+
+
+def example36_bytes(size: int, chunk: int, refinements: int) -> tuple:
+    """(matrices, chunk, path) bytes of example36_diag: kernel_bytes's
+    matrices; a chunk on size times, its refinement and the kernel over
+    that (the proxy then takes no more); per path the two sups, per chunk
+    and concatenated, and their gap.  Past 2^64 refined times every count
+    is as far out of reach."""
+    n = size << min(refinements, 64)
+    mats, arrays = kernel_bytes("example36", 1, n, chunk, "outer")
+    return mats, mats + bundle_bytes(1, size + n, chunk) + arrays, 48
 
 
 def example36_diag(source, refinements: int = 4) -> Example36Report:

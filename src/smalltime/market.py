@@ -169,8 +169,8 @@ def bs_price(payoff: Payoff, s, t: float, params: MarketParams):
     1e-8 (1 + |price|).  If they still disagree at 2048 nodes, the
     2048-node estimate is returned as it is, with no warning.
     """
-    if t > params.horizon:
-        raise ValueError("valuation time t beyond the horizon")
+    if not -math.inf < t <= params.horizon:
+        raise ValueError("valuation time t must be finite and at most the horizon")
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))
     if np.any(s_arr <= 0.0):
         raise ValueError("spot s must be positive")

@@ -174,6 +174,11 @@ class BrownianBundle:
         return self.paths.shape[0]
 
 
+def bundle_bytes(dim: int, size: int, paths: int) -> int:
+    """Bytes of a bundle's float64 values (refine_bisect's is one on its finer grid)."""
+    return 8 * paths * dim * size
+
+
 def sample_bundle(dim: int, grid: TimeGrid, path_count: int, seed: int,
                   first_path: int = 0) -> BrownianBundle:
     """Generate Brownian paths on the grid.

@@ -233,6 +233,24 @@ class DoubleIntegralTrace:
 _BLOCK_VALUES = 1 << 16
 
 
+def kernel_bytes(name: str, dim: int, size: int, paths: int, keep: str) -> tuple:
+    """(matrices, arrays): bytes integrate_double holds with catalog
+    integrand name beside a bundle of paths on size times (drift_integral
+    records as keep="outer" does).  The (d, d) matrices: the unit matrix, c
+    times it and LAPACK's copy in operator_norm for a constant, and a
+    block's values of b, a listed and a stacked matrix a step for a
+    function of time and one a step and path for a path functional.  The
+    arrays: the time-major copy with the origin, the series keep records,
+    the per-path sums, and inc and dw over a whole block and two more
+    arrays of path values over the steps it takes."""
+    kind, block = INTEGRAND_CATALOG[name].kind, max(1, _BLOCK_VALUES // (paths * dim))
+    steps = min(block, size)
+    mats = {"constant": 3, "time": 1 + 2 * steps, "path": 1 + steps * paths}[kind]
+    series = {"trace": 2 + 2 * dim, "outer": 1, "last": 0}[keep]
+    return 8 * dim * dim * mats, 8 * paths * (
+        (dim + series) * size + block * (1 + dim) + 2 * steps * dim + 3 * dim + 9)
+
+
 def _apply(mat, vec):
     """mat @ vec for mat of shape (d, d) or (P, d, d) and vec of shape (P, d)."""
     if mat.ndim == 2:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ def _assert_plan_rejects(tmp_path, capsys, key, args):
     assert not (tmp_path / "never").exists()
 
 
+@pytest.fixture
+def host_8gib(monkeypatch):
+    """os.sysconf of a host with 8 GiB of physical memory, so that a memory
+    probe rejects the same configs on any machine and, going through
+    validate-config alone, allocates nothing."""
+    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
+    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+
+
 def test_paths_below_one_is_a_config_error(tmp_path, capsys):
     _assert_key_rejected(tmp_path, capsys, "moment", "paths", 0)
 
@@ -142,16 +152,32 @@ def test_invalid_dpe_family_config_is_a_config_error(tmp_path, capsys, experimen
                          [f"--experiment={experiment}", f"--{key}={value}"])
 
 
+@pytest.mark.parametrize("experiment", ["dpe-price", "hedge", "gap"])
+@pytest.mark.parametrize("key,value", [("sigma", "1e300"), ("sigma", "1e-300"),
+                                       ("horizon", "1e-300")])
+def test_dpe_grid_out_of_double_range_is_a_config_error(tmp_path, capsys,
+                                                        experiment, key, value):
+    """A sigma whose square overflows or vanishes, and a grid half-width
+    6 sigma sqrt(horizon) lost beside log s0, are named in the plan; they
+    used to surface as OverflowError, ZeroDivisionError or a complaint
+    about s0."""
+    _assert_plan_rejects(tmp_path, capsys, key,
+                         [f"--experiment={experiment}", f"--{key}={value}"])
+
+
 @pytest.mark.parametrize("key,args", [
     ("sigma", ["--experiment=bs-price", "--sigma=0"]),
+    ("sigma", ["--experiment=bs-price", "--sigma=1e300"]),
     ("t", ["--experiment=bs-price", "--t=2"]),
+    ("t", ["--experiment=bs-price", "--t=-inf"]),
     ("integrand", ["--experiment=moment", "--integrand=rotation", "--d=1"]),
     ("window", ["--experiment=prop39", "--levels=5", "--window=10"]),
     ("window", ["--experiment=prop39", "--window=0"]),
 ])
 def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
-    """bs-price valuations, catalog integrands at a dimension they do not
-    take and prop39 windows wider than the grid fail in the plan."""
+    """bs-price valuations (at an infinite time, or whose sigma^2 tau
+    overflows), catalog integrands at a dimension they do not take and
+    prop39 windows wider than the grid fail in the plan."""
     _assert_plan_rejects(tmp_path, capsys, key, args)
 
 
@@ -196,7 +222,7 @@ def test_small_time_and_moment_plans_reject_before_sampling(tmp_path, capsys, ke
     ("paths", ["--experiment=lil-sup", "--d=3"]),
     ("paths", ["--experiment=prop39"]),
 ])
-def test_bundle_larger_than_memory_is_a_config_error(capsys, key, args):
+def test_bundle_larger_than_memory_is_a_config_error(capsys, host_8gib, key, args):
     """10^12 paths in one chunk (or one bundle) ask for at least 8 TB of
     float64 path values; checked by validate-config alone, so nothing is
     sampled."""
@@ -213,7 +239,7 @@ def test_bundle_larger_than_memory_is_a_config_error(capsys, key, args):
     ("steps", "gap"), ("levels", "lil-sup"), ("levels", "ergodic"),
     ("levels", "example36"), ("levels", "prop39"),
 ])
-def test_grid_larger_than_memory_is_a_config_error(capsys, key, experiment):
+def test_grid_larger_than_memory_is_a_config_error(capsys, host_8gib, key, experiment):
     """10^13 steps or levels ask for a grid of about 73 TiB of float64
     times; the plan rejects it before any grid is built."""
     assert main(["validate-config", f"--experiment={experiment}",
@@ -237,7 +263,8 @@ def test_geometric_time_floor_is_checked_before_the_grid_is_built(capsys, experi
 
 @pytest.mark.parametrize("experiment", ["moment", "tail-bound", "hedge", "gap",
                                         "example36"])
-def test_per_path_results_larger_than_memory_are_a_config_error(capsys, experiment):
+def test_per_path_results_larger_than_memory_are_a_config_error(capsys, host_8gib,
+                                                                experiment):
     """10^12 paths in default chunks keep at least two float64 results per
     path (16 TB); checked by validate-config alone, so nothing is sampled."""
     assert main(["validate-config", f"--experiment={experiment}",
@@ -245,6 +272,54 @@ def test_per_path_results_larger_than_memory_are_a_config_error(capsys, experime
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'paths': keeping the results of ")
     assert "physical memory" in err
+
+
+def test_every_chunk_in_work_is_counted(capsys, host_8gib):
+    """A moment chunk of 200 000 paths x 3 x 401 times and its kernel's
+    time-major copy take about 3.6 GiB: one fits on a host of 8 GiB, but
+    three workers hold three at once."""
+    args = ["validate-config", "--experiment=moment", "--d=3", "--paths=600000",
+            "--chunk=200000"]
+    assert main(args + ["--workers=1"]) == 0
+    assert main(args + ["--workers=3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'chunk': a bundle of 200000 paths x 3 x "
+                          "401 times with its pass's arrays, 3 at once, needs at least")
+    assert "more than the 8.0 GiB of physical memory" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--experiment=tail-bound", "--integrand=tanh_w", "--d=400"],
+    ["--experiment=ergodic", "--d=100000"],
+    ["--experiment=moment", "--d=100000", "--paths=1", "--chunk=1"],
+], ids=["path-functional-block", "beta", "catalog-matrix"])
+def test_d_by_d_matrices_are_counted_before_they_are_built(capsys, host_8gib, args):
+    """tanh_w at d = 400 evaluates a 400 x 400 matrix for every path of a
+    10 000-path kernel block (11.9 GiB, though its own unit matrix is
+    1.3 MB); beta I and the identity at d = 100 000 take 74.5 GiB each.
+    The plan rejects each naming d before any matrix is built."""
+    assert main(["validate-config"] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: key 'd': holding the ")
+    assert "more than the 8.0 GiB of physical memory" in err
+
+
+@pytest.mark.parametrize("horizon", ["3e-7", "1e-9", "1e-12"])
+def test_tail_bound_at_small_horizons_validates_within_a_second(capsys, horizon):
+    """Near 1/(2T) at these horizons the spacing of doubles exceeds the tail
+    lambda search's tolerance; the search stops at adjacent doubles
+    instead of stepping forever."""
+    def too_slow(signum, frame):
+        raise TimeoutError(f"validate-config still runs after 1 s at horizon {horizon}")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        assert main(["validate-config", "--experiment=tail-bound",
+                     f"--horizon={horizon}"]) == 0
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def test_zero_dimension_is_a_config_error(tmp_path, capsys):
@@ -281,21 +356,19 @@ def test_single_letter_keys_are_matched_as_words(tmp_path, capsys):
         "config error: key 's': spot s must be positive")
 
 
-def test_surface_larger_than_memory_is_a_config_error(tmp_path, capsys):
+def test_surface_larger_than_memory_is_a_config_error(tmp_path, capsys, host_8gib):
     """nx = 1e5 asks for about 7.7e12 nodes (56 TiB for one float64 surface)."""
     _assert_plan_rejects(tmp_path, capsys, "nx", ["--experiment=dpe-price", "--nx=100000"])
 
 
 @pytest.mark.parametrize("experiment,need", [("dpe-price", "11.5"), ("hedge", "15.2"),
                                              ("gap", "15.2")])
-def test_every_surface_of_a_dpe_run_is_counted(capsys, monkeypatch, experiment, need):
+def test_every_surface_of_a_dpe_run_is_counted(capsys, host_8gib, experiment, need):
     """At nx = 4000 one float64 surface of 4000 x 123 397 nodes is 3.7 GiB,
     but the solver holds three of them and the int8 active codes (25 bytes
     a node), and hedge and gap add the drift field (33 bytes): on a host of
     8 GiB the run is rejected.  Checked by validate-config alone, so nothing
     is solved."""
-    pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2 ** 21}
-    monkeypatch.setattr(os, "sysconf", pages.__getitem__)
     assert main(["validate-config", f"--experiment={experiment}", "--nx=4000"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'nx': a DPE run on 4000 x ")
@@ -304,7 +377,8 @@ def test_every_surface_of_a_dpe_run_is_counted(capsys, monkeypatch, experiment, 
 
 
 @pytest.mark.parametrize("refinements", [30, 10 ** 12])
-def test_refined_chunk_larger_than_memory_is_a_config_error(capsys, refinements):
+def test_refined_chunk_larger_than_memory_is_a_config_error(capsys, host_8gib,
+                                                             refinements):
     """30 refinements of a 50-path chunk on 95 times ask for about 5e12
     float64 values; checked by validate-config alone, so nothing is sampled."""
     assert main(["validate-config", "--experiment=example36", "--paths=50",

@@ -1,0 +1,164 @@
+"""The plans' byte counts, measured.
+
+Each experiment runs under tracemalloc at two small sizes.  The growth of
+its peak between them must be at most 1.02 times (allocator noise) and at
+least 0.8 times the growth of the largest count its plan passed to
+cli._fits_in_memory, so that every count both holds and stays tight.  The
+sizes keep the layers' fixed scratch (sampling, kernel and hedge blocks)
+well below what grows, so that one stage holds the peak at both sizes.
+"""
+
+import threading
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from smalltime import cli, market, paths
+
+
+def _peak_and_count(tmp_path, monkeypatch, args):
+    """(traced peak bytes, largest planned count) of one run."""
+    counts = [0]
+    fits = cli._fits_in_memory
+
+    def record(key, what, nbytes):
+        counts.append(nbytes)
+        fits(key, what, nbytes)
+
+    monkeypatch.setattr(cli, "_fits_in_memory", record)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.main(["run", f"--out={tmp_path}"] + args) in (0, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return peak, max(counts)
+
+
+# (experiment and fixed keys, size keys a, size keys b): chunked passes run
+# two chunks at each size, whole-bundle passes vary the paths, the DPE the
+# nx, and the "d" cases the (d, d) matrices
+_CHUNKED = {
+    "moment": ("--experiment=moment --d=2 --steps=200",
+               "--paths=1600 --chunk=800", "--paths=6400 --chunk=3200"),
+    "tail-bound": ("--experiment=tail-bound --d=2 --steps=200 --integrand=tanh_w",
+                   "--paths=1600 --chunk=800", "--paths=6400 --chunk=3200"),
+    "example36": ("--experiment=example36 --levels=40",
+                  "--paths=200 --chunk=100", "--paths=800 --chunk=400"),
+    "hedge": ("--experiment=hedge --nx=32 --steps=200",
+              "--paths=4000 --chunk=2000", "--paths=8000 --chunk=4000"),
+    "gap": ("--experiment=gap --nx=32 --steps=200",
+            "--paths=4000 --chunk=2000", "--paths=8000 --chunk=4000"),
+}
+_SIZED = {
+    "lil-sup": ("--experiment=lil-sup --d=2", "--paths=8000", "--paths=16000"),
+    "ergodic": ("--experiment=ergodic --d=2", "--paths=4000", "--paths=8000"),
+    "prop39": ("--experiment=prop39", "--paths=8000", "--paths=16000"),
+    "dpe-price": ("--experiment=dpe-price", "--nx=300", "--nx=600"),
+    "hedge-nx": ("--experiment=hedge --paths=50 --chunk=50 --steps=20",
+                 "--nx=300", "--nx=600"),
+    # per-path results, beside small chunks
+    "moment-paths": ("--experiment=moment --d=1 --steps=20 --chunk=500",
+                     "--paths=50000", "--paths=100000"),
+    "tail-bound-paths": ("--experiment=tail-bound --d=1 --steps=20 --chunk=2000",
+                         "--paths=200000", "--paths=400000"),
+    "example36-paths": ("--experiment=example36 --levels=10 --refinements=0 "
+                        "--chunk=1000", "--paths=70000", "--paths=140000"),
+    "hedge-paths": ("--experiment=hedge --nx=32 --steps=100 --chunk=500",
+                    "--paths=5000", "--paths=10000"),
+    "gap-paths": ("--experiment=gap --nx=32 --steps=100 --chunk=500",
+                  "--paths=5000", "--paths=10000"),
+    # (d, d) matrices: a path functional's own and its block's, beta I
+    "tail-bound-d": ("--experiment=tail-bound --integrand=tanh_w --paths=20 "
+                     "--chunk=20 --steps=20", "--d=50", "--d=100"),
+    "ergodic-d": ("--experiment=ergodic --paths=1", "--d=100", "--d=200"),
+}
+_CASES = ([pytest.param(*case, workers, id=f"{name}-workers-{workers}")
+           for name, case in _CHUNKED.items() for workers in (1, 2)]
+          + [pytest.param(*case, 1, id=name) for name, case in _SIZED.items()])
+
+
+def _together(workers, fn):
+    """fn, made to wait after each call on a pool thread until workers such
+    calls have met."""
+    barrier = threading.Barrier(workers, timeout=60)
+
+    def call(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        if threading.current_thread() is not threading.main_thread():
+            barrier.wait()
+        return out
+
+    return call
+
+
+class _NumpyMeetingAtExp:
+    """numpy for market, whose exp in simulate_gbm (the only exp a pool
+    thread calls there) returns only once every chunk in work holds its
+    exponent and prices."""
+
+    def __init__(self, workers):
+        self.exp = _together(workers, np.exp)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+@pytest.fixture(scope="module")
+def warmed():
+    """Experiments run once already, whose one-time allocations (caches,
+    lazy imports) are behind them."""
+    return set()
+
+
+@pytest.mark.parametrize("fixed,size_a,size_b,workers", _CASES)
+def test_peak_growth_matches_the_planned_count(tmp_path, monkeypatch, warmed,
+                                               fixed, size_a, size_b, workers):
+    """A count holds the chunks in work at their largest together.  With two
+    workers on the pool each run has two chunks, made to meet where each
+    holds the most, so that they do so together at every size, not by the
+    luck of the threads: a moment or tail-bound chunk once it is sampled
+    (it then holds its bundle and the kernel's copy through the whole
+    integration), a hedge or gap chunk inside simulate_gbm's exponential,
+    with the bundle, the exponent and the prices held."""
+    experiment = fixed.split()[0].split("=")[1]
+    if workers > 1 and experiment in ("moment", "tail-bound"):
+        monkeypatch.setattr(paths, "sample_bundle", _together(workers, paths.sample_bundle))
+    if workers > 1 and experiment in ("hedge", "gap"):
+        monkeypatch.setattr(market, "np", _NumpyMeetingAtExp(workers))
+
+    def measure(size):
+        args = fixed.split() + size.split() + [f"--workers={workers}"]
+        return _peak_and_count(tmp_path, monkeypatch, args)
+
+    if experiment not in warmed:
+        measure(size_a)
+        warmed.add(experiment)
+    (peak_a, count_a), (peak_b, count_b) = measure(size_a), measure(size_b)
+    assert count_b > count_a
+    ratio = (peak_b - peak_a) / (count_b - count_a)
+    assert 0.8 <= ratio <= 1.02, (ratio, peak_a, peak_b, count_a, count_b)
+
+
+def test_bs_price_counts_and_holds_nothing_sized(tmp_path, monkeypatch):
+    """bs-price prices one spot: its plan makes no count and its run holds
+    well under a megabyte."""
+    peak, count = _peak_and_count(tmp_path, monkeypatch,
+                                  ["--experiment=bs-price"])
+    assert count == 0 and peak < 2 ** 20
+
+
+def test_constant_integrand_counts_the_copy_operator_norm_takes(tmp_path, monkeypatch):
+    """A constant catalog integrand holds the unit matrix and c times it
+    while operator_norm's SVD works on a third (d, d) copy, which LAPACK
+    allocates outside tracemalloc's sight: the traced growth matches the
+    count less that copy."""
+    args = "--experiment=moment --paths=1 --chunk=1 --steps=1".split()
+    _peak_and_count(tmp_path, monkeypatch, args + ["--d=300"])
+    (peak_a, count_a), (peak_b, count_b) = (
+        _peak_and_count(tmp_path, monkeypatch, args + [f"--d={d}"]) for d in (300, 600))
+    lapack = 8 * (600 ** 2 - 300 ** 2)
+    ratio = (peak_b - peak_a) / (count_b - count_a - lapack)
+    assert 0.8 <= ratio <= 1.02, (ratio, peak_a, peak_b, count_a, count_b)
