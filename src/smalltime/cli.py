@@ -41,30 +41,26 @@ class ConfigError(ValueError):
         self.key = key
 
 
-def _parse_value(kind: str, text):
-    if isinstance(text, str):
-        text = text.strip()
+def _parse_value(kind: str, text: str):
+    """The value of a stripped config string."""
     try:
         if kind == "int":
             return int(text)
         if kind == "float":
             return _not_nan(float(text))
         if kind == "bool":
-            if isinstance(text, bool):
-                return text
             if text.lower() in ("true", "1", "yes"):
                 return True
             if text.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(text)
         if kind == "floats":
-            items = ([v for v in text.split(",") if v.strip()]
-                     if isinstance(text, str) else text)
+            items = [v for v in text.split(",") if v.strip()]
             if not items:
                 raise ValueError(text)
             return [_not_nan(float(v)) for v in items]
-        return str(text)
-    except (TypeError, ValueError):
+        return text
+    except ValueError:
         raise ConfigError(f"cannot parse value {text!r} as {kind}", key=None) from None
 
 
@@ -353,7 +349,7 @@ def _geometric_plan(cfg: RunConfig, rate_fn=None):
     largest time is t0."""
     p = cfg.params
     _grid_fits("levels", p["levels"] + 1)
-    with _reading("t0", "theta", "levels"):
+    with _reading("levels", "t0", "theta"):
         grid = geometric_grid(p["t0"], p["theta"], p["levels"])
     if rate_fn is not None:
         with _reading("t0"):
@@ -405,8 +401,9 @@ def _prop39_plan(cfg: RunConfig):
     p = cfg.params
     grid = _geometric_plan(cfg)
     if not 1 <= p["window"] <= grid.size:
-        raise ConfigError(f"key 'window' must lie in [1, {grid.size}] (the grid "
-                          f"size), got {p['window']}", key="window")
+        raise ConfigError(f"key 'window' / 'levels': window must lie in [1, levels + 1] "
+                          f"= [1, {grid.size}] (the grid size), got {p['window']}",
+                          key="window")
     with _reading("eps"):
         drift_scale(grid.points, p["eps"])
     n = p["paths"]

@@ -131,9 +131,11 @@ class DpeSolution:
         i01, i10 = i00 + 1, i00 + xn.size
         i11 = i10 + 1
         ux, ut = 1 - wx, 1 - wt
-        out = tuple(ut * (ux * f.take(i00) + wx * f.take(i01))
-                    + wt * (ux * f.take(i10) + wx * f.take(i11))
-                    for f in (arr if isinstance(arr, tuple) else (arr,)))
+        # tuple() of a list: a generator's tuple is resized, and each call
+        # would leave one more on the interpreter's free list
+        out = tuple([ut * (ux * f.take(i00) + wx * f.take(i01))
+                     + wt * (ux * f.take(i10) + wx * f.take(i11))
+                     for f in (arr if isinstance(arr, tuple) else (arr,))])
         return out if isinstance(arr, tuple) else out[0]
 
     def csv_table(self, t_stride: int = 1):

@@ -73,8 +73,9 @@ class StrategySpec:
     """Trading strategy: initial shares plus drift and gamma sources.
 
     kind "constant" uses fixed alpha and gamma values; kind "dpe" reads
-    them off the attached value surface.  Declared bounds must be finite
-    (admissibility); for surface strategies they are measured on the grid.
+    them off the attached value surface.  The drift bound and the gamma
+    value must be finite (admissibility); for surface strategies the bound
+    is measured on the grid.
     """
 
     kind: str
@@ -83,33 +84,29 @@ class StrategySpec:
     gamma_value: float = 0.0
     solution: DpeSolution | None = None
     alpha_bound: float = 0.0
-    gamma_bound: float = 0.0
     _drift_field: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha_bound) and math.isfinite(self.gamma_bound)):
-            raise ValueError("declared strategy bounds must be finite")
+        if not (math.isfinite(self.alpha_bound) and math.isfinite(self.gamma_value)):
+            raise ValueError("strategy drift bound and gamma must be finite")
 
     @classmethod
     def constant(cls, y0: float, alpha: float = 0.0,
                  gamma: float = 0.0) -> "StrategySpec":
         return cls(kind="constant", y0=y0, alpha_value=alpha, gamma_value=gamma,
-                   alpha_bound=abs(alpha), gamma_bound=abs(gamma))
+                   alpha_bound=abs(alpha))
 
     @classmethod
     def from_dpe(cls, solution: DpeSolution) -> "StrategySpec":
         drift = _dpe_drift_field(solution)
         # max |f| is the larger of |max f| and |min f|, and a NaN or an
-        # infinity shows in one of them; dividing a column by its s^2 > 0
-        # keeps the order of its entries
+        # infinity shows in one of them; a cash gamma that is not finite
+        # makes the drift at its node so through the -2 G term
         alpha_bound = max(abs(drift.max()), abs(drift.min()))
         if not math.isfinite(alpha_bound):
             raise ValueError("surface drift is not finite on the grid")
-        g, s = solution.cash_gamma, solution.s_nodes
-        g_abs = np.maximum(np.abs(g.max(axis=0)), np.abs(g.min(axis=0)))
         spec = cls(kind="dpe", y0=None, solution=solution,
-                   alpha_bound=float(alpha_bound),
-                   gamma_bound=float(np.max(g_abs / (s * s))))
+                   alpha_bound=float(alpha_bound))
         spec._drift_field = drift
         return spec
 
@@ -187,10 +184,9 @@ _BLOCK_VALUES = 1 << 14
 
 def simulate_bytes(size: int, chunk: int, fundings: int) -> tuple:
     """(chunk, path) bytes of _simulate_fundings on size times: a chunk and
-    the temporary of its prices; per path, its prices, which the terminal
-    price (a view) keeps to the end of the pass, and its terminal values,
-    per chunk and concatenated."""
-    return 2 * bundle_bytes(1, size, chunk), 8 * size + 16 * (2 * fundings + 1)
+    two arrays of its size while simulate_gbm forms its prices; per path,
+    the terminal price and values the pass fills in."""
+    return 3 * bundle_bytes(1, size, chunk), 8 * (2 * fundings + 1)
 
 
 def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
@@ -204,7 +200,8 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
     forms the share counts with one running sum over the interleaved
     increments alpha dt and gamma dS, which adds them in the order of the
     step-by-step update (Y + alpha dt) + gamma dS, and the wealths with
-    one running sum of Y dS."""
+    one running sum of Y dS.  Each chunk's terminal values go straight
+    into arrays of every path."""
     if source.dim != 1:
         raise ValueError("hedging needs a one-dimensional bundle")
     t = source.grid.points
@@ -250,22 +247,27 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
             _running(x, (ys[:-1] * ds)[:, None, :])
             # the largest |alpha| of each step; a step holding a NaN is skipped
             a_max = float(np.fmax.reduce(np.abs(alpha).max(axis=1), initial=a_max))
-        s_t = s_paths[:, -1]
+        s_t = s_paths[:, -1].copy()  # a view would hold every price while it waits
         return x - payoff(s_t), s_t, x, clamps, off, a_max
 
-    shortfalls, s_terms, x_terms, clamps, offs, a_maxes = zip(
-        *map_chunks_ordered(one, as_chunks(source), workers))
-    s_terminal = np.concatenate(s_terms)
-    clamp_events = sum(clamps)
-    total_steps = s_terminal.size * (t.size - 1)
+    n = source.path_count
+    s_terminal, shortfall, x_terminal = np.empty(n), np.empty((len(x0s), n)), np.empty((len(x0s), n))
+    clamp_events = off_surface = first = 0
+    alpha_max = 0.0
+    for sf, s_t, x, clamps, off, a_max in map_chunks_ordered(one, as_chunks(source), workers):
+        cols = slice(first, first + s_t.size)
+        shortfall[:, cols], s_terminal[cols], x_terminal[:, cols] = sf, s_t, x
+        clamp_events += clamps
+        off_surface += off
+        alpha_max = max(alpha_max, a_max)
+        first = cols.stop
     return [HedgeReport(shortfall=sf, s_terminal=s_terminal, x_terminal=x_t,
                         x0=float(x0), y0=y0_used,
                         clamp_events=clamp_events,
-                        clamp_rate=clamp_events / max(total_steps, 1),
-                        alpha_max=max(0.0, *a_maxes), off_surface=sum(offs),
+                        clamp_rate=clamp_events / max(n * (t.size - 1), 1),
+                        alpha_max=alpha_max, off_surface=off_surface,
                         quantiles=_summary_quantiles(sf))
-            for x0, sf, x_t in zip(x0s, np.concatenate(shortfalls, axis=1),
-                                   np.concatenate(x_terms, axis=1))]
+            for x0, sf, x_t in zip(x0s, shortfall, x_terminal)]
 
 
 @dataclass

@@ -70,12 +70,10 @@ def _summarize(values: np.ndarray) -> dict:
 def trace_pass_bytes(name: str, dim: int, size: int, paths: int) -> tuple:
     """(matrices, pass, 0) bytes of a lil-sup or prop39 run, one chunk of
     every path: a bundle of paths on size times and a kernel keeping one
-    series, V or drift_integral's x, then ratio_sup or window_medians,
-    which hold three arrays of its size (V, the scaled V and the ratios; x,
-    scaled and |scaled|) once the kernel's copy is freed, and per path the
-    sups or window maxima."""
+    series, V or drift_integral's x.  The kernel's arrays also cover what
+    follows its return: the series with the ratios of ratio_sup, or x with
+    drift_integral's scaled x."""
     mats, arrays = kernel_bytes(name, dim, size, paths, "outer")
-    arrays = max(arrays, 8 * paths * (3 * size + 4))
     return mats, mats + bundle_bytes(dim, size, paths) + arrays, 0
 
 
@@ -97,10 +95,11 @@ def ratio_sup(trace: DoubleIntegralTrace, kind: str, absolute: bool = False) -> 
     if np.any(t <= 0.0):
         raise DomainError(f"ratio kind {kind!r} requires {domain}")
     rate = rate_fn(t)
-    num = factor * trace.outer
+    # one array: the product, then abs and the division in place
+    ratios = np.multiply(factor, trace.outer)
     if absolute:
-        num = np.abs(num)
-    ratios = num / rate[None, :]
+        np.abs(ratios, out=ratios)
+    ratios /= rate
     sup = ratios.max(axis=1)
     if not np.all(np.isfinite(sup)):
         raise ValueError("non-finite ratio sup; check grid and integrand domains")
@@ -116,7 +115,7 @@ def moment_identity(lam: float, horizon: float, dim: int) -> float:
     if dim < 1:
         raise ValueError("moment closed form needs dim >= 1")
     if not 2.0 * lam * horizon < 1.0:
-        raise ValueError("hypothesis 2*lam*T < 1 violated")
+        raise ValueError("hypothesis 2*lam*horizon < 1 violated")
     return math.exp(-lam * dim * horizon) * (1.0 - 2.0 * lam * horizon) ** (-dim / 2.0)
 
 
@@ -221,8 +220,11 @@ def tail_bound_value(alpha: float, lam: float, horizon: float, dim: int) -> floa
     return math.exp(-lam * alpha) * moment_identity(lam, horizon, dim)
 
 
-def optimal_tail_lambda(alpha: float, horizon: float, dim: int,
-                        tol: float = 1e-10) -> float:
+# interval width at which the golden-section search for the tail lambda stops
+_LAMBDA_TOL = 1e-10
+
+
+def optimal_tail_lambda(alpha: float, horizon: float, dim: int) -> float:
     """Golden-section minimizer of the tail bound over lam in (0, 1/(2T)).
 
     The log of the bound is convex in lam, so golden-section search is
@@ -240,7 +242,7 @@ def optimal_tail_lambda(alpha: float, horizon: float, dim: int,
     c = bb - inv_phi * (bb - a)
     d_ = a + inv_phi * (bb - a)
     fc, fd = logf(c), logf(d_)
-    while bb - a > tol and math.nextafter(a, math.inf) < bb:
+    while bb - a > _LAMBDA_TOL and math.nextafter(a, math.inf) < bb:
         if fc < fd:
             bb, d_, fd = d_, c, fc
             c = bb - inv_phi * (bb - a)
@@ -264,8 +266,6 @@ class TailRow:
 
 @dataclass
 class TailBoundReport:
-    horizon: float
-    dim: int
     n_paths: int
     rows: list
     any_violation: bool
@@ -299,8 +299,7 @@ def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
     bound by more than three binomial standard errors.
     """
     alphas = [float(a) for a in alphas]
-    dim = source.dim
-    lams, bounds = tail_bounds(alphas, horizon, dim, rule, eta)
+    lams, bounds = tail_bounds(alphas, horizon, source.dim, rule, eta)
     _, sup = _forward_pass(source, b, horizon, workers)
     sup2v = np.maximum(2.0 * sup, 0.0)
     n = sup2v.size
@@ -313,13 +312,11 @@ def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
         any_violation |= violation
         rows.append(TailRow(alpha=a, lam=lam, bound=bound, empirical=float(emp),
                             std_err=float(se), violation=bool(violation)))
-    return TailBoundReport(horizon=horizon, dim=dim, n_paths=n,
-                           rows=rows, any_violation=any_violation)
+    return TailBoundReport(n_paths=n, rows=rows, any_violation=any_violation)
 
 
 @dataclass
 class ErgodicReport:
-    delta: float
     reference: float
     freq_by_n: np.ndarray
     final_freq: float
@@ -396,10 +393,10 @@ def ergodic_bytes(dim: int, size: int, paths: int) -> tuple:
     """(matrices, pass, 0) bytes of an ergodic run, one chunk of every path:
     beta I with SymMatrix's copy and sum of it (eigvalsh's symmetric part
     and LAPACK's copy of it take no more), and a bundle of paths on size
-    times with Y, its hits and their running frequency (17 bytes a value),
+    times with Y and the running frequency of its hits (16 bytes a value),
     and the per-path minima."""
     mats = 24 * dim * dim
-    return mats, mats + bundle_bytes(dim, size, paths) + paths * (17 * size + 24), 0
+    return mats, mats + bundle_bytes(dim, size, paths) + paths * (16 * size + 24), 0
 
 
 def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
@@ -422,14 +419,13 @@ def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
     reference = ergodic_reference(mat, delta)
     levels = int(meta["levels"]) + 1
     y = _ergodic_levels(bundle.paths, mat)
-    # the running frequency of the hits, in place
-    freq = (y <= delta).astype(float)
+    # the running frequency of the hits, in place in one float array
+    freq = np.less_equal(y, delta, out=np.empty_like(y))
     np.cumsum(freq, axis=1, out=freq)
     freq /= np.arange(1, levels + 1)
     freq_by_n = freq.mean(axis=0)
-    return ErgodicReport(delta=float(delta), reference=reference,
-                         freq_by_n=freq_by_n, final_freq=float(freq_by_n[-1]),
-                         per_path_min=y.min(axis=1))
+    return ErgodicReport(reference=reference, freq_by_n=freq_by_n,
+                         final_freq=float(freq_by_n[-1]), per_path_min=y.min(axis=1))
 
 
 @dataclass
@@ -531,9 +527,8 @@ def window_medians(trace: DriftIntegralTrace, window: int) -> WindowMedians:
     t = trace.times
     if not 1 <= window <= t.size:
         raise ValueError(f"window must lie in [1, {t.size}] (the grid size)")
-    stat = np.abs(trace.scaled)
     ends = range(window, t.size + 1, window)
     return WindowMedians(
         t_hi=[float(t[hi - 1]) for hi in ends],
-        medians=[float(np.median(stat[:, hi - window:hi].max(axis=1)))
+        medians=[float(np.median(np.abs(trace.scaled[:, hi - window:hi]).max(axis=1)))
                  for hi in ends])

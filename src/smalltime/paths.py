@@ -57,7 +57,7 @@ def _normals(seed, tag, path_idx, step_idx, coord_idx, out=None):
     deterministic for a fixed math library.
     """
     words = [np.asarray(c, dtype=np.uint64) for c in (tag, path_idx, step_idx, coord_idx)]
-    shape = np.broadcast_shapes(*(w.shape for w in words))
+    shape = np.broadcast_shapes(*[w.shape for w in words])  # a list, as in dpe's interp
     if out is None:
         out = np.empty(shape)
     full, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
@@ -139,8 +139,8 @@ def geometric_grid(t0: float, theta: float, levels: int) -> TimeGrid:
     # the smallest point's log, as the array below computes it, before any
     # array is built
     if math.log(t0) + float(levels) * math.log(theta) < math.log(_T_FLOOR):
-        raise ValueError(f"geometric grid of {levels} levels would go below the "
-                         "1e-300 time floor")
+        raise ValueError(f"geometric grid's smallest time t0 * theta^levels would go "
+                         f"below the 1e-300 time floor at {levels} levels")
     ks = np.arange(levels, -1, -1, dtype=float)
     pts = np.exp(math.log(t0) + ks * math.log(theta))
     return TimeGrid(pts, kind="geometric",
@@ -216,7 +216,7 @@ def _sample_forward(dim, t, pids, seed):
         _normals(seed, np.uint64(_TAG_FORWARD), pids[i:i + rows, None, None],
                  steps, coords, blk)
         np.multiply(blk, sqrt_dt, out=blk)
-        np.cumsum(blk, axis=2, out=blk)
+        np.add.accumulate(blk, axis=2, out=blk)  # cumsum, less its Python wrapper
     return w_full if has_origin else w_full[:, :, 1:]
 
 

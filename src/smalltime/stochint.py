@@ -241,14 +241,14 @@ def kernel_bytes(name: str, dim: int, size: int, paths: int, keep: str) -> tuple
     block's values of b, a listed and a stacked matrix a step for a
     function of time and one a step and path for a path functional.  The
     arrays: the time-major copy with the origin, the series keep records,
-    the per-path sums, and inc and dw over a whole block and two more
-    arrays of path values over the steps it takes."""
-    kind, block = INTEGRAND_CATALOG[name].kind, max(1, _BLOCK_VALUES // (paths * dim))
-    steps = min(block, size)
+    the per-path sums, and the scratch of a block's steps: inc, dw and two
+    more arrays of path values."""
+    kind = INTEGRAND_CATALOG[name].kind
+    steps = min(max(1, _BLOCK_VALUES // (paths * dim)), size)
     mats = {"constant": 3, "time": 1 + 2 * steps, "path": 1 + steps * paths}[kind]
     series = {"trace": 2 + 2 * dim, "outer": 1, "last": 0}[keep]
     return 8 * dim * dim * mats, 8 * paths * (
-        (dim + series) * size + block * (1 + dim) + 2 * steps * dim + 3 * dim + 9)
+        (dim + series) * size + steps * (1 + 3 * dim) + 3 * dim + 9)
 
 
 def _apply(mat, vec):
@@ -302,7 +302,7 @@ def _running(carry, incs):
     s = np.empty((len(incs) + 1,) + carry.shape)
     s[0] = carry
     s[1:] = incs
-    np.cumsum(s, axis=0, out=s)
+    np.add.accumulate(s, axis=0, out=s)  # cumsum, less its Python wrapper
     carry[...] = s[-1]
     return s
 
@@ -337,7 +337,8 @@ def _left_point(bundle: BrownianBundle, block, n_sums: int, keep: str = "trace")
     if start:
         t = np.concatenate(([0.0], t))
     dt = np.diff(t)
-    size = max(1, _BLOCK_VALUES // (p * d))
+    # scratch for no more steps than the grid has
+    size = max(1, min(_BLOCK_VALUES // (p * d), dt.size))
 
     acc, comp, adj, total = (np.zeros((n_sums, p)) for _ in range(4))
     inc = np.empty((n_sums, size, p))
@@ -509,7 +510,6 @@ class DriftIntegralTrace:
     times: np.ndarray
     x: np.ndarray
     scaled: np.ndarray
-    eps: float
 
 
 def drift_scale(t, eps: float) -> np.ndarray:
@@ -538,4 +538,4 @@ def drift_integral(bundle: BrownianBundle, a: VectorSpec, m: IntegrandSpec,
     (x,), _ = _left_point(bundle, block, 1)
     scaled = x * power[None, :]
     scaled[:, t == 0.0] = 0.0
-    return DriftIntegralTrace(times=t.copy(), x=x, scaled=scaled, eps=float(eps))
+    return DriftIntegralTrace(times=t.copy(), x=x, scaled=scaled)

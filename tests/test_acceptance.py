@@ -52,7 +52,7 @@ def test_criterion_01_moment_identity():
                               seed=91000 + d * 10 + int(lam_t * 100),
                               chunk_size=10_000)
             rep = moment_dominance(spec, catalog_integrand("identity", d),
-                                   lam, horizon)
+                                   lam, horizon, workers=2)
             elapsed = time.time() - t0
             z = (rep.mc_mean - rep.closed_form) / rep.std_err
             worst = max(worst, abs(z))
@@ -68,7 +68,7 @@ def test_criterion_02_moment_dominance_suite():
     for name in unit_bound_names(2):
         spec = BundleSpec(2, uniform_grid(0.5, 400), 100_000, seed=92000,
                           chunk_size=10_000)
-        rep = moment_dominance(spec, catalog_integrand(name, 2), 0.5, 0.5)
+        rep = moment_dominance(spec, catalog_integrand(name, 2), 0.5, 0.5, workers=2)
         margins[name] = rep.dominance_margin
         assert rep.dominance_margin >= -2.0, f"{name}: margin {rep.dominance_margin:.2f}"
     elapsed = time.time() - t0
@@ -83,7 +83,7 @@ def test_criterion_03_tail_bound():
     spec = BundleSpec(1, uniform_grid(0.1, 400), 100_000, seed=93000,
                       chunk_size=10_000)
     rep = tail_bound_check(spec, catalog_integrand("identity", 1), 0.1,
-                           [0.5, 1.0, 2.0, 4.0], rule="optimized")
+                           [0.5, 1.0, 2.0, 4.0], rule="optimized", workers=2)
     detail = "; ".join(f"a={r.alpha}: emp {r.empirical:.4f} <= bound {r.bound:.4f}"
                        for r in rep.rows)
     _report(3, not rep.any_violation, detail)

@@ -1,13 +1,15 @@
 import json
 import math
 import os
+import re
 import signal
+import warnings
 
 import numpy as np
 import pytest
 
-from smalltime.cli import (ConfigError, RunConfig, list_catalog, load_config,
-                           main, run)
+from smalltime.cli import (_SCHEMAS, ConfigError, RunConfig, list_catalog,
+                           load_config, main, run)
 from smalltime.dpe import PdeGrid, greeks, solve_dpe
 from smalltime.hedge import StrategySpec, replication_gap, simulate_hedge
 from smalltime.lilab import (ergodic_liminf, example36_diag, moment_dominance,
@@ -253,11 +255,11 @@ def test_grid_larger_than_memory_is_a_config_error(capsys, host_8gib, key, exper
 def test_geometric_time_floor_is_checked_before_the_grid_is_built(capsys, experiment):
     """10^8 levels (800 MB of float64 times) fit in memory, but their
     smallest time is far below 1e-300: rejected in closed form, naming
-    levels."""
+    levels first and the t0 and theta the smallest time depends on."""
     assert main(["validate-config", f"--experiment={experiment}",
                  f"--levels={10 ** 8}"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: key 'levels': ")
+    assert err.startswith("config error: key 'levels' / 't0' / 'theta': ")
     assert "1e-300 time floor" in err
 
 
@@ -320,6 +322,45 @@ def test_tail_bound_at_small_horizons_validates_within_a_second(capsys, horizon)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0.0)
         signal.signal(signal.SIGALRM, previous)
+
+
+_EDGE_VALUES = ["0", "-1", "nan", "inf", "-inf", "1e300", "1e-300", "1e20",
+                str(10 ** 20), "", "abc", "1", "2", "0.5", "-0.5", "1e-12", "3"]
+_EDGE_KEYS = [(experiment, key) for experiment in sorted(_SCHEMAS)
+              for key in [*_SCHEMAS[experiment], "seed", "workers"]]
+
+
+@pytest.mark.parametrize("experiment,key", _EDGE_KEYS,
+                         ids=[f"{e}-{k}" for e, k in _EDGE_KEYS])
+def test_every_key_at_edge_values_is_accepted_or_named(capsys, host_8gib, experiment, key):
+    """validate-config with one key at each edge value exits 0, or 2 with
+    that key among the keys its message names; it raises nothing, warns
+    nothing and returns within a second."""
+    def too_slow(signum, frame):
+        raise TimeoutError("validate-config still runs after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    bad = []
+    try:
+        for value in _EDGE_VALUES:
+            args = ["validate-config", f"--experiment={experiment}", f"--{key}={value}"]
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                signal.setitimer(signal.ITIMER_REAL, 1.0)
+                try:
+                    code = main(args)
+                except Exception as exc:  # an escaping exception is a failure
+                    code = repr(exc)
+                finally:
+                    signal.setitimer(signal.ITIMER_REAL, 0.0)
+            err = capsys.readouterr().err.strip()
+            named = re.match(r"config error: key ('\w+'(?: / '\w+')*)", err)
+            keys = named.group(1).split(" / ") if named else []
+            if caught or code not in (0, 2) or (code == 2 and repr(key) not in keys):
+                bad.append((value, code, err, [str(w.message) for w in caught]))
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert not bad
 
 
 def test_zero_dimension_is_a_config_error(tmp_path, capsys):

@@ -88,6 +88,10 @@ def test_dpe_strategy_super_replicates_with_cushion():
 def test_strategy_bounds_must_be_finite():
     with pytest.raises(ValueError):
         StrategySpec(kind="constant", y0=0.0, alpha_bound=math.inf)
+    for bad in (math.nan, math.inf, -math.inf):
+        for kwargs in ({"alpha": bad}, {"gamma": bad}):
+            with pytest.raises(ValueError, match="must be finite"):
+                StrategySpec.constant(0.0, **kwargs)
 
 
 def test_strategy_catalog_contents():
