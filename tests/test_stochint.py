@@ -303,8 +303,9 @@ def test_catalog_unknown_name():
         catalog_integrand("not_there", 1)
 
 
-# SHA-256 of every catalog spec's fields and values: the constant matrix,
-# time_fn at times below e^-e, path_fn on rows holding 0, +-0.5 and +-2
+# SHA-256 of every catalog spec's fields and of b as eval gives it: at
+# times below e^-e, and for a path functional on rows holding 0, +-0.5
+# and +-2
 _PIN_TIMES = (0.0, 1e-300, 1e-30, 1e-3, 0.05)
 _PIN_W = np.array([0.0, 0.5, -0.5, 2.0, -2.0])
 _CATALOG_PINS = {
@@ -321,11 +322,11 @@ _CATALOG_PINS = {
     ("example36", 3):
         "f3894c0ae1e217a4cbb649c82691914999f87351ebcb6f95e99ec927b61d6abd",
     ("identity", 1):
-        "fd73867400cf1ee48126df91afc6bda8fa1f268c8843e889c8312cafd68b96fc",
+        "43b44f5745f516044dc15a512324c7119df312033e5b343d1f61ea8e9f173945",
     ("identity", 2):
-        "9908f8cef43ae685074fd120be7bc17a6e3f5f10d4543d3d173aa2ae3564ba57",
+        "15e0697d30b5c2dbf2e214e3b2bf8a20df6b90631db03954d535ddc5a0b1d02f",
     ("identity", 3):
-        "beb2452951e22de639917d10acbf9cad6e0fb31aaa9eae6811e50970ae5123bb",
+        "493ce4671b206bac56a693e212c5620679170315b694201fc98fc573c6fc3127",
     ("linear_time", 1):
         "c661a9b94053b9d0e6a9039d519a4eaf1f10c545ca10234f3ebcc8955b123193",
     ("linear_time", 2):
@@ -333,21 +334,21 @@ _CATALOG_PINS = {
     ("linear_time", 3):
         "9f740937f6567ab2f4520bc140fde1da5ea7a2e32e3228942b43bb0dcb42dd1f",
     ("rotation", 2):
-        "66bcd9c89542e99d17fb6d41363b5c94d2639c81dcd4d38235f0a097653512be",
+        "762e8342614e3dc213c067363778a4722733fd10547e4ecbf9048b9dd32383ce",
     ("rotation", 3):
-        "4023b60670d471d75577135398eee4ad63b805ff6ebf64ed39722b97b3a68330",
+        "5f08f05206b37c3f047a10d491d8c06d5ebc29aa7d0d8799facd52fc6a2d144b",
     ("scaled_identity", 1):
-        "e011eefbea210d329b3c484945953c88255f99af2110b7bbe5697ce18ac96880",
+        "f0d102e98faabc468f663ee014da9345872ff0e678da592ff9fb8c99b28beaa2",
     ("scaled_identity", 2):
-        "74edba3e7c35b4f336ca63484b4632f12f6ccc370eb6055764c34d3f3ce7f615",
+        "126e8596c3dd8c5cf7bd26f007f7747a5d3285ef618f84f4d50367263bbd2478",
     ("scaled_identity", 3):
-        "67931a4942e1d84abc53cbc7972d40ba62d8da849a96976bac40a4b29bd9634e",
+        "822e353d948c789d3fc01430f956c89c36515f077c54042013f8730e634dfd8c",
     ("sign_flip", 1):
-        "fab90774892bfaeb6a962aac65265a02c317b202d58f51bca5c2bf1512ec3a64",
+        "2be17775139475a9e5d2a26071e66c48c0680f8a9ccbeedcf2d4fe99ed9bdaf2",
     ("sign_flip", 2):
-        "dbff5da6f4fe50e1a71c3859bd1c521d118c821f9cc2326e639692dd5c78e31c",
+        "961d7baf6fcd95b3d31117e69c54692be355b0d36b6f355501405488fdae2e94",
     ("sign_flip", 3):
-        "ad3570204e7eed14d29d9440d1f01d9a067b3903914417efb21da60dce99cc94",
+        "dc683d3a92f74b77809c9d0a1f27c49a6c64422a9142908e7b6845a00f887b0a",
     ("tanh_w", 1):
         "bcdc2cab089bf1bc5519ee6d3f9c5e8da8a396515db12341a279a8f1d889dc07",
     ("tanh_w", 2):
@@ -355,11 +356,11 @@ _CATALOG_PINS = {
     ("tanh_w", 3):
         "1505f1a7697a623c2eaedd46150be1c4a739257424988c6672a067c2f3cdcb05",
     ("zero", 1):
-        "5ec0758fdf591589ceb9af611f8f0a8f44ea1d52f8cd0bc7906687a80d8fc7de",
+        "7b7320aa4c3eb7443bbcacea87b9ccc987fc9950e508927c0dc1c2fb57622f1f",
     ("zero", 2):
-        "6495ab9aa432f2b21952b017085c7de197c7edc293dfb778a101c98e2cd52622",
+        "21945e0cbdf1dd19ab73647381588dac9d6d1b51eecfa3aa3461dfc9fdc50052",
     ("zero", 3):
-        "ef8c46c735c77c0be55bd06dfe5d9f4db91dbb87fa77519fba8dacca3ca018c4",
+        "d29f502d8b92b63cfbdcd83c24ab1fd4d89e3a5f49301e205bc6f60fe5dae2e5",
 }
 _LIST_CATALOG_PIN = "aab83d730b8c4c44a6f81719c0001dc82a2f2fc628334b50fadda8a47b38320f"
 
@@ -368,13 +369,11 @@ def _spec_digest(name, d):
     spec = catalog_integrand(name, d)
     h = hashlib.sha256(repr((spec.kind, spec.dim, spec.name, spec.bound,
                              spec.t_max)).encode())
-    if spec.kind == "constant":
-        values = [spec.matrix]
-    elif spec.kind == "time":
-        values = [spec.time_fn(t) for t in _PIN_TIMES]
-    else:
+    if spec.kind == "path":
         w = np.stack([np.roll(_PIN_W, k) for k in range(d)], axis=1)
-        values = [spec.path_fn(np.full(len(_PIN_W), 0.25), w)]
+        values = [spec.eval(0.25, w)]
+    else:
+        values = [spec.eval(t, None) for t in _PIN_TIMES]
     for v in values:
         h.update(repr((v.shape, v.dtype.str)).encode())
         h.update(v.tobytes())
