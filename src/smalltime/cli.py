@@ -263,11 +263,13 @@ def _pass_fits(key: str, n_paths: int, chunk: int, dim: int, size: int, workers:
     """_fits_in_memory for a pass over n_paths paths on size times in chunks
     of chunk paths, one in work per worker, before any of it is built.
     nbytes is (matrices, chunk, path) bytes as the layers that allocate
-    count them: the (d, d) matrices, naming d; the chunks in work beside
-    held bytes, naming key; and the per-path results beside them, naming
-    paths."""
+    count them: the (d, d) matrices with one path's values, naming d; the
+    chunks in work beside held bytes, naming key; and the per-path results
+    beside them, naming paths."""
     matrices, chunk_bytes, path_bytes = nbytes
-    _fits_in_memory("d", f"holding the {dim} x {dim} matrices of the pass", matrices)
+    _fits_in_memory("d", f"holding the {dim} x {dim} matrices of the pass with one "
+                    f"path's {dim} x {size} values",
+                    matrices + paths.bundle_bytes(dim, size, 1))
     in_work = min(workers, -(-n_paths // chunk))
     total = held + in_work * chunk_bytes
     _fits_in_memory(key, f"a bundle of {chunk} paths x {dim} x {size} times with its "
@@ -333,12 +335,12 @@ def _forward_plan(cfg: RunConfig):
                           f"with declared bound <= 1, {b.name!r} declares "
                           f"{b.bound}", key="integrand")
     if "lam" in p:
-        with _reading("lam", "horizon"):
+        with _reading("d", "lam", "horizon"):
             moment_identity(p["lam"], p["horizon"], p["d"])
     with _reading("horizon", "steps"):
         grid = uniform_grid(p["horizon"], p["steps"])
     if "alphas" in p:
-        with _reading("eta", "horizon"):
+        with _reading("d", "eta", "horizon"):
             tail_bounds(p["alphas"], p["horizon"], p["d"], p["rule"], p["eta"])
     return b, BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
 

@@ -116,7 +116,11 @@ def moment_identity(lam: float, horizon: float, dim: int) -> float:
         raise ValueError("moment closed form needs dim >= 1")
     if not 2.0 * lam * horizon < 1.0:
         raise ValueError("hypothesis 2*lam*horizon < 1 violated")
-    return math.exp(-lam * dim * horizon) * (1.0 - 2.0 * lam * horizon) ** (-dim / 2.0)
+    try:
+        return math.exp(-lam * dim * horizon) * (1.0 - 2.0 * lam * horizon) ** (-dim / 2.0)
+    except OverflowError:
+        raise ValueError(f"moment closed form overflows the double range at dimension "
+                         f"{dim}") from None
 
 
 def conditional_moment_fn(t, y, z, lam: float, horizon: float):

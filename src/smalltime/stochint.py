@@ -31,22 +31,21 @@ def _lll_inverse(t: float) -> float:
 
 @dataclass
 class IntegrandSpec:
-    """Declarative description of the matrix process b(t).
+    """The matrix process b = c M: a scalar factor c times a constant
+    matrix M (matrix; None is the unit matrix).
 
-    Three variants: a constant matrix, a deterministic function of time
-    from the catalog, or a progressively measurable functional of the path
-    evaluated as b(t) = f(t, W(t)).  Path functionals only ever see the
-    current path value, so lookahead is impossible by construction.  The
-    integrators call path_fn(t, w) on many rows at once: w has shape
-    (R, d) and t holds the R rows' times.
+    scale is c: a number for kind "constant", scale(t) for "time", and for
+    "path" a progressively measurable functional scale(t, w) of the current
+    path value only, so lookahead is impossible by construction.  It is
+    called on many rows at once: w of shape (R, d), t the rows' times,
+    giving (R,).
     """
 
     kind: str
     dim: int
     name: str = "constant"
     matrix: np.ndarray | None = None
-    time_fn: object = None
-    path_fn: object = None
+    scale: object = 1.0
     bound: float | None = None
     t_max: float | None = None
 
@@ -63,21 +62,24 @@ class IntegrandSpec:
         """Whether the declared bound is at most 1 (up to rounding)."""
         return self.bound is not None and self.bound <= 1.0 + 1e-12
 
-    def eval(self, t: float, w: np.ndarray):
-        """Value of b at time t given current path values w of shape (P, d).
-
-        Returns (d, d) for deterministic variants, (P, d, d) for path
-        functionals.
-        """
+    def factor(self, t, w):
+        """The factor c at time t given current path values w of shape (R, d)
+        (a path functional's t holds the rows' times): a number, or (R,)."""
         if self.kind == "constant":
-            return self.matrix
+            return self.scale
         if self.kind == "time":
             if self.t_max is not None and t >= self.t_max:
                 raise DomainError(
                     f"integrand {self.name!r} evaluated at t={t!r}, outside its "
                     f"validity window t < {self.t_max!r}")
-            return self.time_fn(t)
-        return self.path_fn(t, w)
+            return self.scale(t)
+        return self.scale(t, w)
+
+    def eval(self, t: float, w: np.ndarray):
+        """b at time t given current path values w of shape (P, d), built on
+        demand: (d, d), or (P, d, d) for a path functional."""
+        m = np.eye(self.dim) if self.matrix is None else self.matrix
+        return np.multiply.outer(self.factor(t, w), m)
 
 
 @dataclass
@@ -105,24 +107,20 @@ class CatalogEntry:
     kind: str
     anchor: str
     build: object  # (name, dim) -> IntegrandSpec
+    matrices: int = 0  # (d, d) arrays the built spec holds
 
 
 def _times_eye(kind: str, c, anchor: str, bound: float | None = None,
                t_max: float | None = None) -> CatalogEntry:
     """The entry whose integrand is c times the unit matrix, for c a
-    constant, a function c(t) or a function c(W_1) of the first path
-    coordinate, as kind says."""
+    constant (bounded by |c|), a function c(t) or a function c(W_1) of the
+    first path coordinate, as kind says."""
+    scale = (lambda t, w: c(w[:, 0])) if kind == "path" else c
+    if kind == "constant":
+        bound = abs(c)
 
     def build(name, dim):
-        eye = np.eye(dim)
-        if kind == "constant":
-            return IntegrandSpec.constant(c * eye, name=name)
-        if kind == "time":
-            return IntegrandSpec(kind, dim, name, time_fn=lambda t: c(t) * eye,
-                                 bound=bound, t_max=t_max)
-        return IntegrandSpec(
-            kind, dim, name, bound=bound,
-            path_fn=lambda t, w: c(w[:, 0])[:, None, None] * eye[None])
+        return IntegrandSpec(kind, dim, name, scale=scale, bound=bound, t_max=t_max)
 
     return CatalogEntry(kind, anchor, build)
 
@@ -154,7 +152,7 @@ INTEGRAND_CATALOG = {
         "constant",
         "orthogonal nonsymmetric matrix of unit operator norm; stresses the "
         "moment dominance beyond symmetric integrands",
-        _build_rotation),
+        _build_rotation, matrices=2),  # its own and operator_norm's LAPACK copy
     "scaled_identity": _times_eye(
         "constant", 0.5,
         "c times the unit matrix; exercises linear scaling of the ratio "
@@ -236,60 +234,42 @@ _BLOCK_VALUES = 1 << 16
 def kernel_bytes(name: str, dim: int, size: int, paths: int, keep: str) -> tuple:
     """(matrices, arrays): bytes integrate_double holds with catalog
     integrand name beside a bundle of paths on size times (drift_integral
-    records as keep="outer" does).  The (d, d) matrices: the unit matrix, c
-    times it and LAPACK's copy in operator_norm for a constant, and a
-    block's values of b, a listed and a stacked matrix a step for a
-    function of time and one a step and path for a path functional.  The
-    arrays: the time-major copy with the origin, the series keep records,
-    the per-path sums, and the scratch of a block's steps: inc, dw and two
+    records as keep="outer" does).  The (d, d) matrices are those the
+    catalog entry holds (none for c times the unit matrix).  The arrays:
+    the time-major copy with the origin, the series keep records, the
+    per-path sums, and the scratch of a block's steps: inc, dw and two
     more arrays of path values."""
-    kind = INTEGRAND_CATALOG[name].kind
     steps = min(max(1, _BLOCK_VALUES // (paths * dim)), size)
-    mats = {"constant": 3, "time": 1 + 2 * steps, "path": 1 + steps * paths}[kind]
     series = {"trace": 2 + 2 * dim, "outer": 1, "last": 0}[keep]
-    return 8 * dim * dim * mats, 8 * paths * (
+    return 8 * dim * dim * INTEGRAND_CATALOG[name].matrices, 8 * paths * (
         (dim + series) * size + steps * (1 + 3 * dim) + 3 * dim + 9)
 
 
 def _apply(mat, vec):
-    """mat @ vec for mat of shape (d, d) or (P, d, d) and vec of shape (P, d)."""
-    if mat.ndim == 2:
-        if mat.shape == (1, 1):  # one term: an elementwise product has its bits
-            return vec * mat[0, 0]
-        if vec.shape[0] == 1:  # a lone row would round as a BLAS vector product
-            return (np.repeat(vec, 2, axis=0) @ mat.T)[:1]
-        return vec @ mat.T
-    return np.einsum("pij,pj->pi", mat, vec)
+    """mat @ vec for mat of shape (d, d) and vec of shape (R, d)."""
+    if vec.shape[0] == 1:  # a lone row would round as a BLAS vector product
+        return (np.repeat(vec, 2, axis=0) @ mat.T)[:1]
+    return vec @ mat.T
 
 
-def _row_sq(mat):
-    return (mat * mat).sum(axis=-1)
-
-
-def _eval_block(spec: IntegrandSpec, t, w):
-    """b at the left points of a block of steps, t of shape (B,), w (B, P, d).
-
-    Gives the (d, d) matrix of a constant integrand, a list of B (d, d)
-    matrices for a function of time, and (B*P, d, d) for a path
-    functional, evaluated on every row at once with one time per row.
-    """
+def _factor_block(spec: IntegrandSpec, t, w):
+    """b's factor c at the left points of a block of steps, t of shape (B,),
+    w (B, P, d): a number, (B, 1, 1) for a function of time, or (B, P, 1)
+    for a path functional, evaluated on all rows at once."""
     if spec.kind == "constant":
-        return spec.matrix
+        return spec.scale
     if spec.kind == "time":
-        return [spec.eval(t_k, None) for t_k in t]
+        return np.array([spec.factor(t_k, None) for t_k in t])[:, None, None]
     n, p, d = w.shape
-    return spec.path_fn(np.repeat(t, p), w.reshape(n * p, d))
+    return spec.factor(np.repeat(t, p), w.reshape(n * p, d)).reshape(n, p, 1)
 
 
-def _apply_block(mat, v):
-    """mat @ v row by row, v of shape (B, P, d), mat from _eval_block; the
-    bits are those of one _apply per step."""
-    if isinstance(mat, list):
-        if v.shape[2] == 1:  # (1, 1) matrices: one elementwise product
-            return v * np.stack(mat)
-        if v.shape[1] == 1:  # a lone row rounds as _apply's repeated pair
-            return np.stack([_apply(m_k, v_k) for m_k, v_k in zip(mat, v)])
-        return np.matmul(v, np.stack(mat).transpose(0, 2, 1))
+def _apply_block(c, mat, v):
+    """c M v row by row, v of shape (B, P, d), c from _factor_block and M
+    (None for the unit matrix) applied after the factor."""
+    v = c * v
+    if mat is None:
+        return v
     n, p, d = v.shape
     return _apply(mat, v.reshape(n * p, d)).reshape(n, p, d)
 
@@ -388,16 +368,16 @@ def integrate_double(bundle: BrownianBundle, b: IntegrandSpec,
     inner, qv_in = np.zeros(shape), np.zeros(shape)
     y, qi = np.zeros((p, d)), np.zeros((p, d))
 
+    # the inner bracket's rate is c^2 times the row sums of M * M (1 for M = I)
+    row_sq = 1.0 if b.matrix is None or not full else (b.matrix * b.matrix).sum(axis=-1)
+
     def block(cols, t, dt, w, dw, inc):
-        mat = _eval_block(b, t, w)
-        ys = _running(y, _apply_block(mat, dw))
+        c = _factor_block(b, t, w)
+        ys = _running(y, _apply_block(c, b.matrix, dw))
         np.einsum("kpi,kpi->kp", ys[:-1], dw, out=inc[0])
         if full:  # brackets: the outer one from Y before its update
             np.multiply((ys[:-1] * ys[:-1]).sum(axis=-1), dt[:, None], out=inc[1])
-            rs = _row_sq(np.asarray(mat))
-            if rs.ndim == 2:  # one row per step, or per step and path
-                rs = rs.reshape(len(t), -1, d)
-            qs = _running(qi, rs * dt[:, None, None])
+            qs = _running(qi, c * c * row_sq * dt[:, None, None])
             inner[:, cols] = ys[1:].transpose(1, 0, 2)
             qv_in[:, cols] = qs[1:].transpose(1, 0, 2)
 
@@ -431,7 +411,7 @@ def closed_form_trace(bundle: BrownianBundle, beta) -> DoubleIntegralTrace:
     outer = closed_form_constant(bundle, mat)
     inner = np.einsum("ij,pjn->pni", mat, bundle.paths)
     t = bundle.grid.points
-    row_sq = _row_sq(mat)
+    row_sq = (mat * mat).sum(axis=-1)
     qv_in = row_sq[None, None, :] * t[None, :, None]
     y_sq = (inner * inner).sum(axis=2)
     y_prev = np.zeros_like(y_sq)
@@ -472,27 +452,21 @@ def integrate_double_martingale(bundle: BrownianBundle, b: IntegrandSpec,
     if b.dim != bundle.dim or m.dim != bundle.dim:
         raise ValueError("integrand dimensions must match the bundle")
     p, d = bundle.path_count, bundle.dim
-    m0 = m.eval(0.0, np.zeros((1, d)))
-    if m0.ndim == 3:
-        m0 = m0[0]
+    m0 = m.eval(0.0, np.zeros((1, d))).reshape(d, d)
+    # c(t) = m0^T b(t) m0 is b's factor times this matrix
+    k = m0.T @ (np.eye(d) if b.matrix is None else b.matrix) @ m0
     y_x = np.zeros((p, d))      # inner of X: int b m dW
     y_c = np.zeros((p, d))      # inner of the c piece
     y_a = np.zeros((p, d))      # inner of R1: int b (m - m0) dW
 
     def block(cols, t, dt, w, dw, inc):
-        bk = _eval_block(b, t, w)
-        dm = _apply_block(_eval_block(m, t, w), dw)
-        dm0 = _apply_block(m0, dw)
+        cb = _factor_block(b, t, w)
+        dm = _apply_block(_factor_block(m, t, w), m.matrix, dw)
+        dm0 = _apply_block(1.0, m0, dw)
         ddev = dm - dm0
-        if isinstance(bk, list):
-            ck = [m0.T @ b_k @ m0 for b_k in bk]
-        elif bk.ndim == 2:
-            ck = m0.T @ bk @ m0
-        else:
-            ck = np.einsum("ij,pjk,kl->pil", m0.T, bk, m0)
-        xs = _running(y_x, _apply_block(bk, dm))[:-1]
-        cs = _running(y_c, _apply_block(ck, dw))[:-1]
-        as_ = _running(y_a, _apply_block(bk, ddev))[:-1]
+        xs = _running(y_x, _apply_block(cb, b.matrix, dm))[:-1]
+        cs = _running(y_c, _apply_block(cb, k, dw))[:-1]
+        as_ = _running(y_a, _apply_block(cb, b.matrix, ddev))[:-1]
         for row, (ys, dv) in enumerate(((xs, dm), (cs, dw), (as_, dm0), (xs, ddev))):
             np.einsum("kpi,kpi->kp", ys, dv, out=inc[row])
 
@@ -533,7 +507,8 @@ def drift_integral(bundle: BrownianBundle, a: VectorSpec, m: IntegrandSpec,
     def block(cols, t, dt, w, dw, inc):
         da = np.array([a.eval(t_k) for t_k in t]) * dt[:, None]
         ias = _running(ia, da[:, None, :])[:-1]
-        np.einsum("kpi,kpi->kp", ias, _apply_block(_eval_block(m, t, w), dw), out=inc[0])
+        dm = _apply_block(_factor_block(m, t, w), m.matrix, dw)
+        np.einsum("kpi,kpi->kp", ias, dm, out=inc[0])
 
     (x,), _ = _left_point(bundle, block, 1)
     scaled = x * power[None, :]

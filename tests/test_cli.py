@@ -3,6 +3,7 @@ import math
 import os
 import re
 import signal
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -175,11 +176,15 @@ def test_dpe_grid_out_of_double_range_is_a_config_error(tmp_path, capsys,
     ("integrand", ["--experiment=moment", "--integrand=rotation", "--d=1"]),
     ("window", ["--experiment=prop39", "--levels=5", "--window=10"]),
     ("window", ["--experiment=prop39", "--window=0"]),
+    ("d", ["--experiment=moment", "--d=3000", "--paths=1", "--chunk=1"]),
+    ("d", ["--experiment=tail-bound", "--rule=fixed", "--d=1000", "--paths=1",
+           "--chunk=1"]),
 ])
 def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
     """bs-price valuations (at an infinite time, or whose sigma^2 tau
-    overflows), catalog integrands at a dimension they do not take and
-    prop39 windows wider than the grid fail in the plan."""
+    overflows), catalog integrands at a dimension they do not take, prop39
+    windows wider than the grid and moment and tail closed forms that
+    overflow at a large d fail in the plan."""
     _assert_plan_rejects(tmp_path, capsys, key, args)
 
 
@@ -291,19 +296,32 @@ def test_every_chunk_in_work_is_counted(capsys, host_8gib):
 
 
 @pytest.mark.parametrize("args", [
-    ["--experiment=tail-bound", "--integrand=tanh_w", "--d=400"],
     ["--experiment=ergodic", "--d=100000"],
-    ["--experiment=moment", "--d=100000", "--paths=1", "--chunk=1"],
-], ids=["path-functional-block", "beta", "catalog-matrix"])
+    ["--experiment=moment", "--integrand=rotation", "--d=100000", "--paths=1",
+     "--chunk=1"],
+], ids=["beta", "catalog-matrix"])
 def test_d_by_d_matrices_are_counted_before_they_are_built(capsys, host_8gib, args):
-    """tanh_w at d = 400 evaluates a 400 x 400 matrix for every path of a
-    10 000-path kernel block (11.9 GiB, though its own unit matrix is
-    1.3 MB); beta I and the identity at d = 100 000 take 74.5 GiB each.
-    The plan rejects each naming d before any matrix is built."""
+    """beta I and the rotation at d = 100 000 take 74.5 GiB each; the plan
+    rejects each naming d before any matrix is built."""
     assert main(["validate-config"] + args) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: key 'd': holding the ")
     assert "more than the 8.0 GiB of physical memory" in err
+
+
+def test_path_functional_builds_no_d_by_d_matrices(tmp_path):
+    """tanh_w is tanh(W_1) times the unit matrix: at d = 400 its run holds
+    path values, not a 400 x 400 matrix per path and step of a kernel
+    block (which took 200 MiB here)."""
+    tracemalloc.start()
+    try:
+        assert main(["run", "--experiment=tail-bound", "--integrand=tanh_w", "--d=400",
+                     "--paths=20", "--chunk=20", "--steps=20",
+                     f"--out={tmp_path}"]) in (0, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20
 
 
 @pytest.mark.parametrize("horizon", ["3e-7", "1e-9", "1e-12"])

@@ -92,6 +92,7 @@ def _ref_martingale(bundle, b, m):
     if m0.ndim == 3:
         m0 = m0[0]
     y_x, y_c, y_a = np.zeros((p, d)), np.zeros((p, d)), np.zeros((p, d))
+    k = m0.T @ (np.eye(d) if b.matrix is None else b.matrix) @ m0
 
     def step(t_k, dt, w_k, dw, inc):
         bk = b.eval(t_k, w_k)
@@ -100,12 +101,10 @@ def _ref_martingale(bundle, b, m):
         ddev = dm - dm0
         for row, (y, dv) in enumerate(((y_x, dm), (y_c, dw), (y_a, dm0), (y_x, ddev))):
             np.einsum("pi,pi->p", y, dv, out=inc[row])
-        if bk.ndim == 2:
-            ck = m0.T @ bk @ m0
-        else:
-            ck = np.einsum("ij,pjk,kl->pil", m0.T, bk, m0)
+        # c = m0^T b m0 is b's factor times k, which applies after the factor
+        ck = np.reshape(b.factor(t_k, w_k), (-1, 1))
         y_x[...] += _ref_apply(bk, dm)
-        y_c[...] += _ref_apply(ck, dw)
+        y_c[...] += _ref_apply(k, ck * dw)
         y_a[...] += _ref_apply(bk, ddev)
 
     return _ref_left_point(bundle, step, 4)[0]

@@ -67,10 +67,11 @@ _SIZED = {
     "example36-paths": ("--experiment=example36 --levels=10 --refinements=0 "
                         "--chunk=1000", "--paths=70000", "--paths=140000"),
     "hedge-paths": ("--experiment=hedge --nx=32 --steps=100 --chunk=500",
-                    "--paths=5000", "--paths=10000"),
+                    "--paths=10000", "--paths=20000"),
     "gap-paths": ("--experiment=gap --nx=32 --steps=100 --chunk=500",
-                  "--paths=5000", "--paths=10000"),
-    # (d, d) matrices: a path functional's own and its block's, beta I
+                  "--paths=10000", "--paths=20000"),
+    # growth in d: a path functional's pass (path values only; it holds no
+    # (d, d) matrix) and beta I's matrices
     "tail-bound-d": ("--experiment=tail-bound --integrand=tanh_w --paths=20 "
                      "--chunk=20 --steps=20", "--d=50", "--d=100"),
     "ergodic-d": ("--experiment=ergodic --paths=1", "--d=100", "--d=200"),
@@ -151,11 +152,10 @@ def test_bs_price_counts_and_holds_nothing_sized(tmp_path, monkeypatch):
 
 
 def test_constant_integrand_counts_the_copy_operator_norm_takes(tmp_path, monkeypatch):
-    """A constant catalog integrand holds the unit matrix and c times it
-    while operator_norm's SVD works on a third (d, d) copy, which LAPACK
-    allocates outside tracemalloc's sight: the traced growth matches the
-    count less that copy."""
-    args = "--experiment=moment --paths=1 --chunk=1 --steps=1".split()
+    """The rotation holds its (d, d) matrix while operator_norm's SVD works
+    on a second copy, which LAPACK allocates outside tracemalloc's sight:
+    the traced growth matches the count less that copy."""
+    args = "--experiment=moment --integrand=rotation --paths=1 --chunk=1 --steps=1".split()
     _peak_and_count(tmp_path, monkeypatch, args + ["--d=300"])
     (peak_a, count_a), (peak_b, count_b) = (
         _peak_and_count(tmp_path, monkeypatch, args + [f"--d={d}"]) for d in (300, 600))

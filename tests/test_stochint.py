@@ -179,19 +179,15 @@ def test_martingale_decomposition_reconstructs():
 
 def _shifted_tanh_w(dim):
     """A path functional m = (1 + tanh W_1) I, with m(0) = I."""
-    eye = np.eye(dim)
-
-    def fn(t, w):
-        return (1.0 + np.tanh(w[:, 0]))[:, None, None] * eye
-
-    return IntegrandSpec(kind="path", dim=dim, name="shifted_tanh_w", path_fn=fn)
+    return IntegrandSpec(kind="path", dim=dim, name="shifted_tanh_w",
+                         scale=lambda t, w: 1.0 + np.tanh(w[:, 0]))
 
 
 @pytest.mark.parametrize("m_kind", ["constant", "time", "path"])
 @pytest.mark.parametrize("b_name", ["identity", "rotation", "linear_time", "example36"])
 def test_martingale_c_piece_is_the_double_integral_of_c(b_name, m_kind):
     """The c piece of the decomposition is the plain double integral V^c of
-    c(t) = m(0)^T b(t) m(0), bit for bit."""
+    c(t) = m(0)^T b(t) m(0), b's factor times m(0)^T M m(0), bit for bit."""
     d = 2
     bundle = sample_bundle(d, uniform_grid(0.05, 40), 50, seed=14)
     b = catalog_integrand(b_name, d)
@@ -200,11 +196,9 @@ def test_martingale_c_piece_is_the_double_integral_of_c(b_name, m_kind):
          "path": _shifted_tanh_w(d)}[m_kind]
     m0 = m.eval(0.0, np.zeros((1, d)))
     m0 = m0[0] if m0.ndim == 3 else m0
-    if b.kind == "constant":
-        c = IntegrandSpec.constant(m0.T @ b.matrix @ m0)
-    else:
-        c = IntegrandSpec(kind="time", dim=d, name="c",
-                          time_fn=lambda t: m0.T @ b.eval(t, None) @ m0)
+    mb = np.eye(d) if b.matrix is None else b.matrix
+    c = IntegrandSpec(kind=b.kind, dim=d, name="c", matrix=m0.T @ mb @ m0,
+                      scale=b.scale, t_max=b.t_max)
     c_piece = integrate_double_martingale(bundle, b, m).c_piece
     assert c_piece.tobytes() == integrate_double(bundle, c, keep="outer").outer.tobytes()
 
