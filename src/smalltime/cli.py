@@ -259,13 +259,14 @@ def _grid_fits(key: str, size: int) -> None:
 
 
 def _pass_fits(key: str, n_paths: int, chunk: int, dim: int, size: int, workers: int,
-               nbytes: tuple, held: int = 0) -> None:
+               nbytes: tuple, held: int = 0, after: int = 0) -> None:
     """_fits_in_memory for a pass over n_paths paths on size times in chunks
     of chunk paths, one in work per worker, before any of it is built.
     nbytes is (matrices, chunk, path) bytes as the layers that allocate
     count them: the (d, d) matrices with one path's values, naming d; the
     chunks in work beside held bytes, naming key; and the per-path results
-    beside them, naming paths."""
+    beside them, naming paths, then beside held bytes alone with after
+    bytes more a path once the pass is over."""
     matrices, chunk_bytes, path_bytes = nbytes
     _fits_in_memory("d", f"holding the {dim} x {dim} matrices of the pass with one "
                     f"path's {dim} x {size} values",
@@ -276,6 +277,9 @@ def _pass_fits(key: str, n_paths: int, chunk: int, dim: int, size: int, workers:
                     f"pass's arrays, {in_work} at once,", total)
     _fits_in_memory("paths", f"keeping the results of {n_paths} paths beside them",
                     total + n_paths * path_bytes)
+    if after:
+        _fits_in_memory("paths", f"the results of {n_paths} paths after the pass",
+                        held + n_paths * (path_bytes + after))
 
 
 def _dpe_plan(cfg: RunConfig):
@@ -296,8 +300,9 @@ def _dpe_plan(cfg: RunConfig):
         with _reading("steps"):
             times = uniform_grid(p["horizon"], p["steps"])
         chunk, fundings = min(p["chunk"], p["paths"]), 1 + (cfg.experiment == "gap")
+        chunk_bytes, path_bytes, after = hedge.simulate_bytes(times.size, chunk, fundings)
         _pass_fits("chunk", p["paths"], chunk, 1, times.size, cfg.workers,
-                   (0, *hedge.simulate_bytes(times.size, chunk, fundings)), surfaces)
+                   (0, chunk_bytes, path_bytes), surfaces, after)
         spec = BundleSpec(1, times, p["paths"], cfg.seed, chunk_size=p["chunk"])
     return params, band, payoff, grid, spec
 
@@ -409,7 +414,8 @@ def _prop39_plan(cfg: RunConfig):
     with _reading("eps"):
         drift_scale(grid.points, p["eps"])
     n = p["paths"]
-    _pass_fits("paths", n, n, 1, grid.size, 1, lilab.trace_pass_bytes("identity", 1, grid.size, n))
+    _pass_fits("paths", n, n, 1, grid.size, 1,
+               lilab.trace_pass_bytes("identity", 1, grid.size, n, p["window"]))
     return grid
 
 

@@ -149,7 +149,8 @@ class HedgeReport:
         return float(np.mean(self.shortfall < 0.0))
 
     def csv_table(self):
-        return (["path", "S_T", "X_T", "shortfall"], np.arange(self.shortfall.size),
+        # a range: the table holds no path column beside the results
+        return (["path", "S_T", "X_T", "shortfall"], range(self.shortfall.size),
                 self.s_terminal, self.x_terminal, self.shortfall)
 
 
@@ -183,10 +184,11 @@ _BLOCK_VALUES = 1 << 14
 
 
 def simulate_bytes(size: int, chunk: int, fundings: int) -> tuple:
-    """(chunk, path) bytes of _simulate_fundings on size times: a chunk and
-    two arrays of its size while simulate_gbm forms its prices; per path,
-    the terminal price and values the pass fills in."""
-    return 3 * bundle_bytes(1, size, chunk), 8 * (2 * fundings + 1)
+    """(chunk, path, after) bytes of _simulate_fundings on size times: a
+    chunk and two arrays of its size while simulate_gbm forms its prices;
+    per path the terminal price and values the pass fills in, and after it
+    the copy of a shortfall that each quantile takes."""
+    return 3 * bundle_bytes(1, size, chunk), 8 * (2 * fundings + 1), 8
 
 
 def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,

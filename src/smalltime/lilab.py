@@ -67,14 +67,17 @@ def _summarize(values: np.ndarray) -> dict:
     }
 
 
-def trace_pass_bytes(name: str, dim: int, size: int, paths: int) -> tuple:
+def trace_pass_bytes(name: str, dim: int, size: int, paths: int,
+                     window: int = 0) -> tuple:
     """(matrices, pass, 0) bytes of a lil-sup or prop39 run, one chunk of
-    every path: a bundle of paths on size times and a kernel keeping one
-    series, V or drift_integral's x.  The kernel's arrays also cover what
-    follows its return: the series with the ratios of ratio_sup, or x with
-    drift_integral's scaled x."""
+    every path: a bundle of paths on size times beside the larger of a
+    kernel keeping one series, V or drift_integral's x, and what follows
+    its return: the series with the ratios of ratio_sup, or x with
+    drift_integral's scaled x and the |scaled| of one window of
+    window_medians; then a sup a path and its sorted copy for a median."""
     mats, arrays = kernel_bytes(name, dim, size, paths, "outer")
-    return mats, mats + bundle_bytes(dim, size, paths) + arrays, 0
+    after = 8 * paths * (2 * size + window + 2)
+    return mats, mats + bundle_bytes(dim, size, paths) + max(arrays, after), 0
 
 
 def ratio_sup(trace: DoubleIntegralTrace, kind: str, absolute: bool = False) -> LilEstimate:
@@ -165,19 +168,20 @@ class MomentReport:
 
 def forward_bytes(name: str, dim: int, size: int, chunk: int, moment: bool) -> tuple:
     """(matrices, chunk, path) bytes of moment_dominance (moment true) or
-    tail_bound_check: kernel_bytes's matrices; a chunk on size times with
-    its kernel; per path V(T) and sup V, per chunk and concatenated, then
-    for the moment exp(2 lam V), its square and a list of Python floats
-    (32 bytes a value) for math.fsum."""
-    mats, arrays = kernel_bytes(name, dim, size, chunk, "last")
-    return mats, mats + bundle_bytes(dim, size, chunk) + arrays, 64 if moment else 32
+    tail_bound_check: kernel_bytes's matrices; a chunk's kernel on size
+    times, drawing its paths block by block; per path V(T) and sup V, per
+    chunk and concatenated, then for the moment exp(2 lam V), its square
+    and a list of Python floats (32 bytes a value) for math.fsum."""
+    mats, arrays = kernel_bytes(name, dim, size, chunk, "last", drawn=True)
+    return mats, mats + arrays, 64 if moment else 32
 
 
 def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
     """V^b(T) and sup_t V^b of every path of the source, in path order.
 
     Checks once, before any chunk is sampled, that b declares a bound of at
-    most 1 and that the source grid ends at the horizon.
+    most 1 and that the source grid ends at the horizon.  The kernel draws
+    a BundleSpec's chunks on a forward grid block by block.
     """
     if not b.unit_bounded:
         raise ValueError("integrand must declare a bound <= 1")
@@ -188,7 +192,7 @@ def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
         trace = integrate_double(chunk, b, keep="last")
         return trace.final_outer(), trace.outer_sup
 
-    finals, sups = zip(*map_chunks_ordered(one, as_chunks(source), workers))
+    finals, sups = zip(*map_chunks_ordered(one, as_chunks(source, streamed=True), workers))
     return np.concatenate(finals), np.concatenate(sups)
 
 

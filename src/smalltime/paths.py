@@ -48,36 +48,57 @@ def _mix64(z, tmp):
     return z
 
 
-def _normals(seed, tag, path_idx, step_idx, coord_idx, out=None):
-    """Standard normals keyed by (seed, tag, path, step, coord).
+def _path_key(seed, tag, path_idx):
+    """The hash of (seed, stream tag, path) that _normals goes on from."""
+    h = np.full((), int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        np.add(h, _GOLD, out=h)
+        _mix64(h, np.empty_like(h))
+        for word in (tag, path_idx):
+            h = np.asarray(h ^ (np.asarray(word, dtype=np.uint64) * _GOLD + _M2))
+            _mix64(h, np.empty_like(h))
+    return h
+
+
+def _normals(key, step_idx, coord_idx, out=None):
+    """Standard normals keyed by (seed, tag, path, step, coord), the first
+    three as their _path_key.
 
     The component arrays broadcast against each other; the result has the
     broadcast shape and is written into `out` (float64, any strides) when
     given.  Uniform bits go through the inverse normal CDF, which is
     deterministic for a fixed math library.
     """
-    words = [np.asarray(c, dtype=np.uint64) for c in (tag, path_idx, step_idx, coord_idx)]
-    shape = np.broadcast_shapes(*[w.shape for w in words])  # a list, as in dpe's interp
+    words = [np.asarray(c, dtype=np.uint64) for c in (step_idx, coord_idx)]
+    shape = np.broadcast_shapes(key.shape, *[w.shape for w in words])
     if out is None:
         out = np.empty(shape)
     full, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
+    h = key
     with np.errstate(over="ignore"):
-        h = np.full((), int(seed) & 0xFFFFFFFFFFFFFFFF, dtype=np.uint64)
-        np.add(h, _GOLD, out=h)
-        _mix64(h, np.empty_like(h))
         for word in words:
             # the hash grows to the broadcast shape one component at a time
-            key = word * _GOLD + _M2
-            if np.broadcast_shapes(h.shape, key.shape) == shape:
-                h = np.bitwise_xor(h, key, out=full)
+            word = word * _GOLD + _M2
+            if np.broadcast_shapes(h.shape, word.shape) == shape:
+                h = np.bitwise_xor(h, word, out=full)
             else:
-                h = np.asarray(h ^ key)
+                h = np.asarray(h ^ word)
             _mix64(h, tmp if h is full else np.empty_like(h))
         _mix64(np.add(h, _GOLD, out=full), tmp)
     np.right_shift(full, _SHIFT11, out=full)
     np.add(full, 0.5, out=out)
     out *= 2.0 ** -53
     return ndtri(out, out=out)
+
+
+def _forward_steps(key, steps, coords, sqrt_dt, out, axis):
+    """W after forward steps, in place along out's time axis: the normals
+    of the steps, scaled by sqrt_dt, summed on from W before them at index
+    0.  The keys and sqrt_dt broadcast to out less that index."""
+    z = out[(slice(None),) * axis + (slice(1, None),)]
+    _normals(key, steps, coords, z)
+    np.multiply(z, sqrt_dt, out=z)
+    np.add.accumulate(out, axis=axis, out=out)  # cumsum, less its Python wrapper
 
 
 @dataclass
@@ -179,6 +200,52 @@ def bundle_bytes(dim: int, size: int, paths: int) -> int:
     return 8 * paths * dim * size
 
 
+@dataclass
+class ForwardChunk:
+    """Paths first_path.. of a BundleSpec on a forward grid, unsampled:
+    time_blocks draws them, with the bits sample_bundle gives them."""
+
+    dim: int
+    grid: TimeGrid
+    path_count: int
+    seed: int
+    first_path: int = 0
+
+
+def draw_bytes(dim: int, steps: int, paths: int) -> tuple:
+    """(prefix, block) bytes of drawing a ForwardChunk in blocks of steps
+    steps: its hash prefix, and _normals' two words a value with, for
+    dim > 1, two a step and path before the coordinate joins the hash."""
+    return 8 * paths, 8 * steps * paths * (2 * dim + 2 * (dim > 1))
+
+
+def time_blocks(source, size: int):
+    """The path values of a BrownianBundle or ForwardChunk in time-major
+    blocks of n <= size steps from the origin: one reused (n + 1, P, d)
+    buffer, row 0 the block before's last row (W(0) = 0 first).  A bundle
+    copies rows 1..n from its values; a chunk draws them."""
+    t = source.grid.points
+    start = 0 if t[0] == 0.0 else 1
+    n_steps = t.size - 1 + start
+    buf = np.zeros((min(size, n_steps) + 1, source.path_count, source.dim))
+    drawn = isinstance(source, ForwardChunk)
+    if drawn:
+        key = _path_key(source.seed, np.uint64(_TAG_FORWARD), np.arange(
+            source.first_path, source.first_path + source.path_count, dtype=np.uint64)[:, None])
+        steps = np.arange(n_steps, dtype=np.uint64)[:, None, None]
+        coords = np.arange(source.dim, dtype=np.uint64)
+        sqrt_dt = _sqrt_steps(t)[:, None, None]
+    for k0 in range(0, n_steps, size):
+        k1 = min(k0 + size, n_steps)
+        rows = buf[:k1 - k0 + 1]
+        if drawn:
+            _forward_steps(key, steps[k0:k1], coords, sqrt_dt[k0:k1], rows, 0)
+        else:
+            rows[1:] = source.paths[:, :, k0 + 1 - start:k1 + 1 - start].transpose(2, 0, 1)
+        yield rows
+        buf[0] = rows[-1]
+
+
 def sample_bundle(dim: int, grid: TimeGrid, path_count: int, seed: int,
                   first_path: int = 0) -> BrownianBundle:
     """Generate Brownian paths on the grid.
@@ -200,23 +267,23 @@ def sample_bundle(dim: int, grid: TimeGrid, path_count: int, seed: int,
                           first_path=int(first_path))
 
 
+def _sqrt_steps(t):
+    """sqrt(dt) of each step of the grid t, from the origin when t lacks it."""
+    return np.sqrt(np.diff(t, prepend=0.0) if t[0] != 0.0 else np.diff(t))
+
+
 def _sample_forward(dim, t, pids, seed):
     has_origin = t[0] == 0.0
-    t_full = t if has_origin else np.concatenate(([0.0], t))
-    n_steps = t_full.size - 1
-    steps = np.arange(n_steps, dtype=np.uint64)[None, None, :]
+    sqrt_dt = _sqrt_steps(t)
+    steps = np.arange(sqrt_dt.size, dtype=np.uint64)[None, None, :]
     coords = np.arange(dim, dtype=np.uint64)[None, :, None]
-    sqrt_dt = np.sqrt(np.diff(t_full))
-    w_full = np.empty((pids.size, dim, t_full.size))
+    w_full = np.empty((pids.size, dim, sqrt_dt.size + 1))
     w_full[:, :, 0] = 0.0
-    rows = max(1, _SAMPLE_VALUES // max(1, dim * n_steps))
+    rows = max(1, _SAMPLE_VALUES // max(1, dim * sqrt_dt.size))
     for i in range(0, pids.size, rows):
-        # normals, increments and running sums of a block of paths, in place
-        blk = w_full[i:i + rows, :, 1:]
-        _normals(seed, np.uint64(_TAG_FORWARD), pids[i:i + rows, None, None],
-                 steps, coords, blk)
-        np.multiply(blk, sqrt_dt, out=blk)
-        np.add.accumulate(blk, axis=2, out=blk)  # cumsum, less its Python wrapper
+        # a block of paths in place, from W(0) = 0
+        key = _path_key(seed, np.uint64(_TAG_FORWARD), pids[i:i + rows, None, None])
+        _forward_steps(key, steps, coords, sqrt_dt, w_full[i:i + rows], 2)
     return w_full if has_origin else w_full[:, :, 1:]
 
 
@@ -234,8 +301,8 @@ def _sample_geometric(dim, t, pids, seed):
         # every level of a block of paths in one draw, then the recurrence
         # coarsest level first, in place
         blk = w[i:i + rows]
-        _normals(seed, np.uint64(_TAG_GEOMETRIC), pids[i:i + rows, None, None],
-                 levels, coords, blk)
+        key = _path_key(seed, np.uint64(_TAG_GEOMETRIC), pids[i:i + rows, None, None])
+        _normals(key, levels, coords, blk)
         blk[:, :, n - 1] *= math.sqrt(t[n - 1])
         for idx in range(n - 2, -1, -1):
             z = blk[:, :, idx]
@@ -288,8 +355,9 @@ def refine_bisect(bundle: BrownianBundle) -> BrownianBundle:
     for i in range(0, p, rows):
         blk = new_w[i:i + rows]
         mid, m = blk[:, :, 1::2], mean[:len(blk)]
-        _normals(bundle.seed, np.uint64(_TAG_BISECT * 1000 + depth),
-                 pids[i:i + rows, None, None], steps, coords, mid)
+        key = _path_key(bundle.seed, np.uint64(_TAG_BISECT * 1000 + depth),
+                        pids[i:i + rows, None, None])
+        _normals(key, steps, coords, mid)
         mid *= mid_std
         np.add(blk[:, :, 0:-1:2], blk[:, :, 2::2], out=m)
         m *= 0.5
@@ -318,21 +386,23 @@ class BundleSpec:
     seed: int
     chunk_size: int = 10_000
 
-    def chunks(self):
+    def chunks(self, streamed: bool = False):
         """Zero-argument realisers, one per chunk in path order; calling one
-        samples its chunk on whichever thread calls it."""
+        samples its chunk on whichever thread calls it, or streamed, gives
+        a forward grid's chunk unsampled as a ForwardChunk."""
         for first in range(0, self.path_count, self.chunk_size):
             take = min(self.chunk_size, self.path_count - first)
-            yield partial(sample_bundle, self.dim, self.grid, take, self.seed,
-                          first_path=first)
+            lazy = streamed and self.grid.kind != "geometric"
+            yield partial(ForwardChunk if lazy else sample_bundle, self.dim, self.grid,
+                          take, self.seed, first)
 
 
-def as_chunks(source):
+def as_chunks(source, streamed: bool = False):
     """Chunk realisers of a BrownianBundle (one, returning it) or a BundleSpec."""
     if isinstance(source, BrownianBundle):
         return iter((lambda: source,))
     if isinstance(source, BundleSpec):
-        return source.chunks()
+        return source.chunks(streamed)
     raise TypeError("expected a BrownianBundle or BundleSpec")
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import DomainError, SymMatrix, operator_norm
-from .paths import BrownianBundle
+from .paths import BrownianBundle, ForwardChunk, draw_bytes, time_blocks
 
 EXP_MINUS_E = math.exp(-math.e)
 
@@ -227,22 +227,33 @@ class DoubleIntegralTrace:
 
 # a block of the left-point kernel spans about this many path values
 # (steps x paths x dimension), so each numpy call covers many steps while
-# the block's working arrays stay in cache
+# the block's working arrays stay in cache; a drawn chunk samples blocks
+# of this size too
 _BLOCK_VALUES = 1 << 16
 
 
-def kernel_bytes(name: str, dim: int, size: int, paths: int, keep: str) -> tuple:
+def kernel_bytes(name: str, dim: int, size: int, paths: int, keep: str,
+                 drawn: bool = False) -> tuple:
     """(matrices, arrays): bytes integrate_double holds with catalog
-    integrand name beside a bundle of paths on size times (drift_integral
-    records as keep="outer" does).  The (d, d) matrices are those the
-    catalog entry holds (none for c times the unit matrix).  The arrays:
-    the time-major copy with the origin, the series keep records, the
-    per-path sums, and the scratch of a block's steps: inc, dw and two
-    more arrays of path values."""
+    integrand name on paths paths of size times, read from a bundle or
+    drawn from a ForwardChunk (drift_integral records as keep="outer"
+    does).  The (d, d) matrices are those the catalog entry holds (none for
+    c times the unit matrix).  The arrays: the series keep records; per
+    path Y, its bracket, the Kahan compensation and its scratch and the
+    running max of keep="last"; the block buffer and the Kahan record, of
+    B + 1 rows, with dW and the increments, of B; and the larger scratch of
+    a block, the callback's (Y's running sum, the scaled dW, a path
+    functional's factor) or a drawn chunk's (paths.draw_bytes)."""
     steps = min(max(1, _BLOCK_VALUES // (paths * dim)), size)
-    series = {"trace": 2 + 2 * dim, "outer": 1, "last": 0}[keep]
-    return 8 * dim * dim * INTEGRAND_CATALOG[name].matrices, 8 * paths * (
-        (dim + series) * size + steps * (1 + 3 * dim) + 3 * dim + 9)
+    n_sums, series = {"trace": (2, 2 + 2 * dim), "outer": (1, 1), "last": (1, 0)}[keep]
+    held = 8 * paths * (series * size + 2 * dim + 2 * n_sums + (keep == "last")
+                        + (2 * steps + 1) * (dim + n_sums))
+    factor = INTEGRAND_CATALOG[name].kind == "path"
+    scratch = 8 * paths * ((2 * steps + 1) * dim + steps * factor)
+    if drawn:
+        prefix, draw = draw_bytes(dim, steps, paths)
+        held, scratch = held + prefix, max(scratch, draw)
+    return 8 * dim * dim * INTEGRAND_CATALOG[name].matrices, held + scratch
 
 
 def _apply(mat, vec):
@@ -287,12 +298,12 @@ def _running(carry, incs):
     return s
 
 
-def _left_point(bundle: BrownianBundle, block, n_sums: int, keep: str = "trace"):
+def _left_point(source, block, n_sums: int, keep: str = "trace"):
     """The left-point stepping kernel behind every integral in this module.
 
-    It walks a contiguous time-major (N, P, d) copy of the path values,
-    with W(0) = 0 prepended when the grid lacks the origin, in blocks of B
-    steps (B from _BLOCK_VALUES).  For each block it forms all B
+    It reads the path values of a BrownianBundle or ForwardChunk only
+    through paths.time_blocks, in time-major blocks of B steps (B from
+    _BLOCK_VALUES) from the origin.  For each block it forms all B
     increments dW with one subtraction and calls
     block(cols, t, dt, w, dw, inc): t and dt are the block's left times and
     step lengths, (B,); w the left path values and dw the increments,
@@ -300,58 +311,57 @@ def _left_point(bundle: BrownianBundle, block, n_sums: int, keep: str = "trace")
     The callback writes the n_sums increments of every step into inc,
     (n_sums, B, P), and keeps its own states.  Only the compensated
     (Kahan) summation of those increments steps through time one step at
-    a time; the sums kept are recorded into a block buffer and written out
-    once per block.  keep says what is returned as (sums, sup), sums of
-    shape (kept, P, columns): "trace" every sum at every grid time,
-    "outer" the first sum at every grid time, "last" the first sum at T
-    (one column) and its running max over the grid.
+    a time, writing each step's sums into the block's record.  keep says
+    what is returned as (sums, sup), sums of shape (kept, P, columns):
+    "trace" every sum at every grid time, "outer" the first sum at every
+    grid time, "last" the first sum at T (one column) and its running max
+    over the grid.
     """
     if keep not in ("trace", "outer", "last"):
         raise ValueError(f"keep must be 'trace', 'outer' or 'last', got {keep!r}")
-    t = bundle.grid.points
-    p, d, n_out = bundle.paths.shape
+    t = source.grid.points
+    p, d, n_out = source.path_count, source.dim, t.size
     start = 0 if t[0] == 0.0 else 1
-    w = np.empty((start + n_out, p, d))
-    w[0] = 0.0
-    w[start:] = bundle.paths.transpose(2, 0, 1)
     if start:
         t = np.concatenate(([0.0], t))
     dt = np.diff(t)
     # scratch for no more steps than the grid has
     size = max(1, min(_BLOCK_VALUES // (p * d), dt.size))
 
-    acc, comp, adj, total = (np.zeros((n_sums, p)) for _ in range(4))
-    inc = np.empty((n_sums, size, p))
+    comp, adj = np.zeros((n_sums, p)), np.empty((n_sums, p))
+    inc = np.empty((size, n_sums, p))
     dw = np.empty((size, p, d))
+    # the sums before each step of a block and after its last; row 0
+    # carries the sums into the block
+    rec = np.zeros((size + 1, n_sums, p))
+    kahan = list(zip(inc, rec[:-1], rec[1:]))  # each step's views, made once
     n_series = {"trace": n_sums, "outer": 1}.get(keep, 0)
     series = np.zeros((n_series, p, n_out))
-    # the recorded sums of a block's steps, written into series per block
-    rec = np.empty((n_series, size, p))
     sup = np.full(p, -np.inf) if keep == "last" else None
-    for k0 in range(0, dt.size, size):
-        k1 = min(k0 + size, dt.size)
-        n = k1 - k0
-        cols = slice(k0 + 1 - start, k1 + 1 - start)
-        np.subtract(w[k0 + 1:k1 + 1], w[k0:k1], out=dw[:n])
-        block(cols, t[k0:k1], dt[k0:k1], w[k0:k1], dw[:n], inc[:, :n])
-        for j in range(n):
-            # Kahan: adj = inc - comp, acc' = acc + adj, comp' = (acc' - acc) - adj
-            np.subtract(inc[:, j], comp, out=adj)
+    for k0, w in zip(range(0, dt.size, size), time_blocks(source, size)):
+        n = len(w) - 1
+        cols = slice(k0 + 1 - start, k0 + n + 1 - start)
+        np.subtract(w[1:], w[:-1], out=dw[:n])
+        block(cols, t[k0:k0 + n], dt[k0:k0 + n], w[:-1], dw[:n],
+              inc[:n].transpose(1, 0, 2))
+        for inc_k, acc, total in kahan[:n]:
+            # adj = inc - comp, acc' = acc + adj, comp' = (acc' - acc) - adj
+            np.subtract(inc_k, comp, out=adj)
             np.add(acc, adj, out=total)
             np.subtract(total, acc, out=comp)
             comp -= adj
-            acc, total = total, acc
-            if sup is None:
-                rec[:, j] = acc[:n_series]
-            else:
-                np.maximum(sup, acc[0], out=sup)
-        series[:, :, cols] = rec[:, :n].transpose(0, 2, 1)
-    return series if n_series else acc[:1, :, None], sup
+        if sup is None:
+            series[:, :, cols] = rec[1:n + 1, :n_series].transpose(1, 2, 0)
+        else:
+            np.maximum(sup, rec[1:n + 1, 0].max(axis=0), out=sup)
+        rec[0] = rec[n]
+    return series if n_series else rec[0, :1, :, None].copy(), sup
 
 
-def integrate_double(bundle: BrownianBundle, b: IntegrandSpec,
+def integrate_double(bundle: BrownianBundle | ForwardChunk, b: IntegrandSpec,
                      keep: str = "trace") -> DoubleIntegralTrace:
-    """Left-point double integral V(t) of (integral of b dW)^T dW.
+    """Left-point double integral V(t) of (integral of b dW)^T dW, over a
+    bundle or a chunk the kernel draws block by block.
 
     Grids that do not contain 0 get an implicit origin with W(0) = 0 and
     Y(0) = V(0) = 0; output arrays align with the bundle's grid points.

@@ -105,20 +105,23 @@ _REJECTED = {
 
 @pytest.mark.parametrize("case", sorted(_REJECTED))
 def test_source_checks_happen_before_any_sampling(monkeypatch, case):
-    # BundleSpec.chunks looks sample_bundle up when it is iterated
+    # every sampler draws through paths._normals, a whole bundle's chunk or
+    # a streamed chunk's block of steps at a time
     sampled = []
-    orig = paths.sample_bundle
+    orig = paths._normals
 
-    def counting(*args, **kwargs):
+    def counting(*args):
         sampled.append(args)
-        return orig(*args, **kwargs)
+        return orig(*args)
 
-    monkeypatch.setattr(paths, "sample_bundle", counting)
+    monkeypatch.setattr(paths, "_normals", counting)
     with pytest.raises(ValueError):
         _REJECTED[case]()
     assert sampled == []
     moment_dominance(_ONE_D, _IDENTITY, 0.5, 0.5)
-    assert len(sampled) == 4  # the counter sees every chunk of a valid run
+    # the counter sees every chunk of a valid run: a chunk of 10 paths
+    # takes its 20 steps in one block, so one draw
+    assert len(sampled) == 4
 
 
 def test_a_positional_normals_wrapper_sees_every_draw(monkeypatch):

@@ -282,15 +282,16 @@ def test_per_path_results_larger_than_memory_are_a_config_error(capsys, host_8gi
 
 
 def test_every_chunk_in_work_is_counted(capsys, host_8gib):
-    """A moment chunk of 200 000 paths x 3 x 401 times and its kernel's
-    time-major copy take about 3.6 GiB: one fits on a host of 8 GiB, but
-    three workers hold three at once."""
-    args = ["validate-config", "--experiment=moment", "--d=3", "--paths=600000",
-            "--chunk=200000"]
+    """The kernel of a moment chunk of 15 000 000 paths x 3 on 401 times,
+    drawing its paths block by block, takes about 3.5 GiB: one fits on a
+    host of 8 GiB beside the results of 45 000 000 paths, but three workers
+    hold three at once."""
+    args = ["validate-config", "--experiment=moment", "--d=3", "--paths=45000000",
+            "--chunk=15000000"]
     assert main(args + ["--workers=1"]) == 0
     assert main(args + ["--workers=3"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: key 'chunk': a bundle of 200000 paths x 3 x "
+    assert err.startswith("config error: key 'chunk': a bundle of 15000000 paths x 3 x "
                           "401 times with its pass's arrays, 3 at once, needs at least")
     assert "more than the 8.0 GiB of physical memory" in err
 

@@ -10,8 +10,8 @@ import pytest
 
 from smalltime import lilab, paths, stochint
 from smalltime.lilab import ergodic_liminf, example36_diag
-from smalltime.paths import (BundleSpec, TimeGrid, ergodic_grid, geometric_grid,
-                             refine_bisect, sample_bundle, uniform_grid)
+from smalltime.paths import (BundleSpec, ForwardChunk, TimeGrid, ergodic_grid,
+                             geometric_grid, refine_bisect, sample_bundle, uniform_grid)
 from smalltime.stochint import (INTEGRAND_CATALOG, IntegrandSpec, VectorSpec,
                                 catalog_integrand, drift_integral,
                                 integrate_double, integrate_double_martingale)
@@ -207,6 +207,66 @@ def test_blocked_martingale_and_drift_match_per_step_loop(p, d, n, grid_kind,
             assert _same_bytes(drift_integral(bundle, a, m).x, _ref_drift(bundle, a, m))
 
 
+# ------------------------------------------------------ streamed chunks
+
+def _int64(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _streamed_integrands(d):
+    """identity, a path functional and a function of time, all of bound 1
+    on [0, 0.5] (a time-varying c(t) = cos(t))."""
+    cos_t = IntegrandSpec("time", d, "cos_t", scale=math.cos, bound=1.0)
+    return [catalog_integrand("identity", d), catalog_integrand("tanh_w", d), cos_t]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("grid_kind", ["uniform", "no_origin"])
+def test_drawn_chunk_integrates_to_the_bits_of_its_sampled_bundle(d, grid_kind,
+                                                                  block_values):
+    """A ForwardChunk drawn block by block inside the kernel gives every
+    field of every keep the bits of integrate_double over the bundle
+    sample_bundle draws for the same paths."""
+    grid = _grids(23)[grid_kind]
+    for first, p in ((0, 7), (37, 7), (1000, 500)):
+        bundle = sample_bundle(d, grid, p, seed=4300 + d, first_path=first)
+        chunk = ForwardChunk(d, grid, p, 4300 + d, first_path=first)
+        for b in _streamed_integrands(d):
+            for keep in ("trace", "outer", "last"):
+                ref = integrate_double(bundle, b, keep=keep)
+                got = integrate_double(chunk, b, keep=keep)
+                for field_name in ("inner", "outer", "qv_inner", "qv_outer", "times"):
+                    assert _same_bytes(getattr(got, field_name),
+                                       getattr(ref, field_name)), (b.name, keep, field_name)
+                if keep == "last":
+                    assert _same_bytes(got.outer_sup, ref.outer_sup), b.name
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("chunk_size", [1, 7, 64, 150])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_streamed_forward_pass_equals_the_kernel_over_sampled_chunks(d, chunk_size,
+                                                                     workers):
+    """The forward pass of moment and tail-bound draws its chunks inside the
+    kernel; V(T) and sup V of every path are the bits of integrate_double
+    over sample_bundle's chunk, whatever the chunking and worker count
+    (chunks after the first start at a nonzero path)."""
+    grid = uniform_grid(0.5, 30)
+    n = 150
+    spec = BundleSpec(d, grid, n, seed=4400 + d, chunk_size=chunk_size)
+    for b in _streamed_integrands(d):
+        final, sup = lilab._forward_pass(spec, b, 0.5, workers)
+        ref_final, ref_sup = [], []
+        for first in range(0, n, chunk_size):
+            take = min(chunk_size, n - first)
+            trace = integrate_double(sample_bundle(d, grid, take, 4400 + d, first_path=first),
+                                     b, keep="last")
+            ref_final.append(trace.final_outer())
+            ref_sup.append(trace.outer_sup)
+        assert np.array_equal(_int64(final), _int64(np.concatenate(ref_final))), b.name
+        assert np.array_equal(_int64(sup), _int64(np.concatenate(ref_sup))), b.name
+
+
 # ------------------------------------------------- the ergodic statistic
 
 def _ref_ergodic(bundle, mat, delta):
@@ -255,11 +315,12 @@ def test_normals_into_row_blocks_equal_the_one_shot_call():
     steps = np.arange(11, dtype=np.uint64)[None, None, :]
     coords = np.arange(3, dtype=np.uint64)[None, :, None]
     tag = np.uint64(1)
-    whole = paths._normals(99, tag, pids[:, None, None], steps, coords)
+    whole = paths._normals(paths._path_key(99, tag, pids[:, None, None]), steps, coords)
     out = np.full((37, 3, 12), np.nan)
     for i in range(0, 37, 8):
         j = min(i + 8, 37)
-        got = paths._normals(99, tag, pids[i:j, None, None], steps, coords, out[i:j, :, 1:])
+        key = paths._path_key(99, tag, pids[i:j, None, None])
+        got = paths._normals(key, steps, coords, out[i:j, :, 1:])
         assert got is out[i:j, :, 1:] or np.shares_memory(got, out)
     assert _same_bytes(np.ascontiguousarray(out[:, :, 1:]), whole)
     assert np.all(np.isnan(out[:, :, 0]))

@@ -14,7 +14,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smalltime import cli, market, paths
+from smalltime import cli, market, stochint
+from smalltime.lilab import moment_dominance
+from smalltime.paths import BundleSpec, bundle_bytes, uniform_grid
+from smalltime.stochint import catalog_integrand
 
 
 def _peak_and_count(tmp_path, monkeypatch, args):
@@ -41,10 +44,10 @@ def _peak_and_count(tmp_path, monkeypatch, args):
 # two chunks at each size, whole-bundle passes vary the paths, the DPE the
 # nx, and the "d" cases the (d, d) matrices
 _CHUNKED = {
-    "moment": ("--experiment=moment --d=2 --steps=200",
-               "--paths=1600 --chunk=800", "--paths=6400 --chunk=3200"),
-    "tail-bound": ("--experiment=tail-bound --d=2 --steps=200 --integrand=tanh_w",
-                   "--paths=1600 --chunk=800", "--paths=6400 --chunk=3200"),
+    "moment": ("--experiment=moment --d=16 --steps=50",
+               "--paths=16000 --chunk=8000", "--paths=32000 --chunk=16000"),
+    "tail-bound": ("--experiment=tail-bound --d=8 --steps=50 --integrand=tanh_w",
+                   "--paths=20000 --chunk=10000", "--paths=40000 --chunk=20000"),
     "example36": ("--experiment=example36 --levels=40",
                   "--paths=200 --chunk=100", "--paths=800 --chunk=400"),
     "hedge": ("--experiment=hedge --nx=32 --steps=200",
@@ -70,6 +73,12 @@ _SIZED = {
                     "--paths=10000", "--paths=20000"),
     "gap-paths": ("--experiment=gap --nx=32 --steps=100 --chunk=500",
                   "--paths=10000", "--paths=20000"),
+    # per-path results far beyond the chunks, and the copy of a shortfall
+    # that each quantile takes after the pass
+    "hedge-results": ("--experiment=hedge --nx=16 --steps=2 --chunk=2000",
+                      "--paths=200000", "--paths=400000"),
+    "gap-results": ("--experiment=gap --nx=16 --steps=2 --chunk=2000",
+                    "--paths=200000", "--paths=400000"),
     # growth in d: a path functional's pass (path values only; it holds no
     # (d, d) matrix) and beta I's matrices
     "tail-bound-d": ("--experiment=tail-bound --integrand=tanh_w --paths=20 "
@@ -120,13 +129,14 @@ def test_peak_growth_matches_the_planned_count(tmp_path, monkeypatch, warmed,
     """A count holds the chunks in work at their largest together.  With two
     workers on the pool each run has two chunks, made to meet where each
     holds the most, so that they do so together at every size, not by the
-    luck of the threads: a moment or tail-bound chunk once it is sampled
-    (it then holds its bundle and the kernel's copy through the whole
-    integration), a hedge or gap chunk inside simulate_gbm's exponential,
-    with the bundle, the exponent and the prices held."""
+    luck of the threads: a moment or tail-bound chunk at the end of each
+    running sum of Y (it then holds the kernel's block buffers with the
+    scaled dW and the running sum), a hedge or gap chunk inside
+    simulate_gbm's exponential, with the bundle, the exponent and the
+    prices held."""
     experiment = fixed.split()[0].split("=")[1]
     if workers > 1 and experiment in ("moment", "tail-bound"):
-        monkeypatch.setattr(paths, "sample_bundle", _together(workers, paths.sample_bundle))
+        monkeypatch.setattr(stochint, "_running", _together(workers, stochint._running))
     if workers > 1 and experiment in ("hedge", "gap"):
         monkeypatch.setattr(market, "np", _NumpyMeetingAtExp(workers))
 
@@ -162,3 +172,24 @@ def test_constant_integrand_counts_the_copy_operator_norm_takes(tmp_path, monkey
     lapack = 8 * (600 ** 2 - 300 ** 2)
     ratio = (peak_b - peak_a) / (count_b - count_a - lapack)
     assert 0.8 <= ratio <= 1.02, (ratio, peak_a, peak_b, count_a, count_b)
+
+
+def test_a_moment_chunk_draws_its_paths_without_a_bundle():
+    """A moment chunk draws its paths block by block inside the kernel, so
+    four times the steps leave its peak where it was, far below the bundle
+    of 2000 paths x 2 x 401 times (12.8 MB) it would otherwise hold."""
+    b = catalog_integrand("identity", 2)
+
+    def peak(steps):
+        spec = BundleSpec(2, uniform_grid(0.5, steps), 2000, seed=11, chunk_size=2000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            moment_dominance(spec, b, 0.5, 0.5)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak(100)
+    growth = peak(400) - peak(100)
+    assert growth < bundle_bytes(2, 401, 2000) / 20, growth
