@@ -43,6 +43,20 @@ ARTIFACT_DIGESTS = {
         ("hedge", "--nx=64", "--paths=100", "--steps=50", "--chunk=50",
          "--lower=-0.5"), "shortfall.csv",
         "ed9604e1236d9720dd1ef8fc282770034791fdfc14b5e1e3e1fd2880d8e26aca"),
+    # the same paths in uneven chunks of 30 on two workers: the same bytes
+    "shortfall_chunked": (
+        ("hedge", "--nx=64", "--paths=100", "--steps=50", "--chunk=30",
+         "--lower=-0.5", "--workers=2"), "shortfall.csv",
+        "ed9604e1236d9720dd1ef8fc282770034791fdfc14b5e1e3e1fd2880d8e26aca"),
+    # both fundings of one pass
+    "gap_constrained": (
+        ("gap", "--nx=64", "--paths=100", "--steps=50", "--chunk=30",
+         "--lower=-0.5"), "shortfall_constrained.csv",
+        "547b3c567187c86232aa6394e0d4402c73ee7c23a29f2333767bf81e5dfaa993"),
+    "gap_bs_funded": (
+        ("gap", "--nx=64", "--paths=100", "--steps=50", "--chunk=30",
+         "--lower=-0.5"), "shortfall_bs_funded.csv",
+        "725059b15ca11d996545aa0ed4d9e6a24c1d6191ce4078b5e31a1e73a7345529"),
     "lil_sup": (
         ("lil-sup", "--paths=200", "--levels=10"), "lil_sup.csv",
         "1f42c924a69b44ad77aefaed3ac835809412373dfb3cb9baaa8bd405df198b6c"),
