@@ -332,8 +332,8 @@ def _forward_plan(cfg: RunConfig):
     p = cfg.params
     chunk, d, size = min(p["chunk"], p["paths"]), p["d"], p["steps"] + 1
     _grid_fits("steps", size)
-    _pass_fits("chunk", p["paths"], chunk, d, size, cfg.workers,
-               lilab.forward_bytes(p["integrand"], d, size, chunk, "lam" in p))
+    *nbytes, after = lilab.forward_bytes(p["integrand"], d, size, chunk, "lam" in p)
+    _pass_fits("chunk", p["paths"], chunk, d, size, cfg.workers, nbytes, after=after)
     b = _integrand_plan(cfg)
     if not b.unit_bounded:
         raise ConfigError(f"key 'integrand': {cfg.experiment} needs an integrand "

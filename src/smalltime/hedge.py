@@ -21,7 +21,7 @@ import numpy as np
 from .dpe import DpeSolution, PdeGrid, _central_diff, greeks, solve_dpe
 from .market import MarketParams, Payoff, bs_price, simulate_gbm
 from .matcore import GammaBand
-from .paths import as_chunks, bundle_bytes, map_chunks_ordered
+from .paths import as_chunks, draw_bytes, map_chunks_ordered, time_blocks
 from .stochint import _running
 
 
@@ -184,11 +184,20 @@ _BLOCK_VALUES = 1 << 14
 
 
 def simulate_bytes(size: int, chunk: int, fundings: int) -> tuple:
-    """(chunk, path, after) bytes of _simulate_fundings on size times: a
-    chunk and two arrays of its size while simulate_gbm forms its prices;
-    per path the terminal price and values the pass fills in, and after it
-    the copy of a shortfall that each quantile takes."""
-    return 3 * bundle_bytes(1, size, chunk), 8 * (2 * fundings + 1), 8
+    """(chunk, path, after) bytes of _simulate_fundings with the surface
+    strategy on size times: a chunk's draw prefix (paths.draw_bytes), Y,
+    wealths and terminal prices, the values a chunk before returned, and a
+    block at its largest; per path the terminal price and the values the
+    pass fills in, and after it the copy of a shortfall each quantile takes."""
+    steps = min(max(1, _BLOCK_VALUES // chunk), size - 1)
+    prefix, _ = draw_bytes(1, steps, chunk)
+    path = 8 * (2 * fundings + 1)
+    # the buffer and prices (B + 1 rows each) with the surface lookup: dS,
+    # the clipped prices and the interpolation's 12 arrays of B rows, which
+    # the draw's scratch and, for one or two fundings, the step's running
+    # sums do not outgrow
+    rows = fundings + 2 + 2 * (steps + 1) + 14 * steps
+    return prefix + 8 * chunk * rows + chunk * path, path, 8
 
 
 def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
@@ -197,15 +206,18 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
     not depend on the capital, so each capital's wealth is one row of a
     (len(x0s), P) array, with the bits a run of that capital alone gives.
 
-    Time is walked in blocks of B steps (B from _BLOCK_VALUES).  A block
-    locates its B x P query points on the surface once for both fields,
-    forms the share counts with one running sum over the interleaved
-    increments alpha dt and gamma dS, which adds them in the order of the
-    step-by-step update (Y + alpha dt) + gamma dS, and the wealths with
-    one running sum of Y dS.  Each chunk's terminal values go straight
-    into arrays of every path."""
+    Time is walked in the blocks of B steps (B from _BLOCK_VALUES) that
+    paths.time_blocks reads or draws, each mapped to prices with
+    simulate_gbm.  A block locates its B x P query points on the surface
+    once for both fields, forms the share counts with one running sum over
+    the interleaved increments alpha dt and gamma dS, which adds them in
+    the order of the step-by-step update (Y + alpha dt) + gamma dS, and the
+    wealths with one running sum of Y dS.  Each chunk's terminal values go
+    straight into arrays of every path."""
     if source.dim != 1:
         raise ValueError("hedging needs a one-dimensional bundle")
+    if not 0.0 < s0 < math.inf:
+        raise ValueError("initial price must be positive and finite")
     t = source.grid.points
     if t[0] != 0.0 or abs(t[-1] - params.horizon) > 1e-12 * max(1.0, params.horizon):
         raise ValueError("hedging grid must span [0, horizon]")
@@ -219,38 +231,40 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
         s_lo, s_hi = float(sol.s_nodes[0]), float(sol.s_nodes[-1])
     x0_col = np.array(x0s, dtype=float)[:, None]
 
+    def step_block(w, k0, y, x, s_end):
+        """Y, X and the end prices over a block of path values from step k0,
+        in place; its clamps, off-surface queries and largest |alpha| (a
+        step holding a NaN is skipped)."""
+        k1 = k0 + len(w) - 1
+        s = simulate_gbm(w[:, :, 0], t[k0:k1 + 1, None], s0, params)
+        s_k = s[:-1]
+        ds = s[1:] - s_k
+        t_k = t[k0:k1, None]
+        dt = t[k0 + 1:k1 + 1, None] - t_k
+        off = 0
+        if strategy.kind == "dpe":
+            off = int(np.count_nonzero(s_k < s_lo) + np.count_nonzero(s_k > s_hi))
+            cash, alpha = sol.interp(fields, t_k, np.clip(s_k, s_lo, s_hi))
+        else:
+            cash = strategy.gamma_value * s_k * s_k
+            alpha = np.full(t_k.shape, strategy.alpha_value)
+        clamps = int(np.count_nonzero((cash < band.lower) | (cash > band.upper)))
+        gamma = band.clamp(cash) / (s_k * s_k)
+        inc = np.empty((2 * (k1 - k0), y.size))
+        np.multiply(alpha, dt, out=inc[0::2])
+        np.multiply(gamma, ds, out=inc[1::2])
+        ys = _running(y, inc)[::2]  # Y before each step, and after the block
+        _running(x, (ys[:-1] * ds)[:, None, :])
+        s_end[:] = s[-1]
+        return clamps, off, float(np.fmax.reduce(np.abs(alpha).max(axis=1), initial=0.0))
+
     def one(chunk):
-        s_paths = simulate_gbm(chunk, s0, params)
-        p = s_paths.shape[0]
-        y = np.full(p, y0_used)
-        x = np.repeat(x0_col, p, axis=1)
-        clamps = off = 0
-        a_max = 0.0
+        p = chunk.path_count
+        y, x, s_t = np.full(p, y0_used), np.repeat(x0_col, p, axis=1), np.empty(p)
         size = max(1, _BLOCK_VALUES // p)
-        for k0 in range(0, t.size - 1, size):
-            k1 = min(k0 + size, t.size - 1)
-            s = s_paths[:, k0:k1 + 1].T
-            s_k = s[:-1]
-            ds = s[1:] - s_k
-            t_k = t[k0:k1, None]
-            dt = t[k0 + 1:k1 + 1, None] - t_k
-            if strategy.kind == "dpe":
-                off += int(np.count_nonzero(s_k < s_lo) + np.count_nonzero(s_k > s_hi))
-                cash, alpha = sol.interp(fields, t_k, np.clip(s_k, s_lo, s_hi))
-            else:
-                cash = strategy.gamma_value * s_k * s_k
-                alpha = np.full(t_k.shape, strategy.alpha_value)
-            clamps += int(np.count_nonzero((cash < band.lower) | (cash > band.upper)))
-            gamma = band.clamp(cash) / (s_k * s_k)
-            inc = np.empty((2 * (k1 - k0), p))
-            np.multiply(alpha, dt, out=inc[0::2])
-            np.multiply(gamma, ds, out=inc[1::2])
-            ys = _running(y, inc)[::2]  # Y before each step, and after the block
-            _running(x, (ys[:-1] * ds)[:, None, :])
-            # the largest |alpha| of each step; a step holding a NaN is skipped
-            a_max = float(np.fmax.reduce(np.abs(alpha).max(axis=1), initial=a_max))
-        s_t = s_paths[:, -1].copy()  # a view would hold every price while it waits
-        return x - payoff(s_t), s_t, x, clamps, off, a_max
+        clamps, off, a_max = zip(*[step_block(w, k0, y, x, s_t) for k0, w in zip(
+            range(0, t.size - 1, size), time_blocks(chunk, size))])
+        return x - payoff(s_t), s_t, x, sum(clamps), sum(off), max(a_max)
 
     n = source.path_count
     s_terminal, shortfall, x_terminal = np.empty(n), np.empty((len(x0s), n)), np.empty((len(x0s), n))

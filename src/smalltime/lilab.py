@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import chdtr
 
 from .matcore import DomainError, lil_normalizer
-from .paths import BrownianBundle, as_chunks, bundle_bytes, map_chunks_ordered
+from .paths import BrownianBundle, BundleSpec, as_chunks, bundle_bytes, map_chunks_ordered
 from .stochint import (EXP_MINUS_E, DoubleIntegralTrace, DriftIntegralTrace,
                        IntegrandSpec, _lll_inverse, catalog_integrand,
                        integrate_double, kernel_bytes)
@@ -167,13 +167,14 @@ class MomentReport:
 
 
 def forward_bytes(name: str, dim: int, size: int, chunk: int, moment: bool) -> tuple:
-    """(matrices, chunk, path) bytes of moment_dominance (moment true) or
-    tail_bound_check: kernel_bytes's matrices; a chunk's kernel on size
-    times, drawing its paths block by block; per path V(T) and sup V, per
-    chunk and concatenated, then for the moment exp(2 lam V), its square
-    and a list of Python floats (32 bytes a value) for math.fsum."""
+    """(matrices, chunk, path, after) bytes of moment_dominance (moment
+    true) or tail_bound_check: kernel_bytes's matrices; a chunk's kernel on
+    size times, drawing its paths block by block; per path V(T) and sup V
+    of each chunk; and after the pass, per path, their concatenation or,
+    for the moment, exp(2 lam V), its square and a list of Python floats
+    (32 bytes a value) for math.fsum."""
     mats, arrays = kernel_bytes(name, dim, size, chunk, "last", drawn=True)
-    return mats, mats + arrays, 64 if moment else 32
+    return mats, mats + arrays, 16, 48 if moment else 16
 
 
 def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
@@ -192,7 +193,7 @@ def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
         trace = integrate_double(chunk, b, keep="last")
         return trace.final_outer(), trace.outer_sup
 
-    finals, sups = zip(*map_chunks_ordered(one, as_chunks(source, streamed=True), workers))
+    finals, sups = zip(*map_chunks_ordered(one, as_chunks(source), workers))
     return np.concatenate(finals), np.concatenate(sups)
 
 
@@ -484,6 +485,8 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
 
     if source.dim != 1:
         raise ValueError("the anomalous-rate diagnostic is one-dimensional")
+    if isinstance(source, BundleSpec) and source.grid.kind != "geometric":
+        raise ValueError("a BundleSpec's chunks are refined only on a geometric grid")
     example36_rate_fn(source.grid.points)
     b = catalog_integrand("example36", dim=1)
 

@@ -10,7 +10,6 @@ import numpy as np
 from scipy.special import ndtr, roots_hermite
 
 from .matcore import GammaBand
-from .paths import BrownianBundle
 
 
 @dataclass
@@ -143,15 +142,12 @@ def tabulated(s_nodes, values) -> Payoff:
     return Payoff(kind="tabulated", s_nodes=s, values=v)
 
 
-def simulate_gbm(bundle: BrownianBundle, s0: float, params: MarketParams) -> np.ndarray:
-    """Exact zero-drift GBM mapping S(t) = s0 exp(sigma W(t) - sigma^2 t / 2)."""
-    if bundle.dim != 1:
-        raise ValueError("the market is driven by a one-dimensional motion")
-    if s0 <= 0.0:
-        raise ValueError("initial price must be positive")
-    t = bundle.grid.points
-    w = bundle.paths[:, 0, :]
-    return s0 * np.exp(params.sigma * w - 0.5 * params.sigma ** 2 * t[None, :])
+def simulate_gbm(w, t, s0: float, params: MarketParams) -> np.ndarray:
+    """Exact zero-drift GBM prices S(t) = s0 exp(sigma W(t) - sigma^2 t / 2)
+    of path values w at times t, element by element (w and t broadcast)."""
+    if not 0.0 < s0 < math.inf:
+        raise ValueError("initial price must be positive and finite")
+    return s0 * np.exp(params.sigma * w - 0.5 * params.sigma ** 2 * t)
 
 
 def _bs_call(s, k, sig_sqrt_tau):

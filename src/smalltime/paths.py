@@ -24,8 +24,9 @@ _TAG_FORWARD = 1
 _TAG_GEOMETRIC = 2
 _TAG_BISECT = 3
 
-# the samplers work through row blocks of about this many path values, so
-# hashing, scaling and summing a block stay in cache
+# the samplers work through blocks of about this many path values (rows of
+# paths, or a forward bundle's time blocks), so hashing, scaling and summing
+# a block stay in cache
 _SAMPLE_VALUES = 1 << 17
 
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -89,16 +90,6 @@ def _normals(key, step_idx, coord_idx, out=None):
     np.add(full, 0.5, out=out)
     out *= 2.0 ** -53
     return ndtri(out, out=out)
-
-
-def _forward_steps(key, steps, coords, sqrt_dt, out, axis):
-    """W after forward steps, in place along out's time axis: the normals
-    of the steps, scaled by sqrt_dt, summed on from W before them at index
-    0.  The keys and sqrt_dt broadcast to out less that index."""
-    z = out[(slice(None),) * axis + (slice(1, None),)]
-    _normals(key, steps, coords, z)
-    np.multiply(z, sqrt_dt, out=z)
-    np.add.accumulate(out, axis=axis, out=out)  # cumsum, less its Python wrapper
 
 
 @dataclass
@@ -234,12 +225,15 @@ def time_blocks(source, size: int):
             source.first_path, source.first_path + source.path_count, dtype=np.uint64)[:, None])
         steps = np.arange(n_steps, dtype=np.uint64)[:, None, None]
         coords = np.arange(source.dim, dtype=np.uint64)
-        sqrt_dt = _sqrt_steps(t)[:, None, None]
+        sqrt_dt = np.sqrt(np.diff(t, prepend=0.0) if start else np.diff(t))[:, None, None]
     for k0 in range(0, n_steps, size):
         k1 = min(k0 + size, n_steps)
         rows = buf[:k1 - k0 + 1]
         if drawn:
-            _forward_steps(key, steps[k0:k1], coords, sqrt_dt[k0:k1], rows, 0)
+            # the steps' normals, scaled by sqrt(dt) and summed on from row 0
+            _normals(key, steps[k0:k1], coords, rows[1:])
+            rows[1:] *= sqrt_dt[k0:k1]
+            np.add.accumulate(rows, axis=0, out=rows)  # cumsum, less its Python wrapper
         else:
             rows[1:] = source.paths[:, :, k0 + 1 - start:k1 + 1 - start].transpose(2, 0, 1)
         yield rows
@@ -257,34 +251,23 @@ def sample_bundle(dim: int, grid: TimeGrid, path_count: int, seed: int,
     """
     if dim < 1 or path_count < 1:
         raise ValueError("need dim >= 1 and path_count >= 1")
-    pids = np.arange(first_path, first_path + path_count, dtype=np.uint64)
-    t = grid.points
     if grid.kind == "geometric":
-        w = _sample_geometric(dim, t, pids, seed)
+        pids = np.arange(first_path, first_path + path_count, dtype=np.uint64)
+        w = _sample_geometric(dim, grid.points, pids, seed)
     else:
-        w = _sample_forward(dim, t, pids, seed)
+        w = _sample_forward(ForwardChunk(dim, grid, path_count, seed, first_path))
     return BrownianBundle(dim=dim, grid=grid, paths=w, seed=int(seed),
                           first_path=int(first_path))
 
 
-def _sqrt_steps(t):
-    """sqrt(dt) of each step of the grid t, from the origin when t lacks it."""
-    return np.sqrt(np.diff(t, prepend=0.0) if t[0] != 0.0 else np.diff(t))
-
-
-def _sample_forward(dim, t, pids, seed):
-    has_origin = t[0] == 0.0
-    sqrt_dt = _sqrt_steps(t)
-    steps = np.arange(sqrt_dt.size, dtype=np.uint64)[None, None, :]
-    coords = np.arange(dim, dtype=np.uint64)[None, :, None]
-    w_full = np.empty((pids.size, dim, sqrt_dt.size + 1))
-    w_full[:, :, 0] = 0.0
-    rows = max(1, _SAMPLE_VALUES // max(1, dim * sqrt_dt.size))
-    for i in range(0, pids.size, rows):
-        # a block of paths in place, from W(0) = 0
-        key = _path_key(seed, np.uint64(_TAG_FORWARD), pids[i:i + rows, None, None])
-        _forward_steps(key, steps, coords, sqrt_dt, w_full[i:i + rows], 2)
-    return w_full if has_origin else w_full[:, :, 1:]
+def _sample_forward(chunk: ForwardChunk):
+    """A forward chunk's values, path-major: its time blocks copied in."""
+    t = chunk.grid.points
+    w = np.zeros((chunk.path_count, chunk.dim, t.size + (t[0] != 0.0)))
+    size = max(1, _SAMPLE_VALUES // (chunk.path_count * chunk.dim))
+    for k0, rows in zip(range(0, w.shape[2] - 1, size), time_blocks(chunk, size)):
+        w[:, :, k0 + 1:k0 + len(rows)] = rows[1:].transpose(1, 2, 0)
+    return w if t[0] == 0.0 else w[:, :, 1:]
 
 
 def _sample_geometric(dim, t, pids, seed):
@@ -386,23 +369,27 @@ class BundleSpec:
     seed: int
     chunk_size: int = 10_000
 
-    def chunks(self, streamed: bool = False):
-        """Zero-argument realisers, one per chunk in path order; calling one
-        samples its chunk on whichever thread calls it, or streamed, gives
-        a forward grid's chunk unsampled as a ForwardChunk."""
+    def __post_init__(self):
+        for name in ("dim", "path_count", "chunk_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"BundleSpec needs {name} >= 1, got {getattr(self, name)}")
+
+    def chunks(self):
+        """Zero-argument realisers, one per chunk in path order: a forward
+        grid's chunk unsampled as a ForwardChunk, a geometric grid's
+        sampled on whichever thread calls it."""
+        make = sample_bundle if self.grid.kind == "geometric" else ForwardChunk
         for first in range(0, self.path_count, self.chunk_size):
             take = min(self.chunk_size, self.path_count - first)
-            lazy = streamed and self.grid.kind != "geometric"
-            yield partial(ForwardChunk if lazy else sample_bundle, self.dim, self.grid,
-                          take, self.seed, first)
+            yield partial(make, self.dim, self.grid, take, self.seed, first)
 
 
-def as_chunks(source, streamed: bool = False):
+def as_chunks(source):
     """Chunk realisers of a BrownianBundle (one, returning it) or a BundleSpec."""
     if isinstance(source, BrownianBundle):
         return iter((lambda: source,))
     if isinstance(source, BundleSpec):
-        return source.chunks(streamed)
+        return source.chunks()
     raise TypeError("expected a BrownianBundle or BundleSpec")
 
 

@@ -80,9 +80,9 @@ def test_reductions_are_bit_identical_across_workers_with_pool_sampling():
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
-def _hedge_on(spec):
+def _hedge_on(spec, s0=100.0):
     params = MarketParams(sigma=0.2, horizon=1.0)
-    return simulate_hedge(spec, 100.0, 10.0, StrategySpec.constant(0.5), call(100.0),
+    return simulate_hedge(spec, s0, 10.0, StrategySpec.constant(0.5), call(100.0),
                           GammaBand(-0.5, 0.5), params)
 
 
@@ -98,8 +98,23 @@ _REJECTED = {
                                                   rule="bogus"),
     "hedge_two_dimensional": lambda: _hedge_on(
         BundleSpec(2, uniform_grid(1.0, 20), 40, seed=36, chunk_size=10)),
+    "hedge_nan_spot": lambda: _hedge_on(
+        BundleSpec(1, uniform_grid(1.0, 20), 40, seed=36, chunk_size=10), math.nan),
+    "hedge_no_paths": lambda: _hedge_on(
+        BundleSpec(1, uniform_grid(1.0, 20), 0, seed=36, chunk_size=10)),
+    "spec_no_paths": lambda: moment_dominance(
+        BundleSpec(1, _ONE_D.grid, 0, seed=35, chunk_size=1), _IDENTITY, 0.5, 0.5),
+    "spec_zero_dim": lambda: moment_dominance(
+        BundleSpec(0, _ONE_D.grid, 40, seed=35, chunk_size=10), _IDENTITY, 0.5, 0.5),
+    "spec_zero_chunk": lambda: moment_dominance(
+        BundleSpec(1, _ONE_D.grid, 40, seed=35, chunk_size=0), _IDENTITY, 0.5, 0.5),
+    "spec_negative_chunk": lambda: moment_dominance(
+        BundleSpec(1, _ONE_D.grid, 40, seed=35, chunk_size=-3), _IDENTITY, 0.5, 0.5),
     "example36_above_e_minus_e": lambda: example36_diag(
         BundleSpec(1, geometric_grid(0.1, 0.5, 10), 40, seed=37, chunk_size=10)),
+    "example36_custom_grid": lambda: example36_diag(
+        BundleSpec(1, paths.TimeGrid(np.array([1e-3, 2e-3, 4e-3])), 40, seed=37,
+                   chunk_size=10)),
 }
 
 

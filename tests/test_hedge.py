@@ -26,7 +26,7 @@ def test_zero_strategy_keeps_capital():
     b = _bundle()
     rep = simulate_hedge(b, 100.0, 7.0, ZERO, call(100.0),
                          BAND, PARAMS)
-    s_t = simulate_gbm(b, 100.0, PARAMS)[:, -1]
+    s_t = simulate_gbm(b.paths[:, 0, -1], 1.0, 100.0, PARAMS)
     assert np.allclose(rep.x_terminal, 7.0)
     assert np.allclose(rep.shortfall, 7.0 - np.maximum(s_t - 100.0, 0.0))
 
@@ -35,7 +35,7 @@ def test_buy_and_hold_telescopes_exactly():
     b = _bundle()
     strat = StrategySpec.constant(1.0)
     rep = simulate_hedge(b, 100.0, 5.0, strat, call(100.0), BAND, PARAMS)
-    s_t = simulate_gbm(b, 100.0, PARAMS)[:, -1]
+    s_t = simulate_gbm(b.paths[:, 0, -1], 1.0, 100.0, PARAMS)
     assert np.allclose(rep.x_terminal, 5.0 + s_t - 100.0, atol=1e-9)
 
 
@@ -173,7 +173,7 @@ def test_off_surface_queries_are_counted():
     bundle = sample_bundle(1, uniform_grid(0.05, 40), 300, seed=13)
     rep = simulate_hedge(bundle, 100.0, 2.0, StrategySpec.from_dpe(sol),
                          call(100.0), BAND, params)
-    s_k = simulate_gbm(bundle, 100.0, params)[:, :-1]
+    s_k = simulate_gbm(bundle.paths[:, 0, :-1], bundle.grid.points[:-1], 100.0, params)
     s_lo, s_hi = sol.s_nodes[0], sol.s_nodes[-1]
     expected = int(np.sum((s_k < s_lo) | (s_k > s_hi)))
     assert 0 < expected < s_k.size

@@ -14,7 +14,7 @@ from smalltime.dpe import PdeGrid, _central_diff, solve_dpe
 from smalltime.hedge import StrategySpec, _simulate_fundings
 from smalltime.market import MarketParams, call, simulate_gbm
 from smalltime.matcore import GammaBand
-from smalltime.paths import TimeGrid, sample_bundle, uniform_grid
+from smalltime.paths import BundleSpec, TimeGrid, sample_bundle, uniform_grid
 
 PARAMS = MarketParams(sigma=0.2, horizon=1.0)
 BAND = GammaBand(-0.5, 0.5)
@@ -42,7 +42,7 @@ def _ref_simulate(bundle, s0, x0s, strategy, band):
     """One step at a time: X += Y dS, then Y += alpha dt + gamma dS."""
     sol = strategy.solution
     t = bundle.grid.points
-    s_paths = simulate_gbm(bundle, s0, PARAMS)
+    s_paths = simulate_gbm(bundle.paths[:, 0, :], t, s0, PARAMS)
     p = s_paths.shape[0]
     y0 = strategy.y0 if strategy.y0 is not None else _ref_interp(sol, sol.delta, 0.0, s0)
     y = np.full(p, float(y0))
@@ -125,6 +125,44 @@ def test_blocked_simulation_matches_per_step_loop(p, kind, grid_kind, x0s,
         assert rep.clamp_events == ref["clamp_events"]
         assert rep.off_surface == ref["off_surface"]
         assert repr(rep.alpha_max) == repr(ref["alpha_max"])
+
+
+def _int64(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("budget", [None, 35], ids=["budget-default", "budget-35"])
+@pytest.mark.parametrize("kind", ["constant", "dpe"])
+@pytest.mark.parametrize("chunk_size", [1, 7, 64, 150])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_drawn_chunks_simulate_to_the_bits_of_sampled_chunks(kind, chunk_size, workers,
+                                                             budget, strategies,
+                                                             monkeypatch):
+    """A BundleSpec's chunks are drawn block by block inside the simulation;
+    terminal prices, wealths and shortfalls of both fundings, the clamp and
+    off-surface counts and the largest drift are the bits of the same pass
+    over sample_bundle's chunks (chunks after the first start at a nonzero
+    path), whatever the chunking and worker count.  The default budget
+    takes the 37 steps in one block; a budget of 35 path-values takes them
+    in blocks of 35, 5 and 1 step for chunks of 1, 7 and 64 or more."""
+    if budget is not None:
+        monkeypatch.setattr(hedge, "_BLOCK_VALUES", budget)
+    grid, n, seed, x0s = _grid("uniform"), 150, 4500, (5.0, 3.25)
+    strategy = strategies[kind]
+    spec = BundleSpec(1, grid, n, seed=seed, chunk_size=chunk_size)
+    got = _simulate_fundings(spec, 100.0, x0s, strategy, PAYOFF, BAND, PARAMS, workers)
+    ref = [_simulate_fundings(sample_bundle(1, grid, min(chunk_size, n - first), seed,
+                                            first_path=first),
+                              100.0, x0s, strategy, PAYOFF, BAND, PARAMS, 1)
+           for first in range(0, n, chunk_size)]
+    for row, rep in enumerate(got):
+        parts = [chunk[row] for chunk in ref]
+        for name in ("s_terminal", "x_terminal", "shortfall"):
+            want = np.concatenate([getattr(r, name) for r in parts])
+            assert np.array_equal(_int64(getattr(rep, name)), _int64(want)), name
+        assert rep.clamp_events == sum(r.clamp_events for r in parts)
+        assert rep.off_surface == sum(r.off_surface for r in parts)
+        assert repr(rep.alpha_max) == repr(max(r.alpha_max for r in parts))
 
 
 # ---------------------------------------------------- the surface drift field

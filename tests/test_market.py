@@ -6,7 +6,7 @@ import pytest
 from smalltime.market import (MarketParams, bs_price, call, face_lift,
                               piecewise_linear, put, simulate_gbm, tabulated)
 from smalltime.matcore import GammaBand
-from smalltime.paths import BundleSpec, sample_bundle, uniform_grid
+from smalltime.paths import sample_bundle, uniform_grid
 
 PARAMS = MarketParams(sigma=0.2, horizon=1.0)
 
@@ -55,27 +55,35 @@ def test_market_params_validation():
 # ------------------------------------------------------------------------ gbm
 
 def test_gbm_exact_exponential_on_zero_path():
-    grid = uniform_grid(1.0, 4)
-    b = sample_bundle(1, grid, 1, seed=1)
-    b.paths[:] = 0.0
-    s = simulate_gbm(b, 10.0, PARAMS)
-    assert np.allclose(s[0], 10.0 * np.exp(-0.5 * 0.04 * grid.points))
+    t = uniform_grid(1.0, 4).points
+    s = simulate_gbm(np.zeros(t.size), t, 10.0, PARAMS)
+    assert np.allclose(s, 10.0 * np.exp(-0.5 * 0.04 * t))
 
 
 def test_gbm_terminal_mean_is_spot():
     b = sample_bundle(1, uniform_grid(1.0, 1), 100_000, seed=2)
-    s_t = simulate_gbm(b, 100.0, PARAMS)[:, -1]
+    s_t = simulate_gbm(b.paths[:, 0, -1], 1.0, 100.0, PARAMS)
     se = float(np.std(s_t, ddof=1)) / math.sqrt(s_t.size)
     assert abs(float(np.mean(s_t)) - 100.0) < 4.0 * se
 
 
+def test_gbm_maps_each_value_at_its_time():
+    """Any block of path values and their times gives the bits of the whole
+    array's map."""
+    b = sample_bundle(1, uniform_grid(1.0, 9), 5, seed=3)
+    w, t = b.paths[:, 0, :].T, b.grid.points[:, None]
+    whole = simulate_gbm(w, t, 100.0, PARAMS)
+    for rows in (slice(0, 4), slice(3, 10), slice(9, 10)):
+        assert np.array_equal(simulate_gbm(w[rows], t[rows], 100.0, PARAMS), whole[rows])
+
+
 def test_gbm_needs_positive_spot_and_1d():
-    b = sample_bundle(1, uniform_grid(1.0, 2), 2, seed=3)
-    with pytest.raises(ValueError):
-        simulate_gbm(b, -1.0, PARAMS)
-    b2 = sample_bundle(2, uniform_grid(1.0, 2), 2, seed=3)
-    with pytest.raises(ValueError):
-        simulate_gbm(b2, 1.0, PARAMS)
+    # the map takes path values, not a bundle: hedging checks the dimension
+    # (test_chunk_pool's hedge_two_dimensional case)
+    w, t = np.zeros(3), uniform_grid(1.0, 2).points
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            simulate_gbm(w, t, bad, PARAMS)
 
 
 # ------------------------------------------------------------------- pricing
@@ -116,10 +124,10 @@ def test_bs_price_monotone_in_payoff():
 
 
 def test_bs_price_vs_monte_carlo():
-    spec = BundleSpec(1, uniform_grid(1.0, 1), 200_000, seed=4, chunk_size=100_000)
     total, total_sq, n = 0.0, 0.0, 0
-    for realise in spec.chunks():
-        pay = call(100.0)(simulate_gbm(realise(), 100.0, PARAMS)[:, -1])
+    for first in (0, 100_000):
+        w_t = sample_bundle(1, uniform_grid(1.0, 1), 100_000, seed=4, first_path=first)
+        pay = call(100.0)(simulate_gbm(w_t.paths[:, 0, -1], 1.0, 100.0, PARAMS))
         total += float(pay.sum())
         total_sq += float((pay * pay).sum())
         n += pay.size

@@ -11,11 +11,14 @@ well below what grows, so that one stage holds the peak at both sizes.
 import threading
 import tracemalloc
 
-import numpy as np
 import pytest
 
-from smalltime import cli, market, stochint
+from smalltime import cli, hedge, stochint
+from smalltime.dpe import PdeGrid, solve_dpe
+from smalltime.hedge import StrategySpec, simulate_hedge
 from smalltime.lilab import moment_dominance
+from smalltime.market import MarketParams, call
+from smalltime.matcore import GammaBand
 from smalltime.paths import BundleSpec, bundle_bytes, uniform_grid
 from smalltime.stochint import catalog_integrand
 
@@ -50,10 +53,12 @@ _CHUNKED = {
                    "--paths=20000 --chunk=10000", "--paths=40000 --chunk=20000"),
     "example36": ("--experiment=example36 --levels=40",
                   "--paths=200 --chunk=100", "--paths=800 --chunk=400"),
-    "hedge": ("--experiment=hedge --nx=32 --steps=200",
-              "--paths=4000 --chunk=2000", "--paths=8000 --chunk=4000"),
-    "gap": ("--experiment=gap --nx=32 --steps=200",
-            "--paths=4000 --chunk=2000", "--paths=8000 --chunk=4000"),
+    # chunks above hedge._BLOCK_VALUES paths: a block is one step, and its
+    # scratch grows with the chunk
+    "hedge": ("--experiment=hedge --nx=32 --steps=4",
+              "--paths=80000 --chunk=40000", "--paths=160000 --chunk=80000"),
+    "gap": ("--experiment=gap --nx=32 --steps=4",
+            "--paths=80000 --chunk=40000", "--paths=160000 --chunk=80000"),
 }
 _SIZED = {
     "lil-sup": ("--experiment=lil-sup --d=2", "--paths=8000", "--paths=16000"),
@@ -79,6 +84,10 @@ _SIZED = {
                       "--paths=200000", "--paths=400000"),
     "gap-results": ("--experiment=gap --nx=16 --steps=2 --chunk=2000",
                     "--paths=200000", "--paths=400000"),
+    # chunks and results of one size, the moment's statistic formed after
+    # the pass
+    "moment-after": ("--experiment=moment --d=2 --steps=50",
+                     "--paths=80000 --chunk=40000", "--paths=160000 --chunk=80000"),
     # growth in d: a path functional's pass (path values only; it holds no
     # (d, d) matrix) and beta I's matrices
     "tail-bound-d": ("--experiment=tail-bound --integrand=tanh_w --paths=20 "
@@ -104,18 +113,6 @@ def _together(workers, fn):
     return call
 
 
-class _NumpyMeetingAtExp:
-    """numpy for market, whose exp in simulate_gbm (the only exp a pool
-    thread calls there) returns only once every chunk in work holds its
-    exponent and prices."""
-
-    def __init__(self, workers):
-        self.exp = _together(workers, np.exp)
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
 @pytest.fixture(scope="module")
 def warmed():
     """Experiments run once already, whose one-time allocations (caches,
@@ -129,16 +126,15 @@ def test_peak_growth_matches_the_planned_count(tmp_path, monkeypatch, warmed,
     """A count holds the chunks in work at their largest together.  With two
     workers on the pool each run has two chunks, made to meet where each
     holds the most, so that they do so together at every size, not by the
-    luck of the threads: a moment or tail-bound chunk at the end of each
-    running sum of Y (it then holds the kernel's block buffers with the
-    scaled dW and the running sum), a hedge or gap chunk inside
-    simulate_gbm's exponential, with the bundle, the exponent and the
-    prices held."""
+    luck of the threads: a chunk at the end of each running sum.  A moment
+    or tail-bound chunk then holds the kernel's block buffers with the
+    scaled dW and the running sum of Y; a hedge or gap chunk its block of
+    prices with the step's arrays and the running sum of Y or the
+    wealths."""
     experiment = fixed.split()[0].split("=")[1]
-    if workers > 1 and experiment in ("moment", "tail-bound"):
-        monkeypatch.setattr(stochint, "_running", _together(workers, stochint._running))
-    if workers > 1 and experiment in ("hedge", "gap"):
-        monkeypatch.setattr(market, "np", _NumpyMeetingAtExp(workers))
+    if workers > 1:
+        owner = hedge if experiment in ("hedge", "gap") else stochint
+        monkeypatch.setattr(owner, "_running", _together(workers, owner._running))
 
     def measure(size):
         args = fixed.split() + size.split() + [f"--workers={workers}"]
@@ -193,3 +189,27 @@ def test_a_moment_chunk_draws_its_paths_without_a_bundle():
     peak(100)
     growth = peak(400) - peak(100)
     assert growth < bundle_bytes(2, 401, 2000) / 20, growth
+
+
+def test_a_hedge_chunk_draws_its_paths_without_a_bundle():
+    """A hedge chunk draws its paths and forms their prices block by block,
+    so four times the steps leave its peak where it was, far below the
+    bundle of 2000 paths x 2001 times (32 MB) it would otherwise hold."""
+    params = MarketParams(sigma=0.2, horizon=1.0)
+    band = GammaBand(-0.5, 0.5)
+    sol = solve_dpe(call(100.0), band, params, PdeGrid.around_spot(100.0, params, nx=32))
+    strategy = StrategySpec.from_dpe(sol)
+
+    def peak(steps):
+        spec = BundleSpec(1, uniform_grid(1.0, steps), 2000, seed=12, chunk_size=2000)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            simulate_hedge(spec, 100.0, 10.0, strategy, call(100.0), band, params)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    peak(500)
+    growth = peak(2000) - peak(500)
+    assert growth < bundle_bytes(1, 2001, 2000) / 20, growth

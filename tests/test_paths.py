@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from smalltime.paths import (BrownianBundle, BundleSpec, TimeGrid,
+from smalltime.paths import (BrownianBundle, BundleSpec, ForwardChunk, TimeGrid,
                              ergodic_grid, geometric_grid, refine_bisect,
-                             rotate_bundle, sample_bundle, uniform_grid)
+                             rotate_bundle, sample_bundle, time_blocks, uniform_grid)
 
 
 def _increment_variance_zscore(bundle: BrownianBundle) -> float:
@@ -87,9 +87,21 @@ def test_bundle_chunking_matches_global_indexing():
     full = sample_bundle(3, g, 10, seed=9)
     part = sample_bundle(3, g, 4, seed=9, first_path=6)
     assert np.array_equal(full.paths[6:], part.paths)
+    # a forward grid's chunks are drawn: read each whole in one time block
     spec = BundleSpec(3, g, 10, seed=9, chunk_size=3)
-    glued = np.concatenate([realise().paths for realise in spec.chunks()], axis=0)
+    chunks = [realise() for realise in spec.chunks()]
+    assert all(isinstance(c, ForwardChunk) for c in chunks)
+    assert [(c.first_path, c.path_count) for c in chunks] == [(0, 3), (3, 3), (6, 3), (9, 1)]
+    glued = np.concatenate([next(time_blocks(c, 8)).transpose(1, 2, 0) for c in chunks])
     assert np.array_equal(full.paths, glued)
+
+
+def test_bundle_spec_names_a_size_below_one():
+    g = uniform_grid(0.5, 8)
+    for fields in ({"dim": 0}, {"path_count": 0}, {"chunk_size": 0}, {"chunk_size": -3}):
+        args = {"dim": 1, "grid": g, "path_count": 10, "seed": 9, **fields}
+        with pytest.raises(ValueError, match=f"{next(iter(fields))} >= 1"):
+            BundleSpec(**args)
 
 
 def test_gaussian_statistics():

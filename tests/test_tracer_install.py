@@ -20,3 +20,25 @@ def test_tracer_installs_every_wrap_point_and_restores_them():
     finally:
         undo()
     assert cli.run is run
+
+
+def test_a_traced_hedge_run_times_its_layers_and_leaves_its_artifacts(tmp_path):
+    """The hedge wrap points stay in use: a traced run writes the untraced
+    run's bytes, and its market.gbm and hedge.simulate spans take time."""
+    argv = ["run", "--experiment=hedge", "--nx=32", "--paths=20", "--steps=20",
+            "--chunk=7", f"--out={tmp_path}"]
+
+    def artifacts():
+        return {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
+
+    assert cli.main(argv) in (0, 1)
+    untraced = artifacts()
+    trace = tracer.Tracer()
+    undo = tracer.install(trace)
+    try:
+        assert cli.main(argv) in (0, 1)
+    finally:
+        undo()
+    assert artifacts() == untraced
+    self_s = trace.self_times()
+    assert self_s["market.gbm"] > 0.0 and self_s["hedge.simulate"] > 0.0
