@@ -14,6 +14,10 @@ from smalltime.reports import format_value, write_csv
 
 # ------------------------------------------------------------- artifact pins
 
+_BENCH_BAND = ("--nx=400", "--lower=-0.5", "--upper=0.5")
+_BENCH_HEDGE = (*_BENCH_BAND, "--paths=500", "--steps=500", "--chunk=500")
+_BENCH_FUNDING = ("--funding=dpe", "--cushion=0.01", "--target_nonneg=0.99")
+
 # digests of artifacts written by the per-cell writer, before tables were
 # handed over column-wise; (experiment, overrides, artifact) at seed 11
 ARTIFACT_DIGESTS = {
@@ -78,6 +82,29 @@ ARTIFACT_DIGESTS = {
     "tail_bound": (
         ("tail-bound", "--paths=300", "--steps=50", "--chunk=100"), "tail_bound.csv",
         "de6ccb736701ca15cae561a8651942ed3f58a489c76668269cd5d3f49933d40b"),
+    # the benchmark's hedge workload at its sizes: the dpe-price slots'
+    # surfaces are surface_unbanded_400 and surface_banded_400
+    "hedge_dpe_free_summary": (
+        ("dpe-price", "--nx=400", "--bs_tol=0.005"), "summary.json",
+        "97f7c9e31409c455adef0fd50223201f54dd6e0210c4dd3407b5c2b62e0c7abd"),
+    "hedge_dpe_band_summary": (
+        ("dpe-price", *_BENCH_BAND), "summary.json",
+        "ed0685fe5150dd386175bc51d633e5d4ae271d46c58d01b2a664fc2f57871433"),
+    "hedge_hedge_summary": (
+        ("hedge", *_BENCH_HEDGE, *_BENCH_FUNDING), "summary.json",
+        "ab038eaa9d62d8d01faee71ae97ee9a82215e3fd20207f65841df89e4ec17757"),
+    "hedge_hedge_shortfall": (
+        ("hedge", *_BENCH_HEDGE, *_BENCH_FUNDING), "shortfall.csv",
+        "30d080521842f33e46d5d4b37f111fdd47eb87871e7df5e38fae07334d5b6f35"),
+    "hedge_gap_summary": (
+        ("gap", *_BENCH_HEDGE), "summary.json",
+        "84fee09c21892ef875c10811c6efea18bafdbd3b6200fc21c6cb2bfc098632c0"),
+    "hedge_gap_constrained": (
+        ("gap", *_BENCH_HEDGE), "shortfall_constrained.csv",
+        "1bf2a641c5ba0c5edf66b0a7a14927fdb8c80730d13279c574ab18ea1367d287"),
+    "hedge_gap_bs_funded": (
+        ("gap", *_BENCH_HEDGE), "shortfall_bs_funded.csv",
+        "d820d17ecd763d7f59eaba293e5222842adaba14bfcceb36cadef751a6dd5882"),
 }
 
 
