@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dpe, hedge, lilab, paths
+from . import __version__, dpe, hedge, lilab, market, paths
 from .dpe import PdeGrid, greeks, solve_dpe
 from .hedge import STRATEGY_CATALOG, StrategySpec, replication_gap, simulate_hedge
 from .lilab import (_RATE_KINDS, ergodic_liminf, ergodic_reference,
@@ -241,15 +241,17 @@ def _market(p):
         return params, _PAYOFFS[p["payoff"]](p["strike"])
 
 
-def _fits_in_memory(key: str, what: str, nbytes: int) -> None:
-    """Reject, naming key, a config whose arrays described by what (nbytes
-    bytes, one array or a set held at once) would by themselves exceed the
-    machine's physical memory."""
+def _fits_in_memory(key, what: str, nbytes: int) -> None:
+    """Reject, naming key (or each key of a tuple), a config whose arrays
+    described by what (nbytes bytes, one array or a set held at once) would
+    by themselves exceed the machine's physical memory."""
+    keys = (key,) if isinstance(key, str) else key
     memory_bytes = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if nbytes > memory_bytes:
         raise ConfigError(
-            f"key {key!r}: {what} needs at least {nbytes / 2 ** 30:.1f} GiB, more "
-            f"than the {memory_bytes / 2 ** 30:.1f} GiB of physical memory", key=key)
+            f"key {' / '.join(map(repr, keys))}: {what} needs at least "
+            f"{nbytes / 2 ** 30:.1f} GiB, more than the "
+            f"{memory_bytes / 2 ** 30:.1f} GiB of physical memory", key=keys[0])
 
 
 def _grid_fits(key: str, size: int) -> None:
@@ -291,16 +293,20 @@ def _dpe_plan(cfg: RunConfig):
         band = GammaBand(p["lower"], p["upper"])
     with _reading("horizon", "sigma", "s0"):
         grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
-    # a hedge or gap run keeps its surface strategy's drift field too
-    surfaces = dpe.solve_bytes(grid) + (hedge.strategy_bytes(grid) if "steps" in p else 0)
+    surfaces = dpe.solve_bytes(grid)
     _fits_in_memory("nx", f"a DPE run on {grid.nx} x {grid.nt + 1} nodes", surfaces)
+    # the face lift runs, and frees its grid, before the surfaces exist;
+    # its extension grows as 1 / dx, which sigma, horizon and nx set
+    _fits_in_memory(("sigma", "horizon", "nx"),
+                    f"the face lift of a grid {grid.dx:.3g} apart in log price",
+                    market.face_lift_bytes(band, grid.nx, grid.dx))
     spec = None
     if "steps" in p:
         _grid_fits("steps", p["steps"] + 1)
         with _reading("steps"):
             times = uniform_grid(p["horizon"], p["steps"])
         chunk, fundings = min(p["chunk"], p["paths"]), 1 + (cfg.experiment == "gap")
-        chunk_bytes, path_bytes, after = hedge.simulate_bytes(times.size, chunk, fundings)
+        chunk_bytes, path_bytes, after = hedge.simulate_bytes(times.size, chunk, fundings, grid)
         _pass_fits("chunk", p["paths"], chunk, 1, times.size, cfg.workers,
                    (0, chunk_bytes, path_bytes), surfaces, after)
         spec = BundleSpec(1, times, p["paths"], cfg.seed, chunk_size=p["chunk"])
@@ -526,7 +532,8 @@ def _run_dpe_price(cfg: RunConfig, plan):
     references = {"bs_price": bs0}
     checks = {"dominates_bs": {"pass": v0 >= bs0 - 1e-6 * max(1.0, bs0)}}
     if not (band.has_lower or band.has_upper):
-        rel = abs(v0 - bs0) / bs0
+        # a reference of 0 is matched by 0 alone
+        rel = abs(v0 - bs0) / bs0 if bs0 else (0.0 if v0 == bs0 else math.inf)
         checks["matches_bs"] = {"pass": rel < p["bs_tol"], "rel_error": rel,
                                 "tol": p["bs_tol"]}
     stride = max(1, (sol.t_nodes.size - 1) // 20)

@@ -82,21 +82,24 @@ class PdeGrid:
 
 @dataclass
 class DpeSolution:
-    """Value surface v(t, s) with discrete derivatives and constraint flags.
+    """Value surface v(t, s) with its cash gamma, as the backward loop stored
+    them, and the constraint flags.
 
     Arrays are indexed [time, space] with time ascending from 0 to the
-    horizon.  delta holds dv/ds, cash_gamma holds s^2 v_ss = v_xx - v_x.
-    active marks which clamp branch bound at each node; breach_count and
-    residual_max report where the measured cash gamma exceeded the upper
-    bound (see the module docstring).
+    horizon.  cash_gamma holds s^2 v_ss = v_xx - v_x.  Delta dv/ds and the
+    active codes (which clamp branch of band binds at each node) are
+    functions of rows of v and cash_gamma: delta_of and active_of derive
+    them for the rows a reader asks for, and the delta and active
+    properties for the whole surface.  breach_count and residual_max report
+    where the measured cash gamma exceeded the upper bound (see the module
+    docstring).
     """
 
     t_nodes: np.ndarray
     x_nodes: np.ndarray
     v: np.ndarray
-    delta: np.ndarray
     cash_gamma: np.ndarray
-    active: np.ndarray
+    band: GammaBand
     params: MarketParams
     residual_max: float
     breach_count: int
@@ -106,47 +109,103 @@ class DpeSolution:
     def s_nodes(self) -> np.ndarray:
         return np.exp(self.x_nodes)
 
-    def interp(self, arr, t, s):
-        """Bilinear interpolation of a stored [time, space] field at (t, s),
-        or of each field of a tuple of them (returned as a tuple) with one
-        location of the query points; t and s broadcast against each other."""
-        t_arr = np.asarray(t, dtype=float)
-        s_arr = np.asarray(s, dtype=float)
-        x_arr = np.log(s_arr)
-        tn, xn = self.t_nodes, self.x_nodes
+    def delta_of(self, v: np.ndarray) -> np.ndarray:
+        """dv/ds = v_x / s of rows of v: the v_x of _space_operators."""
+        vx = _central_diff(v, self.meta["dx"])
+        return np.divide(vx, self.s_nodes, out=vx)
+
+    def active_of(self, g: np.ndarray) -> np.ndarray:
+        """ACTIVE_NONE, ACTIVE_LOWER or ACTIVE_UPPER at each node of rows g
+        of the cash gamma."""
+        # the two branches exclude each other and a NaN binds neither, so
+        # their codes add; a true bool viewed as int8 is ACTIVE_LOWER
+        codes = np.less(g, self.band.lower).view(np.int8)
+        codes += ACTIVE_UPPER * np.greater(g, self.band.upper).view(np.int8)
+        return codes
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.delta_of(self.v)
+
+    @property
+    def active(self) -> np.ndarray:
+        return self.active_of(self.cash_gamma)
+
+    def _time_cells(self, t_arr: np.ndarray):
+        """Cell index it and weight wt of each time on the surface, after
+        checking that every time lies on it."""
+        tn = self.t_nodes
         eps_t = 1e-9 * max(1.0, tn[-1])
-        eps_x = 1e-12 * max(1.0, abs(xn[-1]), abs(xn[0]))
         # written so that a NaN, which compares False, fails the check
-        if not (np.all(t_arr >= tn[0] - eps_t) and np.all(t_arr <= tn[-1] + eps_t)
-                and np.all(x_arr >= xn[0] - eps_x) and np.all(x_arr <= xn[-1] + eps_x)):
+        if not (np.all(t_arr >= tn[0] - eps_t) and np.all(t_arr <= tn[-1] + eps_t)):
             raise OutOfGridError("query point outside the solved surface")
-        dx = xn[1] - xn[0]
-        ix = np.clip(((x_arr - xn[0]) / dx).astype(int), 0, xn.size - 2)
-        wx = np.clip((x_arr - xn[ix]) / dx, 0.0, 1.0)
         dt = tn[1] - tn[0]
         it = np.clip(((t_arr - tn[0]) / dt).astype(int), 0, tn.size - 2)
-        wt = np.clip((t_arr - tn[it]) / dt, 0.0, 1.0)
-        # flat indices of the four corners, shared by every field
-        i00 = it * xn.size + ix
-        i01, i10 = i00 + 1, i00 + xn.size
-        i11 = i10 + 1
-        ux, ut = 1 - wx, 1 - wt
+        return it, np.clip((t_arr - tn[it]) / dt, 0.0, 1.0)
+
+    def time_rows(self, t) -> slice:
+        """The rows of the surface that interp reads at times t."""
+        it, _ = self._time_cells(np.asarray(t, dtype=float))
+        return slice(int(it.min()), int(it.max()) + 2)
+
+    def interp(self, arr, t, s, row0: int = 0):
+        """Bilinear interpolation of a [time, space] field at (t, s), or of
+        each field of a tuple of them (returned as a tuple) with one
+        location of the query points; t and s broadcast against each other.
+        The fields hold rows row0, row0 + 1, ... of the surface, which must
+        include time_rows(t)."""
+        t_arr = np.asarray(t, dtype=float)
+        s_arr = np.asarray(s, dtype=float)
+        # x and every array formed from it in place have the query's shape
+        shape = np.broadcast_shapes(t_arr.shape, s_arr.shape)
+        x = np.log(np.broadcast_to(s_arr, shape), out=np.empty(shape))
+        xn = self.x_nodes
+        eps_x = 1e-12 * max(1.0, abs(xn[-1]), abs(xn[0]))
+        if not (np.all(x >= xn[0] - eps_x) and np.all(x <= xn[-1] + eps_x)):
+            raise OutOfGridError("query point outside the solved surface")
+        it, wt = self._time_cells(t_arr)
+        nx, dx = xn.size, xn[1] - xn[0]
+        q = np.subtract(x, xn[0], out=np.empty(shape))
+        q /= dx
+        ix = q.astype(int)
+        np.clip(ix, 0, nx - 2, out=ix)
+        # wx = clip((x - x[ix]) / dx, 0, 1) in x, ux = 1 - wx in q
+        x -= np.take(xn, ix, out=q, mode="clip")
+        x /= dx
+        wx = np.clip(x, 0.0, 1.0, out=x)
+        ux, ut = np.subtract(1.0, wx, out=q), 1 - wt
+        # the flat index of each lower-left corner; the other corners are
+        # the same index into the field shifted by 1, nx and nx + 1
+        ix += (it - row0) * nx
+        lo, hi = np.empty(shape), np.empty(shape)
+        out = []
+        for f in (arr if isinstance(arr, tuple) else (arr,)):
+            flat = f.reshape(-1)
+            # ut (ux f00 + wx f01) + wt (ux f10 + wx f11), each product and
+            # sum in that order; "clip" takes straight into out, which
+            # "raise" would buffer, and every index is in range
+            val = np.take(flat, ix, out=np.empty(shape), mode="clip")
+            val *= ux
+            val += np.multiply(np.take(flat[1:], ix, out=lo, mode="clip"), wx, out=lo)
+            val *= ut
+            np.multiply(np.take(flat[nx:], ix, out=lo, mode="clip"), ux, out=lo)
+            lo += np.multiply(np.take(flat[nx + 1:], ix, out=hi, mode="clip"), wx, out=hi)
+            lo *= wt
+            val += lo
+            out.append(val)
         # tuple() of a list: a generator's tuple is resized, and each call
         # would leave one more on the interpreter's free list
-        out = tuple([ut * (ux * f.take(i00) + wx * f.take(i01))
-                     + wt * (ux * f.take(i10) + wx * f.take(i11))
-                     for f in (arr if isinstance(arr, tuple) else (arr,))])
-        return out if isinstance(arr, tuple) else out[0]
+        return tuple(out) if isinstance(arr, tuple) else out[0]
 
     def csv_table(self, t_stride: int = 1):
         """(header, *columns) of the surface on every t_stride-th time and
         every space node, time-major; active_constraint holds the integer
         codes ACTIVE_NONE, ACTIVE_LOWER and ACTIVE_UPPER."""
         t, s = self.t_nodes[::t_stride], self.s_nodes
+        v, g = self.v[::t_stride], self.cash_gamma[::t_stride]
         return (["t", "s", "v", "v_s", "s2_v_ss", "active_constraint"],
                 np.repeat(t, s.size), np.tile(s, t.size),
-                *(f[::t_stride].ravel() for f in (self.v, self.delta,
-                                                  self.cash_gamma, self.active)))
+                *(f.ravel() for f in (v, self.delta_of(v), g, self.active_of(g))))
 
 
 def _central_diff(f: np.ndarray, dx: float, out=None) -> np.ndarray:
@@ -186,8 +245,8 @@ def _space_operators(v: np.ndarray, dx: float, out=None):
 
 
 def solve_bytes(grid: PdeGrid) -> int:
-    """Bytes solve_dpe holds: v, delta, cash_gamma (float64) and active (int8) per node."""
-    return 25 * grid.nx * (grid.nt + 1)
+    """Bytes solve_dpe holds: v and cash_gamma (float64) per node."""
+    return 16 * grid.nx * (grid.nt + 1)
 
 
 def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
@@ -221,7 +280,6 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
     nt = grid.nt
     v = np.empty((nt + 1, grid.nx))
     v[nt] = g_t
-    delta = np.empty_like(v)
     cash_gamma = np.empty_like(v)
     t_nodes = np.linspace(0.0, params.horizon, nt + 1)
     half_sig2 = 0.5 * sigma * sigma
@@ -229,18 +287,17 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
     tol = 5.0 * (dx + dt) * sigma ** 2
     n = grid.nx
     # the loop walks rows nt..1 of the interior views (row k is final, its
-    # operators are stored as they are used) and writes rows nt-1..0 of v
-    rows = zip(v[:0:-1, :-2], v[:0:-1, 1:-1], v[:0:-1, 2:], delta[:0:-1, 1:-1],
-               cash_gamma[:0:-1, 1:-1], v[-2::-1, 1:-1], v[-2::-1])
-    step = np.empty(n - 2)
+    # cash gamma is stored as it is used) and writes rows nt-1..0 of v
+    rows = zip(v[:0:-1, :-2], v[:0:-1, 1:-1], v[:0:-1, 2:], cash_gamma[:0:-1, 1:-1],
+               v[-2::-1, 1:-1], v[-2::-1])
+    vx, step = np.empty(n - 2), np.empty(n - 2)
     # 0-d operands: a Python float is converted again on every ufunc call
     two_dx, dx2, two, coef_0d = (np.array(f) for f in (2.0 * dx, dx * dx, 2.0, coef))
     # a side at +-inf returns A itself, NaN included, so it is skipped
     lo = np.array(band.lower) if band.has_lower else None
     up = np.array(band.upper) if band.has_upper else None
-    for v0, v1, v2, vx, a, inner, row in rows:
-        # the operation order of _space_operators (delta holds v_x until the
-        # division by s below)
+    for v0, v1, v2, a, inner, row in rows:
+        # the operation order of _space_operators
         np.subtract(v2, v0, vx)
         np.divide(vx, two_dx, vx)
         np.multiply(v1, two, a)
@@ -259,12 +316,12 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
         # both end nodes extrapolate linearly: 2 v[1] - v[2], 2 v[n-2] - v[n-3]
         row[0] = 2.0 * row[1] - row[2]
         row[-1] = 2.0 * row[-2] - row[-3]
-    _space_operators(v[0], dx, out=(delta[0], cash_gamma[0]))
+    _space_operators(v[0], dx, out=(np.empty(n), cash_gamma[0]))
     # the end columns of rows 1..nt, one-sided as _space_operators sets them
-    np.negative(_end_diff(v[1:], dx, delta[1:]), out=cash_gamma[1:, ::n - 1])
-    np.divide(delta, s, out=delta)
+    ends = _end_diff(v[1:], dx, cash_gamma[1:])
+    np.negative(ends, out=ends)
 
-    lower, upper = band.lower, band.upper
+    upper = band.upper
     breach_count = 0
     residual_max = 0.0
     if band.has_upper:
@@ -278,21 +335,16 @@ def solve_dpe(payoff: Payoff, band: GammaBand, params: MarketParams,
             if n_over:
                 breach_count += n_over
                 residual_max = max(residual_max, half_sig2 * float(over.max()))
-    # the two branches exclude each other and a NaN binds neither, so their
-    # codes add; a true bool viewed as int8 is ACTIVE_LOWER.  Row blocks of
-    # about 2^16 nodes keep the upper code's temporaries out of solve_bytes
-    active = np.less(cash_gamma, lower).view(np.int8)
-    block = max(1, (1 << 16) // n)
-    for k in range(0, nt + 1, block):
-        active[k:k + block] += ACTIVE_UPPER * np.greater(cash_gamma[k:k + block],
-                                                         upper).view(np.int8)
 
-    return DpeSolution(t_nodes=t_nodes, x_nodes=x, v=v, delta=delta,
-                       cash_gamma=cash_gamma, active=active, params=params,
+    return DpeSolution(t_nodes=t_nodes, x_nodes=x, v=v, cash_gamma=cash_gamma,
+                       band=band, params=params,
                        residual_max=residual_max, breach_count=breach_count,
                        meta={"nx": grid.nx, "nt": nt, "dx": dx, "dt": dt})
 
 
 def greeks(sol: DpeSolution, t, s):
-    """Bilinear interpolation of (v, dv/ds, s^2 v_ss) at (t, s)."""
-    return sol.interp((sol.v, sol.delta, sol.cash_gamma), t, s)
+    """Bilinear interpolation of (v, dv/ds, s^2 v_ss) at (t, s), with delta
+    derived on the rows the lookup reads."""
+    rows = sol.time_rows(t)
+    v = sol.v[rows]
+    return sol.interp((v, sol.delta_of(v), sol.cash_gamma[rows]), t, s, row0=rows.start)

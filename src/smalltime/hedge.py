@@ -14,7 +14,7 @@ assumed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,47 +25,47 @@ from .paths import as_chunks, draw_bytes, map_chunks_ordered, time_blocks
 from .stochint import _running
 
 
-# surface values per row block of the drift field
-_DRIFT_VALUES = 1 << 14
+# surface values per row window of the drift: StrategySpec.from_dpe's
+# blocks, and the most rows a time block of the simulation reads unless a
+# single step spans more (it then reads two)
+_WINDOW_VALUES = 1 << 16
 
 
-def _dpe_drift_field(sol: DpeSolution) -> np.ndarray:
-    """Drift alpha(t, x) = d(delta)/dt + sigma^2/2 * s^2 * v_sss.
+def _drift_rows(sol: DpeSolution, rows: slice) -> np.ndarray:
+    """Drift alpha(t, x) = d(delta)/dt + sigma^2/2 * s^2 * v_sss on rows
+    rows.start to rows.stop - 1 of the surface.
 
-    The third derivative comes from the stored cash gamma G = s^2 v_ss via
-    sigma^2/2 * (G_x - 2 G) / s.  The surface needs two time rows; the
-    last one keeps the time difference of the row before it.  Rows go in
-    blocks of about _DRIFT_VALUES values through one block of scratch.
+    delta comes from rows of v (DpeSolution.delta_of), one row beyond the
+    window for the time difference; the last row of the surface keeps the
+    time difference of the row before it.  The third derivative comes from
+    the cash gamma G = s^2 v_ss via sigma^2/2 * (G_x - 2 G) / s.
     """
-    delta, g = sol.delta, sol.cash_gamma
+    r0, r1 = rows.start, rows.stop
     t, x = sol.t_nodes, sol.x_nodes
-    dx, s = x[1] - x[0], np.exp(x)
-    half_sig2 = 0.5 * sol.params.sigma ** 2
     last = t.size - 1
-    out = np.empty_like(g)
-    rows = max(1, _DRIFT_VALUES // x.size)
-    scratch = np.empty((min(rows, t.size), x.size))
-    for r0 in range(0, t.size, rows):
-        r1 = min(r0 + rows, t.size)
-        # the curvature term, in place in gx; blk holds 2 G until the time
-        # difference overwrites it
-        gx = _central_diff(g[r0:r1], dx, out=scratch[:r1 - r0])
-        blk = np.multiply(g[r0:r1], 2.0, out=out[r0:r1])
-        gx -= blk
-        gx *= half_sig2
-        gx /= s
-        k1 = min(r1, last)
-        np.subtract(delta[r0 + 1:k1 + 1], delta[r0:k1], out=blk[:k1 - r0])
-        if r1 > last:
-            np.subtract(delta[last], delta[last - 1], out=blk[-1])
-        blk /= t[1] - t[0]
-        blk += gx
+    d0, k1 = min(r0, last - 1), min(r1, last)
+    delta = sol.delta_of(sol.v[d0:k1 + 1])
+    out = np.empty((r1 - r0, x.size))
+    np.subtract(delta[r0 - d0 + 1:], delta[r0 - d0:k1 - d0], out=out[:k1 - r0])
+    if r1 > last:
+        np.subtract(delta[-1], delta[-2], out=out[-1])
+    out /= t[1] - t[0]
+    # the curvature term, in delta's rows
+    g = sol.cash_gamma[rows]
+    gx = _central_diff(g, x[1] - x[0], out=delta[:r1 - r0])
+    gx -= np.multiply(g, 2.0)
+    gx *= 0.5 * sol.params.sigma ** 2
+    gx /= sol.s_nodes
+    out += gx
     return out
 
 
-def strategy_bytes(grid: PdeGrid) -> int:
-    """Bytes StrategySpec.from_dpe adds to a solve on grid: the drift field."""
-    return 8 * grid.nx * (grid.nt + 1)
+def window_bytes(grid: PdeGrid) -> int:
+    """Bytes _drift_rows holds for the largest window a time block reads on
+    a surface of grid's size (StrategySpec.from_dpe's blocks are no
+    larger): the window, its delta rows (one more) and the 2 G temporary."""
+    rows = min(max(2, _WINDOW_VALUES // grid.nx), grid.nt + 1)
+    return 8 * grid.nx * (3 * rows + 1)
 
 
 @dataclass
@@ -84,7 +84,6 @@ class StrategySpec:
     gamma_value: float = 0.0
     solution: DpeSolution | None = None
     alpha_bound: float = 0.0
-    _drift_field: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.alpha_bound) and math.isfinite(self.gamma_value)):
@@ -98,17 +97,24 @@ class StrategySpec:
 
     @classmethod
     def from_dpe(cls, solution: DpeSolution) -> "StrategySpec":
-        drift = _dpe_drift_field(solution)
+        """The surface strategy, with its drift bound measured over every
+        row of the drift, formed in row blocks and kept nowhere (the
+        simulation forms the rows each time block reads)."""
+        n = solution.t_nodes.size
+        size = max(1, _WINDOW_VALUES // solution.x_nodes.size)
+        tops, bottoms = [], []
+        for r in range(0, n, size):
+            blk = _drift_rows(solution, slice(r, min(r + size, n)))
+            tops.append(blk.max())
+            bottoms.append(blk.min())
+            del blk  # before the next block is formed
         # max |f| is the larger of |max f| and |min f|, and a NaN or an
-        # infinity shows in one of them; a cash gamma that is not finite
-        # makes the drift at its node so through the -2 G term
-        alpha_bound = max(abs(drift.max()), abs(drift.min()))
+        # infinity shows in one of them; a value of v or of the cash gamma
+        # that is not finite makes the drift near its node so
+        alpha_bound = max(abs(np.max(tops)), abs(np.min(bottoms)))
         if not math.isfinite(alpha_bound):
             raise ValueError("surface drift is not finite on the grid")
-        spec = cls(kind="dpe", y0=None, solution=solution,
-                   alpha_bound=float(alpha_bound))
-        spec._drift_field = drift
-        return spec
+        return cls(kind="dpe", y0=None, solution=solution, alpha_bound=float(alpha_bound))
 
 
 STRATEGY_CATALOG = {
@@ -183,21 +189,23 @@ def simulate_hedge(source, s0: float, x0: float, strategy: StrategySpec,
 _BLOCK_VALUES = 1 << 14
 
 
-def simulate_bytes(size: int, chunk: int, fundings: int) -> tuple:
+def simulate_bytes(size: int, chunk: int, fundings: int, grid: PdeGrid) -> tuple:
     """(chunk, path, after) bytes of _simulate_fundings with the surface
-    strategy on size times: a chunk's draw prefix (paths.draw_bytes), Y,
-    wealths and terminal prices, the values a chunk before returned, and a
-    block at its largest; per path the terminal price and the values the
-    pass fills in, and after it the copy of a shortfall each quantile takes."""
+    strategy on size times and a surface on grid: a chunk's draw prefix
+    (paths.draw_bytes), Y, wealths and terminal prices, the values a chunk
+    before returned, a block at its largest and the drift window
+    (window_bytes); per path the terminal price and the values the pass
+    fills in, and after it the copy of a shortfall each quantile takes."""
     steps = min(max(1, _BLOCK_VALUES // chunk), size - 1)
     prefix, _ = draw_bytes(1, steps, chunk)
     path = 8 * (2 * fundings + 1)
-    # the buffer and prices (B + 1 rows each) with the surface lookup: dS,
-    # the clipped prices and the interpolation's 12 arrays of B rows, which
-    # the draw's scratch and, for one or two fundings, the step's running
-    # sums do not outgrow
-    rows = fundings + 2 + 2 * (steps + 1) + 14 * steps
-    return prefix + 8 * chunk * rows + chunk * path, path, 8
+    # the buffer and prices (B + 1 rows each) at the step's running sums:
+    # dS, the cash gamma, alpha, gamma, the interleaved increments (2B) and
+    # their sums (2B + 1), Y dS (B) and the wealths' sums (B + 1 a
+    # funding); the surface lookup before them holds dS, the clipped
+    # prices, 5 arrays of scratch and its 2 fields
+    rows = fundings + 2 + 2 * (steps + 1) + 9 * steps + 1 + fundings * (steps + 1)
+    return prefix + 8 * chunk * rows + window_bytes(grid) + chunk * path, path, 8
 
 
 def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
@@ -226,9 +234,17 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
         y0_used = float(strategy.y0)
     else:
         y0_used = float(greeks(sol, 0.0, s0)[1])
+    window_steps = t.size
     if sol is not None:
-        fields = (sol.cash_gamma, strategy._drift_field)
         s_lo, s_hi = float(sol.s_nodes[0]), float(sol.s_nodes[-1])
+        # the most steps a block may take so that the surface rows its
+        # queries read, it[last step] - it[first step] + 2, stay within
+        # _WINDOW_VALUES values (two rows at least), wherever it starts;
+        # a start whose reach passes the last step sets no limit
+        it, _ = sol._time_cells(t[:-1])
+        ends = np.searchsorted(it, it + max(0, _WINDOW_VALUES // sol.x_nodes.size - 2),
+                               side="right")
+        window_steps = int((ends - np.arange(it.size))[ends < it.size].min(initial=t.size))
     x0_col = np.array(x0s, dtype=float)[:, None]
 
     def step_block(w, k0, y, x, s_end):
@@ -244,7 +260,10 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
         off = 0
         if strategy.kind == "dpe":
             off = int(np.count_nonzero(s_k < s_lo) + np.count_nonzero(s_k > s_hi))
-            cash, alpha = sol.interp(fields, t_k, np.clip(s_k, s_lo, s_hi))
+            # the cash gamma's window is a view; the drift's is formed here
+            rows = sol.time_rows(t_k)
+            cash, alpha = sol.interp((sol.cash_gamma[rows], _drift_rows(sol, rows)),
+                                     t_k, np.clip(s_k, s_lo, s_hi), row0=rows.start)
         else:
             cash = strategy.gamma_value * s_k * s_k
             alpha = np.full(t_k.shape, strategy.alpha_value)
@@ -261,7 +280,7 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
     def one(chunk):
         p = chunk.path_count
         y, x, s_t = np.full(p, y0_used), np.repeat(x0_col, p, axis=1), np.empty(p)
-        size = max(1, _BLOCK_VALUES // p)
+        size = min(max(1, _BLOCK_VALUES // p), window_steps)
         clamps, off, a_max = zip(*[step_block(w, k0, y, x, s_t) for k0, w in zip(
             range(0, t.size - 1, size), time_blocks(chunk, size))])
         return x - payoff(s_t), s_t, x, sum(clamps), sum(off), max(a_max)

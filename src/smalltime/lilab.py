@@ -170,11 +170,13 @@ def forward_bytes(name: str, dim: int, size: int, chunk: int, moment: bool) -> t
     """(matrices, chunk, path, after) bytes of moment_dominance (moment
     true) or tail_bound_check: kernel_bytes's matrices; a chunk's kernel on
     size times, drawing its paths block by block; per path V(T) and sup V
-    of each chunk; and after the pass, per path, their concatenation or,
-    for the moment, exp(2 lam V), its square and a list of Python floats
-    (32 bytes a value) for math.fsum."""
+    of each chunk; and after the pass, per path, one of them joined beside
+    the chunks' other, and beside the one of the two the statistic reads:
+    for the tail, 2 sup V and its clip at 0, and for the moment,
+    exp(2 lam V), its square and a list of Python floats (32 bytes a value)
+    for math.fsum."""
     mats, arrays = kernel_bytes(name, dim, size, chunk, "last", drawn=True)
-    return mats, mats + arrays, 16, 48 if moment else 16
+    return mats, mats + arrays, 16, 40 if moment else 8
 
 
 def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
@@ -194,7 +196,11 @@ def _forward_pass(source, b: IntegrandSpec, horizon: float, workers: int):
         return trace.final_outer(), trace.outer_sup
 
     finals, sups = zip(*map_chunks_ordered(one, as_chunks(source), workers))
-    return np.concatenate(finals), np.concatenate(sups)
+    # the chunks' V(T) are freed once joined, so that three of the four
+    # per-path arrays are held at most
+    final = np.concatenate(finals)
+    del finals
+    return final, np.concatenate(sups)
 
 
 def moment_dominance(source, b: IntegrandSpec, lam: float, horizon: float,
@@ -208,7 +214,7 @@ def moment_dominance(source, b: IntegrandSpec, lam: float, horizon: float,
     a nonnegative margin up to noise.
     """
     closed = moment_identity(lam, horizon, source.dim)
-    final, _ = _forward_pass(source, b, horizon, workers)
+    final = _forward_pass(source, b, horizon, workers)[0]
     x = np.exp(2.0 * lam * final)
     # exactly rounded sums of the per-path values: the same bits however
     # the paths are chunked
@@ -309,7 +315,7 @@ def tail_bound_check(source, b: IntegrandSpec, horizon: float, alphas,
     """
     alphas = [float(a) for a in alphas]
     lams, bounds = tail_bounds(alphas, horizon, source.dim, rule, eta)
-    _, sup = _forward_pass(source, b, horizon, workers)
+    sup = _forward_pass(source, b, horizon, workers)[1]
     sup2v = np.maximum(2.0 * sup, 0.0)
     n = sup2v.size
     rows = []

@@ -219,6 +219,22 @@ def _upper_hull(points):
     return hull
 
 
+# bytes face_lift holds per node of its extended grid: four float64 arrays
+# (a side's new nodes, the grid, its prices and the combined values), the
+# two lists of Python floats (32 bytes a value) and the 2-tuple (56 bytes)
+# each hull candidate is built from, and the candidates' list with growth
+_LIFT_NODE_BYTES = 4 * 8 + 2 * 32 + 56 + 16
+
+
+def face_lift_bytes(band: GammaBand, nodes: int, dx: float) -> int:
+    """Bytes face_lift holds on a log grid of nodes nodes dx apart: none
+    without an upper bound, else _LIFT_NODE_BYTES a node of the grid with
+    ceil(3 ln 10 / dx) nodes more on each side."""
+    if not band.has_upper:
+        return 0
+    return _LIFT_NODE_BYTES * (nodes + 2 * math.ceil(3.0 * math.log(10.0) / dx))
+
+
 def face_lift(payoff: Payoff, band: GammaBand, s_grid) -> Payoff:
     """Smallest payoff majorant compatible with the upper gamma bound.
 
@@ -240,6 +256,7 @@ def face_lift(payoff: Payoff, band: GammaBand, s_grid) -> Payoff:
         raise ValueError("s_grid must be increasing and positive")
     x_user = np.log(s_user)
     dx = float(np.median(np.diff(x_user)))
+    # face_lift_bytes counts the extended grid and its hull candidates
     n_ext = int(math.ceil(3.0 * math.log(10.0) / dx))
     left = x_user[0] - dx * np.arange(n_ext, 0, -1)
     right = x_user[-1] + dx * np.arange(1, n_ext + 1)

@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
+from smalltime import cli
 from smalltime.cli import (_SCHEMAS, ConfigError, RunConfig, list_catalog,
                            load_config, main, run)
 from smalltime.dpe import PdeGrid, greeks, solve_dpe
@@ -421,19 +422,36 @@ def test_surface_larger_than_memory_is_a_config_error(tmp_path, capsys, host_8gi
     _assert_plan_rejects(tmp_path, capsys, "nx", ["--experiment=dpe-price", "--nx=100000"])
 
 
-@pytest.mark.parametrize("experiment,need", [("dpe-price", "11.5"), ("hedge", "15.2"),
-                                             ("gap", "15.2")])
-def test_every_surface_of_a_dpe_run_is_counted(capsys, host_8gib, experiment, need):
-    """At nx = 4000 one float64 surface of 4000 x 123 397 nodes is 3.7 GiB,
-    but the solver holds three of them and the int8 active codes (25 bytes
-    a node), and hedge and gap add the drift field (33 bytes): on a host of
-    8 GiB the run is rejected.  Checked by validate-config alone, so nothing
-    is solved."""
-    assert main(["validate-config", f"--experiment={experiment}", "--nx=4000"]) == 2
+@pytest.mark.parametrize("experiment", ["dpe-price", "hedge", "gap"])
+def test_every_surface_of_a_dpe_run_is_counted(capsys, host_8gib, experiment):
+    """At nx = 4200 one float64 surface of 4200 x 136 048 nodes is 4.3 GiB,
+    and the solver keeps two of them, v and the cash gamma (16 bytes a
+    node): on a host of 8 GiB the run is rejected.  hedge and gap keep no
+    more surfaces, as their drift is formed in windows of rows.  Checked by
+    validate-config alone, so nothing is solved."""
+    assert main(["validate-config", f"--experiment={experiment}", "--nx=4200"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error: key 'nx': a DPE run on 4000 x ")
-    assert f"needs at least {need} GiB, more than the 8.0 GiB" in err
+    assert err.startswith("config error: key 'nx': a DPE run on 4200 x 136048 nodes ")
+    assert "needs at least 8.5 GiB, more than the 8.0 GiB" in err
     assert main(["validate-config", f"--experiment={experiment}", "--nx=2000"]) == 0
+
+
+@pytest.mark.parametrize("experiment", ["hedge", "gap"])
+def test_face_lift_extension_larger_than_memory_is_a_config_error(tmp_path, capsys,
+                                                                 host_8gib, experiment):
+    """The face lift of the upper bound extends the grid by ceil(3 ln 10 / dx)
+    nodes a side, and dx is 12 sigma sqrt(horizon) / (nx - 1): at
+    sigma = 1e-12 that is 2.3e14 nodes a side.  run and validate-config exit
+    2 naming the three keys before any work; they used to die allocating
+    the extension."""
+    args = [f"--experiment={experiment}", "--sigma=1e-12"]
+    _assert_plan_rejects(tmp_path, capsys, "sigma", args)
+    assert main(["validate-config"] + args) == 2
+    assert capsys.readouterr().err.startswith(
+        "config error: key 'sigma' / 'horizon' / 'nx': the face lift of a grid ")
+    # without an upper bound there is no face lift
+    assert main(["validate-config", f"--experiment={experiment}", "--sigma=1e-12",
+                 "--upper=inf"]) == 0
 
 
 @pytest.mark.parametrize("refinements", [30, 10 ** 12])
@@ -510,6 +528,28 @@ def test_dpe_price_run_matches_bs(tmp_path):
     summary = json.loads((tmp_path / "d" / "summary.json").read_text())
     assert summary["checks"]["matches_bs"]["pass"] is True
     assert (tmp_path / "d" / "surface.csv").exists()
+
+
+@pytest.mark.parametrize("arg", ["--strike=1e20", "--s0=1e-12"])
+def test_dpe_price_against_a_lognormal_price_of_zero(tmp_path, arg):
+    """Far out of the money the lognormal price is 0, and so is the surface's:
+    the relative error is 0, not a division by zero."""
+    out = tmp_path / "z"
+    assert main(["run", "--experiment=dpe-price", "--nx=64", arg, f"--out={out}"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["references"]["bs_price"] == summary["results"]["price"] == 0.0
+    assert summary["checks"]["matches_bs"]["rel_error"] == 0.0
+
+
+def test_dpe_price_off_a_lognormal_price_of_zero_fails(tmp_path, monkeypatch):
+    """A nonzero price against a reference of 0 is infinitely far off:
+    rel_error is written as Infinity and the check fails."""
+    monkeypatch.setattr(cli, "bs_price", lambda *args: 0.0)
+    out = tmp_path / "z"
+    assert main(["run", "--experiment=dpe-price", "--nx=64", f"--out={out}"]) == 1
+    text = (out / "summary.json").read_text()
+    assert '"rel_error": Infinity' in text
+    assert json.loads(text)["checks"]["matches_bs"]["pass"] is False
 
 
 def test_failing_check_exits_one(tmp_path):

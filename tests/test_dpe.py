@@ -238,9 +238,9 @@ def _same_bits(x, y) -> bool:
 
 
 def _assert_operators_pinned(sol, band):
-    """The loop stores each row's operators inline; every row must hold the
-    bits _space_operators gives it, and active the codes of the masked
-    assignments."""
+    """The loop stores each row's cash gamma inline; every row must hold the
+    bits _space_operators gives it, delta (derived from v) its v_x over s,
+    and active the codes of the masked assignments."""
     dx, s = sol.meta["dx"], sol.s_nodes
     for m in range(sol.t_nodes.size):
         vx, a = _space_operators(sol.v[m], dx)

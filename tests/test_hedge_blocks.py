@@ -1,8 +1,8 @@
 """The time-blocked strategy simulation against a plain per-step loop, byte
 for byte: wealth, shortfall, clamp and off-surface counts, and the largest
 drift, for both strategy kinds, one and two fundings, and uniform and
-non-uniform grids; and the row-blocked surface drift field and strategy
-bounds against their whole-surface and out-of-place expressions."""
+non-uniform grids; and the row-range surface drift and strategy bounds
+against their whole-surface and out-of-place expressions."""
 
 import dataclasses
 
@@ -46,6 +46,7 @@ def _ref_simulate(bundle, s0, x0s, strategy, band):
     p = s_paths.shape[0]
     y0 = strategy.y0 if strategy.y0 is not None else _ref_interp(sol, sol.delta, 0.0, s0)
     y = np.full(p, float(y0))
+    drift = _ref_drift(sol) if strategy.kind == "dpe" else None
     x = np.repeat(np.array(x0s, dtype=float)[:, None], p, axis=1)
     clamps = off = 0
     a_max = 0.0
@@ -59,7 +60,7 @@ def _ref_simulate(bundle, s0, x0s, strategy, band):
             s_q = np.clip(s_k, s_lo, s_hi)
             off += int(np.sum(s_q != s_k))
             cash = _ref_interp(sol, sol.cash_gamma, t_k, s_q)
-            alpha = _ref_interp(sol, strategy._drift_field, t_k, s_q)
+            alpha = _ref_interp(sol, drift, t_k, s_q)
         else:
             cash = strategy.gamma_value * s_k * s_k
             alpha = np.full(p, strategy.alpha_value)
@@ -99,11 +100,16 @@ def strategies():
             "dpe": StrategySpec.from_dpe(sol)}
 
 
-@pytest.fixture(params=[None, 1, 3], ids=["budget-default", "budget-1", "budget-3"])
+@pytest.fixture(params=[None, 1, 3, "window"],
+                ids=["budget-default", "budget-1", "budget-3", "window-3-rows"])
 def block_values(request, monkeypatch):
-    """Run with the simulation's block budget, and with budgets that cut
-    even one path into blocks of one to three steps."""
-    if request.param is not None:
+    """Run with the simulation's block budget, with budgets that cut even
+    one path into blocks of one to three steps, and with a surface window
+    of three rows of the nx = 64 surface (32 rows for the 37 steps), which
+    cuts the steps into blocks of one or two."""
+    if request.param == "window":
+        monkeypatch.setattr(hedge, "_WINDOW_VALUES", 3 * 64)
+    elif request.param is not None:
         monkeypatch.setattr(hedge, "_BLOCK_VALUES", request.param)
 
 
@@ -165,10 +171,10 @@ def test_drawn_chunks_simulate_to_the_bits_of_sampled_chunks(kind, chunk_size, w
         assert repr(rep.alpha_max) == repr(max(r.alpha_max for r in parts))
 
 
-# ---------------------------------------------------- the surface drift field
+# ---------------------------------------------------------- the surface drift
 
 def _ref_drift(sol):
-    """The drift field as out-of-place expressions."""
+    """The drift on every row as out-of-place expressions."""
     delta, g = sol.delta, sol.cash_gamma
     t, x = sol.t_nodes, sol.x_nodes
     s = np.exp(x)
@@ -180,19 +186,23 @@ def _ref_drift(sol):
     return out
 
 
+def _rows(sol):
+    return slice(0, sol.t_nodes.size)
+
+
 @pytest.mark.parametrize("band", [BAND, GammaBand(-np.inf, np.inf)],
                          ids=["banded", "unbanded"])
 def test_drift_field_and_bounds_match_the_out_of_place_expressions(band):
     sol = solve_dpe(PAYOFF, band, PARAMS, PdeGrid.around_spot(100.0, PARAMS, nx=64))
     want = _ref_drift(sol)
-    assert _same_bytes(hedge._dpe_drift_field(sol), want)
+    assert _same_bytes(hedge._drift_rows(sol, _rows(sol)), want)
     spec = StrategySpec.from_dpe(sol)
     assert repr(spec.alpha_bound) == repr(float(np.max(np.abs(want))))
 
 
-def _ref_drift_unblocked(sol):
-    """The drift field as whole surfaces, before it was formed in row
-    blocks: the same in-place operations on two full-size arrays."""
+def _ref_drift_whole(sol):
+    """The drift as whole surfaces, before it was formed by row range: the
+    same in-place operations on two full-size arrays."""
     delta, g = sol.delta, sol.cash_gamma
     t, x = sol.t_nodes, sol.x_nodes
     gx = _central_diff(g, x[1] - x[0])
@@ -207,28 +217,38 @@ def _ref_drift_unblocked(sol):
     return out
 
 
-@pytest.mark.parametrize("rows", [None, 1, 7, -1],
-                         ids=["budget-default", "one-row", "seven-rows", "last-row-alone"])
 @pytest.mark.parametrize("nx", [64, 400])
 @pytest.mark.parametrize("band", [BAND, GammaBand(-np.inf, np.inf)],
                          ids=["banded", "unbanded"])
-def test_blocked_drift_field_matches_the_whole_surface_pass(band, nx, rows, monkeypatch):
-    """Blocks of one row, of a non-divisor of the nt + 1 rows, of nt rows
-    (the last row alone in the second block, its time difference taken
-    from the row before) and of the default budget (one block at nx = 64,
-    31 at nx = 400)."""
+def test_drift_rows_match_the_whole_surface_pass(band, nx):
+    """Every row range holds the rows of the whole-surface pass: the first
+    row alone, seven rows inside, rows up to the last (whose time
+    difference is the row before's), the last row alone and every row."""
     sol = solve_dpe(PAYOFF, band, PARAMS, PdeGrid.around_spot(100.0, PARAMS, nx=nx))
+    want = _ref_drift_whole(sol)
+    n = sol.t_nodes.size
+    for r0, r1 in [(0, 1), (5, 12), (n - 7, n), (n - 1, n), (0, n)]:
+        got = hedge._drift_rows(sol, slice(r0, r1))
+        assert _same_bytes(got, want[r0:r1]), (r0, r1)
+
+
+@pytest.mark.parametrize("rows", [1, 7, -1], ids=["one-row", "seven-rows", "last-row-alone"])
+def test_drift_bound_is_the_same_over_any_row_blocks(rows, monkeypatch):
+    """from_dpe measures the bound over blocks of one row, of a non-divisor
+    of the nt + 1 rows and of nt rows (the last row alone in the second
+    block) to the bits of the default blocks."""
+    sol = solve_dpe(PAYOFF, BAND, PARAMS, PdeGrid.around_spot(100.0, PARAMS, nx=400))
     nt = sol.t_nodes.size - 1
     assert (nt + 1) % 7
-    if rows is not None:
-        monkeypatch.setattr(hedge, "_DRIFT_VALUES", (nt if rows == -1 else rows) * nx)
-    assert _same_bytes(hedge._dpe_drift_field(sol), _ref_drift_unblocked(sol))
+    want = StrategySpec.from_dpe(sol).alpha_bound
+    monkeypatch.setattr(hedge, "_WINDOW_VALUES", (nt if rows == -1 else rows) * 400)
+    assert repr(StrategySpec.from_dpe(sol).alpha_bound) == repr(want)
 
 
 def test_a_surface_drift_that_is_not_finite_is_rejected():
     sol = solve_dpe(PAYOFF, BAND, PARAMS, PdeGrid.around_spot(100.0, PARAMS, nx=64))
     for bad in (np.nan, np.inf, -np.inf):
-        delta = sol.delta.copy()
-        delta[3, 5] = bad
+        v = sol.v.copy()
+        v[3, 5] = bad
         with pytest.raises(ValueError, match="not finite"):
-            StrategySpec.from_dpe(dataclasses.replace(sol, delta=delta))
+            StrategySpec.from_dpe(dataclasses.replace(sol, v=v))

@@ -11,13 +11,14 @@ well below what grows, so that one stage holds the peak at both sizes.
 import threading
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from smalltime import cli, hedge, stochint
 from smalltime.dpe import PdeGrid, solve_dpe
 from smalltime.hedge import StrategySpec, simulate_hedge
 from smalltime.lilab import moment_dominance
-from smalltime.market import MarketParams, call
+from smalltime.market import MarketParams, call, face_lift, face_lift_bytes
 from smalltime.matcore import GammaBand
 from smalltime.paths import BundleSpec, bundle_bytes, uniform_grid
 from smalltime.stochint import catalog_integrand
@@ -213,3 +214,26 @@ def test_a_hedge_chunk_draws_its_paths_without_a_bundle():
     peak(500)
     growth = peak(2000) - peak(500)
     assert growth < bundle_bytes(1, 2001, 2000) / 20, growth
+
+
+def test_face_lift_counts_its_extended_grid():
+    """The face lift's peak grows with its extended grid, ceil(3 ln 10 / dx)
+    nodes a side, as face_lift_bytes counts it: 1000 and 10 000 nodes over
+    the same span of log prices."""
+    band = GammaBand.upper_only(0.5)
+
+    def measure(nodes):
+        s = np.exp(np.linspace(np.log(50.0), np.log(200.0), nodes))
+        dx = (np.log(200.0) - np.log(50.0)) / (nodes - 1)
+        face_lift(call(100.0), band, s)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            face_lift(call(100.0), band, s)
+            return tracemalloc.get_traced_memory()[1] - base, face_lift_bytes(band, nodes, dx)
+        finally:
+            tracemalloc.stop()
+
+    (peak_a, count_a), (peak_b, count_b) = measure(1000), measure(10000)
+    ratio = (peak_b - peak_a) / (count_b - count_a)
+    assert 0.8 <= ratio <= 1.02, (ratio, peak_a, peak_b, count_a, count_b)
