@@ -152,8 +152,8 @@ class DpeSolution:
         """Bilinear interpolation of a [time, space] field at (t, s), or of
         each field of a tuple of them (returned as a tuple) with one
         location of the query points; t and s broadcast against each other.
-        The fields hold rows row0, row0 + 1, ... of the surface, which must
-        include time_rows(t)."""
+        The fields hold rows row0, row0 + 1, ... of the surface, and must
+        hold time_rows(t) (a ValueError otherwise)."""
         t_arr = np.asarray(t, dtype=float)
         s_arr = np.asarray(s, dtype=float)
         # x and every array formed from it in place have the query's shape
@@ -164,6 +164,11 @@ class DpeSolution:
         if not (np.all(x >= xn[0] - eps_x) and np.all(x <= xn[-1] + eps_x)):
             raise OutOfGridError("query point outside the solved surface")
         it, wt = self._time_cells(t_arr)
+        fields = arr if isinstance(arr, tuple) else (arr,)
+        # the takes below clip their indices, so a short window would give
+        # values of the wrong rows
+        if it.min() < row0 or it.max() + 2 > row0 + min(len(f) for f in fields):
+            raise ValueError("the fields do not hold the rows the lookup reads")
         nx, dx = xn.size, xn[1] - xn[0]
         q = np.subtract(x, xn[0], out=np.empty(shape))
         q /= dx
@@ -179,7 +184,7 @@ class DpeSolution:
         ix += (it - row0) * nx
         lo, hi = np.empty(shape), np.empty(shape)
         out = []
-        for f in (arr if isinstance(arr, tuple) else (arr,)):
+        for f in fields:
             flat = f.reshape(-1)
             # ut (ux f00 + wx f01) + wt (ux f10 + wx f11), each product and
             # sum in that order; "clip" takes straight into out, which

@@ -237,14 +237,12 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
     window_steps = t.size
     if sol is not None:
         s_lo, s_hi = float(sol.s_nodes[0]), float(sol.s_nodes[-1])
-        # the most steps a block may take so that the surface rows its
-        # queries read, it[last step] - it[first step] + 2, stay within
-        # _WINDOW_VALUES values (two rows at least), wherever it starts;
-        # a start whose reach passes the last step sets no limit
+        # b steps read at most (b - 1) hop + 2 surface rows, hop being the
+        # most rows one step moves on; at most _WINDOW_VALUES values, or
+        # two rows
         it, _ = sol._time_cells(t[:-1])
-        ends = np.searchsorted(it, it + max(0, _WINDOW_VALUES // sol.x_nodes.size - 2),
-                               side="right")
-        window_steps = int((ends - np.arange(it.size))[ends < it.size].min(initial=t.size))
+        hop = max(1, int(np.diff(it).max(initial=0)))
+        window_steps = max(0, _WINDOW_VALUES // sol.x_nodes.size - 2) // hop + 1
     x0_col = np.array(x0s, dtype=float)[:, None]
 
     def step_block(w, k0, y, x, s_end):

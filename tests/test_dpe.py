@@ -182,6 +182,42 @@ def test_greeks_out_of_grid():
         greeks(sol, 5.0, 100.0)
 
 
+def _ref_interp(sol, f, t, s):
+    """The lookup as one out-of-place expression on the whole surface, as
+    it was before its values were formed in place."""
+    tn, xn = sol.t_nodes, sol.x_nodes
+    x = np.log(s)
+    dx, dt = xn[1] - xn[0], tn[1] - tn[0]
+    ix = np.clip(((x - xn[0]) / dx).astype(int), 0, xn.size - 2)
+    wx = np.clip((x - xn[ix]) / dx, 0.0, 1.0)
+    it = np.clip(((t - tn[0]) / dt).astype(int), 0, tn.size - 2)
+    wt = np.clip((t - tn[it]) / dt, 0.0, 1.0)
+    i00 = it * xn.size + ix
+    ux, ut = 1 - wx, 1 - wt
+    return (ut * (ux * f.take(i00) + wx * f.take(i00 + 1))
+            + wt * (ux * f.take(i00 + xn.size) + wx * f.take(i00 + xn.size + 1)))
+
+
+def test_lookups_on_row_windows_keep_the_bits_of_the_whole_surface():
+    """interp forms each value in place, on the whole surface or on a
+    window of its rows with the same time locator: the bits of the
+    out-of-place expression either way.  A window short of the rows the
+    lookup reads is rejected."""
+    sol = solve_dpe(call(100.0), GammaBand(-0.5, 0.5), PARAMS, _grid(64))
+    rng = np.random.default_rng(5)
+    t, s = rng.uniform(0.2, 0.4, (30, 1)), rng.uniform(60.0, 160.0, (30, 7))
+    rows = sol.time_rows(t)
+    assert 2 < rows.stop - rows.start < sol.t_nodes.size
+    g, delta = sol.cash_gamma, sol.delta
+    assert _same_bits(sol.interp(g, t, s), _ref_interp(sol, g, t, s))
+    got = sol.interp((g[rows], sol.delta_of(sol.v[rows])), t, s, row0=rows.start)
+    assert _same_bits(got[0], _ref_interp(sol, g, t, s))
+    assert _same_bits(got[1], _ref_interp(sol, delta, t, s))
+    for short in (slice(rows.start + 1, rows.stop), slice(rows.start, rows.stop - 1)):
+        with pytest.raises(ValueError, match="rows the lookup reads"):
+            sol.interp(g[short], t, s, row0=short.start)
+
+
 @pytest.mark.parametrize("t, s", [(0.0, math.nan), (math.nan, 100.0),
                                   (0.5, [100.0, math.nan]), ([0.0, math.nan], 100.0)],
                          ids=["nan-s", "nan-t", "nan-in-s-array", "nan-in-t-array"])
