@@ -182,7 +182,7 @@ class DpeSolution:
         # the flat index of each lower-left corner; the other corners are
         # the same index into the field shifted by 1, nx and nx + 1
         ix += (it - row0) * nx
-        lo, hi = np.empty(shape), np.empty(shape)
+        a, b = np.empty(shape), np.empty(shape)
         out = []
         for f in fields:
             flat = f.reshape(-1)
@@ -191,12 +191,12 @@ class DpeSolution:
             # "raise" would buffer, and every index is in range
             val = np.take(flat, ix, out=np.empty(shape), mode="clip")
             val *= ux
-            val += np.multiply(np.take(flat[1:], ix, out=lo, mode="clip"), wx, out=lo)
+            val += np.multiply(np.take(flat[1:], ix, out=a, mode="clip"), wx, out=a)
             val *= ut
-            np.multiply(np.take(flat[nx:], ix, out=lo, mode="clip"), ux, out=lo)
-            lo += np.multiply(np.take(flat[nx + 1:], ix, out=hi, mode="clip"), wx, out=hi)
-            lo *= wt
-            val += lo
+            np.multiply(np.take(flat[nx:], ix, out=a, mode="clip"), ux, out=a)
+            a += np.multiply(np.take(flat[nx + 1:], ix, out=b, mode="clip"), wx, out=b)
+            a *= wt
+            val += a
             out.append(val)
         # tuple() of a list: a generator's tuple is resized, and each call
         # would leave one more on the interpreter's free list

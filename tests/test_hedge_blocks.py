@@ -186,16 +186,12 @@ def _ref_drift(sol):
     return out
 
 
-def _rows(sol):
-    return slice(0, sol.t_nodes.size)
-
-
 @pytest.mark.parametrize("band", [BAND, GammaBand(-np.inf, np.inf)],
                          ids=["banded", "unbanded"])
 def test_drift_field_and_bounds_match_the_out_of_place_expressions(band):
     sol = solve_dpe(PAYOFF, band, PARAMS, PdeGrid.around_spot(100.0, PARAMS, nx=64))
     want = _ref_drift(sol)
-    assert _same_bytes(hedge._drift_rows(sol, _rows(sol)), want)
+    assert _same_bytes(hedge._drift_rows(sol, slice(0, sol.t_nodes.size)), want)
     spec = StrategySpec.from_dpe(sol)
     assert repr(spec.alpha_bound) == repr(float(np.max(np.abs(want))))
 
