@@ -1,15 +1,48 @@
 """CSV tables: SHA-256 pins of whole run artifacts, and the column-wise
-writer against a per-cell reference writer, byte for byte."""
+writer against a per-cell reference writer, byte for byte.
+
+The byte contract: every artifact of one round of the benchmark's
+`forward` (at workers 1 and 2), `small-time` and `hedge` workloads at
+seeds 1 and 7, the `validate-config` output of every experiment at its
+defaults and the `list-catalog` output keep the digests pinned in
+byte_contract.json.  A change that must move a value updates that file,
+and its diff names the artifacts that moved."""
 
 import hashlib
+import io
+import json
 import math
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smalltime import reports
-from smalltime.cli import main
+from smalltime.cli import _SCHEMAS, main
 from smalltime.reports import format_value, write_csv
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import config_text, slots  # noqa: E402
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run_digests(out: Path, *args) -> dict:
+    """The digest of every file a `smalltime run` with args writes to out."""
+    assert main(["run", f"--out={out}", *args]) in (0, 1)
+    return {f.name: _sha256(f.read_bytes()) for f in sorted(out.iterdir())}
+
+
+def _stdout_digest(argv) -> str:
+    text = io.StringIO()
+    with redirect_stdout(text):
+        assert main(argv) == 0
+    return _sha256(text.getvalue().encode())
 
 
 # ------------------------------------------------------------- artifact pins
@@ -111,10 +144,67 @@ ARTIFACT_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(ARTIFACT_DIGESTS))
 def test_artifact_bytes_are_pinned(tmp_path, case):
     (experiment, *args), name, digest = ARTIFACT_DIGESTS[case]
-    out = tmp_path / case
-    assert main(["run", f"--experiment={experiment}", "--seed=11",
-                 f"--out={out}", *args]) in (0, 1)
-    assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    assert run_digests(tmp_path / case, f"--experiment={experiment}", "--seed=11",
+                       *args)[name] == digest
+
+
+# ---------------------------------------------------------- the byte contract
+
+CONTRACT = Path(__file__).with_name("byte_contract.json")
+
+# check branches no workload reaches, at small sizes and seed 11
+_BRANCHES = {
+    "hedge-bs-funded": ("hedge", "--funding=bs", "--nx=32", "--paths=60",
+                        "--steps=20", "--chunk=25"),
+    "gap-bs-funding-fails": ("gap", "--bs_frac_neg_min=0.01", "--nx=32",
+                             "--paths=60", "--steps=20", "--chunk=25"),
+    "lil-sup-kind-t": ("lil-sup", "--kind=t", "--paths=200", "--levels=10"),
+}
+
+# (workload, seed, workers or None for the workload's own)
+_ROUNDS = [(workload, seed, workers) for seed in (1, 7)
+           for workload, workers in (("forward", 1), ("forward", 2),
+                                     ("small-time", None), ("hedge", None))]
+
+
+def _round_name(workload, seed, workers) -> str:
+    return f"{workload}-seed{seed}" + (f"-workers{workers}" if workers else "")
+
+
+CONTRACT_GROUPS = [_round_name(*r) for r in _ROUNDS] + [
+    "branches", "validate-config", "list-catalog"]
+
+
+def contract_digests(group: str, tmp: Path) -> dict:
+    """{output: digest} of one group of the byte contract, written under
+    tmp: a workload round's artifacts by slot, the check-branch runs', the
+    validate-config output by experiment, or the list-catalog output."""
+    if group == "list-catalog":
+        return {"list-catalog": _stdout_digest(["list-catalog"])}
+    if group == "validate-config":
+        return {e: _stdout_digest(["validate-config", f"--experiment={e}"])
+                for e in sorted(_SCHEMAS)}
+    out = {}
+    if group == "branches":
+        for name, (experiment, *args) in _BRANCHES.items():
+            files = run_digests(tmp / name, f"--experiment={experiment}",
+                                "--seed=11", *args)
+            out.update((f"{name}/{f}", d) for f, d in files.items())
+        return out
+    workload, seed, workers = next(r for r in _ROUNDS if _round_name(*r) == group)
+    for name, experiment, params in slots(workload, seed):
+        if workers:
+            params["workers"] = workers
+        cfg = tmp / f"{name}.cfg"
+        cfg.write_text(config_text(experiment, params))
+        files = run_digests(tmp / name, "--config", str(cfg))
+        out.update((f"{name}/{f}", d) for f, d in files.items())
+    return out
+
+
+@pytest.mark.parametrize("group", CONTRACT_GROUPS)
+def test_byte_contract(tmp_path, group):
+    assert contract_digests(group, tmp_path) == json.loads(CONTRACT.read_text())[group]
 
 
 # -------------------------------------------------- the column-wise writer
