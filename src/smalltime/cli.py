@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, dpe, hedge, lilab, market, paths
 from .dpe import PdeGrid, greeks, solve_dpe
-from .hedge import STRATEGY_CATALOG, StrategySpec, replication_gap, simulate_hedge
+from .hedge import STRATEGY_CATALOG, replication_gap, simulate_hedge
 from .lilab import (_RATE_KINDS, ergodic_liminf, ergodic_reference,
                     example36_diag, example36_rate_fn, moment_dominance,
                     moment_identity, ratio_sup, tail_bound_check, tail_bounds,
@@ -425,6 +425,11 @@ def _prop39_plan(cfg: RunConfig):
     return grid
 
 
+def _check(passed, **fields) -> dict:
+    """A check's summary record: whether it passed and the figures it compared."""
+    return {"pass": passed, **fields}
+
+
 def _run_moment(cfg: RunConfig, plan):
     p = cfg.params
     b, spec = plan
@@ -433,8 +438,8 @@ def _run_moment(cfg: RunConfig, plan):
     results = {"mc_mean": rep.mc_mean, "std_err": rep.std_err, "z": z,
                "dominance_margin": rep.dominance_margin, "n_paths": rep.n_paths}
     references = {"closed_form": rep.closed_form}
-    checks = {"mc_within_tolerance": {"pass": abs(z) <= p["max_sigmas"],
-                                      "z": z, "limit": p["max_sigmas"]}}
+    checks = {"mc_within_tolerance": _check(abs(z) <= p["max_sigmas"], z=z,
+                                            limit=p["max_sigmas"])}
     return results, references, checks, {"moment.csv": rep.csv_table()}
 
 
@@ -443,12 +448,9 @@ def _run_tail(cfg: RunConfig, plan):
     b, spec = plan
     rep = tail_bound_check(spec, b, p["horizon"], p["alphas"], rule=p["rule"],
                            eta=p["eta"], workers=cfg.workers)
-    table = rep.csv_table()
-    header, *columns = table
-    results = {"rows": [dict(zip(header, row)) for row in zip(*columns)],
-               "n_paths": rep.n_paths}
-    checks = {"no_exceedance_above_bound": {"pass": not rep.any_violation}}
-    return results, {}, checks, {"tail_bound.csv": table}
+    results = {"rows": [vars(row) for row in rep.rows], "n_paths": rep.n_paths}
+    checks = {"no_exceedance_above_bound": _check(not rep.any_violation)}
+    return results, {}, checks, {"tail_bound.csv": rep.csv_table()}
 
 
 def _run_lil_sup(cfg: RunConfig, plan):
@@ -461,12 +463,10 @@ def _run_lil_sup(cfg: RunConfig, plan):
     viol = float(np.mean(est.per_path_sup > envelope))
     results = {"summary": est.summary, "violation_rate": viol}
     references = {"envelope": envelope}
-    enveloped = b.unit_bounded and p["kind"] == "h" and p["absolute"]
     checks = {}
-    if enveloped:
-        checks["envelope_violation_rate"] = {
-            "pass": viol < p["violation_limit"],
-            "violation_rate": viol, "limit": p["violation_limit"]}
+    if b.unit_bounded and p["kind"] == "h" and p["absolute"]:
+        limit = p["violation_limit"]
+        checks["envelope_violation_rate"] = _check(viol < limit, violation_rate=viol, limit=limit)
     return results, references, checks, {"lil_sup.csv": est.csv_table()}
 
 
@@ -480,44 +480,36 @@ def _run_ergodic(cfg: RunConfig, plan):
                "min_quantiles": {"q50": float(np.median(rep.per_path_min)),
                                  "q99": float(np.quantile(rep.per_path_min, 0.99))}}
     references = {"limit_probability": rep.reference}
-    checks = {"frequency_matches_limit": {"pass": err <= p["tol"],
-                                          "error": err, "tol": p["tol"]}}
-    csvs = {"ergodic_paths.csv": rep.csv_table(),
-            "ergodic_freq.csv": rep.freq_csv_table()}
-    return results, references, checks, csvs
+    checks = {"frequency_matches_limit": _check(err <= p["tol"], error=err, tol=p["tol"])}
+    return results, references, checks, {"ergodic_paths.csv": rep.csv_table(),
+                                         "ergodic_freq.csv": rep.freq_csv_table()}
 
 
 def _run_example36(cfg: RunConfig, spec):
     p = cfg.params
     rep = example36_diag(spec, refinements=p["refinements"])
-    med = rep.proxy_summary["median"]
+    med, cons = rep.proxy_summary["median"], rep.consistency_median
     results = {"full_summary": rep.full.summary, "proxy_summary": rep.proxy_summary,
-               "consistency_median": rep.consistency_median, "t_min": rep.t_min}
-    checks = {
-        "sup_consistency": {"pass": rep.consistency_median <= p["consistency_max"],
-                            "median": rep.consistency_median,
-                            "limit": p["consistency_max"]},
-        "proxy_median_golden": {"pass": p["golden_lo"] <= med <= p["golden_hi"],
-                                "median": med,
-                                "lo": p["golden_lo"], "hi": p["golden_hi"]},
-    }
+               "consistency_median": cons, "t_min": rep.t_min}
+    checks = {"sup_consistency": _check(cons <= p["consistency_max"], median=cons,
+                                        limit=p["consistency_max"]),
+              "proxy_median_golden": _check(p["golden_lo"] <= med <= p["golden_hi"],
+                                            median=med, lo=p["golden_lo"], hi=p["golden_hi"])}
     return results, {}, checks, {"example36.csv": rep.csv_table()}
 
 
 def _run_prop39(cfg: RunConfig, grid):
     p = cfg.params
     bundle = sample_bundle(1, grid, p["paths"], cfg.seed)
-    a = VectorSpec.constant([1.0])
-    m = catalog_integrand("identity", 1)
-    dtr = drift_integral(bundle, a, m, eps=p["eps"])
+    dtr = drift_integral(bundle, VectorSpec.constant([1.0]), catalog_integrand("identity", 1),
+                         eps=p["eps"])
     rep = window_medians(dtr, p["window"])
     first_med, last_med = rep.medians[0], rep.medians[-1]
     results = {"window_medians": [{"t_hi": t, "median": med}
                                   for t, med in zip(rep.t_hi, rep.medians)]}
-    checks = {"scaled_statistic_shrinks": {
-        "pass": first_med < p["shrink"] * last_med,
-        "smallest_window_median": first_med, "largest_window_median": last_med,
-        "shrink": p["shrink"]}}
+    checks = {"scaled_statistic_shrinks": _check(
+        first_med < p["shrink"] * last_med, smallest_window_median=first_med,
+        largest_window_median=last_med, shrink=p["shrink"])}
     return results, {}, checks, {"prop39.csv": rep.csv_table()}
 
 
@@ -530,12 +522,11 @@ def _run_dpe_price(cfg: RunConfig, plan):
     results = {"price": v0, "gap": v0 - bs0, "breach_count": sol.breach_count,
                "residual_max": sol.residual_max}
     references = {"bs_price": bs0}
-    checks = {"dominates_bs": {"pass": v0 >= bs0 - 1e-6 * max(1.0, bs0)}}
+    checks = {"dominates_bs": _check(v0 >= bs0 - 1e-6 * max(1.0, bs0))}
     if not (band.has_lower or band.has_upper):
         # a reference of 0 is matched by 0 alone
         rel = abs(v0 - bs0) / bs0 if bs0 else (0.0 if v0 == bs0 else math.inf)
-        checks["matches_bs"] = {"pass": rel < p["bs_tol"], "rel_error": rel,
-                                "tol": p["bs_tol"]}
+        checks["matches_bs"] = _check(rel < p["bs_tol"], rel_error=rel, tol=p["bs_tol"])
     stride = max(1, (sol.t_nodes.size - 1) // 20)
     return results, references, checks, {"surface.csv": sol.csv_table(stride)}
 
@@ -547,50 +538,39 @@ def _run_bs_price(cfg: RunConfig, price):
 def _run_hedge(cfg: RunConfig, plan):
     p = cfg.params
     params, band, payoff, grid, spec = plan
-    sol = solve_dpe(payoff, band, params, grid)
-    v0 = float(greeks(sol, 0.0, p["s0"])[0])
-    bs0 = float(bs_price(payoff, p["s0"], 0.0, params))
+    strategy, v0, bs0 = hedge.surface_strategy(payoff, band, params, p["s0"], grid)
     x0 = (v0 if p["funding"] == "dpe" else bs0) * (1.0 + p["cushion"])
-    strategy = StrategySpec.from_dpe(sol)
     rep = simulate_hedge(spec, p["s0"], x0, strategy, payoff, band, params,
                          workers=cfg.workers)
+    frac = rep.frac_nonnegative
     results = {"x0": rep.x0, "y0": rep.y0, "quantiles": rep.quantiles,
                "clamp_events": rep.clamp_events, "clamp_rate": rep.clamp_rate,
-               "alpha_max": rep.alpha_max,
-               "frac_nonnegative": rep.frac_nonnegative}
+               "alpha_max": rep.alpha_max, "frac_nonnegative": frac}
     references = {"constrained_price": v0, "bs_price": bs0}
     checks = {}
     if p["funding"] == "dpe":
-        checks["super_replication"] = {
-            "pass": rep.frac_nonnegative >= p["target_nonneg"],
-            "frac_nonnegative": rep.frac_nonnegative,
-            "target": p["target_nonneg"]}
+        checks["super_replication"] = _check(frac >= p["target_nonneg"], frac_nonnegative=frac,
+                                             target=p["target_nonneg"])
     return results, references, checks, {"shortfall.csv": rep.csv_table()}
 
 
 def _run_gap(cfg: RunConfig, plan):
     p = cfg.params
     params, band, payoff, grid, spec = plan
-    rep = replication_gap(payoff, band, params, p["s0"], spec, grid=grid,
-                          workers=cfg.workers)
-    results = {"price_gap": rep.price_gap,
-               "constrained_price": rep.constrained_price,
-               "bs_price": rep.bs_price,
-               "constrained_run": rep.run_constrained.quantiles,
-               "bs_funded_run": rep.run_bs_funded.quantiles,
-               "bs_funded_frac_negative": rep.run_bs_funded.frac_negative}
-    checks = {"positive_gap": {"pass": rep.price_gap > p["gap_min"],
-                               "gap": rep.price_gap, "min": p["gap_min"]}}
+    rep = replication_gap(payoff, band, params, p["s0"], spec, grid=grid, workers=cfg.workers)
+    run_v, run_bs = rep.run_constrained, rep.run_bs_funded
+    references = {"constrained_price": rep.constrained_price, "bs_price": rep.bs_price}
+    results = {"price_gap": rep.price_gap, **references,
+               "constrained_run": run_v.quantiles, "bs_funded_run": run_bs.quantiles,
+               "bs_funded_frac_negative": run_bs.frac_negative}
+    checks = {"positive_gap": _check(rep.price_gap > p["gap_min"], gap=rep.price_gap,
+                                     min=p["gap_min"])}
     if p["bs_frac_neg_min"] > 0.0:
-        checks["bs_funding_fails"] = {
-            "pass": rep.run_bs_funded.frac_negative >= p["bs_frac_neg_min"],
-            "frac_negative": rep.run_bs_funded.frac_negative,
-            "min": p["bs_frac_neg_min"]}
-    csvs = {"shortfall_constrained.csv": rep.run_constrained.csv_table(),
-            "shortfall_bs_funded.csv": rep.run_bs_funded.csv_table()}
-    references = {"constrained_price": rep.constrained_price,
-                  "bs_price": rep.bs_price}
-    return results, references, checks, csvs
+        checks["bs_funding_fails"] = _check(run_bs.frac_negative >= p["bs_frac_neg_min"],
+                                            frac_negative=run_bs.frac_negative,
+                                            min=p["bs_frac_neg_min"])
+    return results, references, checks, {"shortfall_constrained.csv": run_v.csv_table(),
+                                         "shortfall_bs_funded.csv": run_bs.csv_table()}
 
 
 # experiment -> (planner, runner)

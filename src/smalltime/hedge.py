@@ -148,7 +148,7 @@ class HedgeReport:
 
     @property
     def frac_nonnegative(self) -> float:
-        return float(np.mean(self.shortfall >= 0.0))
+        return self.quantiles["frac_nonnegative"]
 
     @property
     def frac_negative(self) -> float:
@@ -303,6 +303,19 @@ def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,
             for x0, sf, x_t in zip(x0s, shortfall, x_terminal)]
 
 
+def surface_strategy(payoff: Payoff, band: GammaBand, params: MarketParams,
+                     s0: float, grid: PdeGrid | None = None) -> tuple:
+    """(strategy, v0, bs0): the surface strategy of the constrained value
+    surface solved on grid (PdeGrid.around_spot at s0 by default), the
+    constrained price v0 and the lognormal price bs0 at (0, s0)."""
+    if grid is None:
+        grid = PdeGrid.around_spot(s0, params)
+    sol = solve_dpe(payoff, band, params, grid)
+    v0 = float(greeks(sol, 0.0, s0)[0])
+    bs0 = float(bs_price(payoff, s0, 0.0, params))
+    return StrategySpec.from_dpe(sol), v0, bs0
+
+
 @dataclass
 class GapReport:
     """Price gap between the constrained and unconstrained prices, with the
@@ -322,12 +335,7 @@ def replication_gap(payoff: Payoff, band: GammaBand, params: MarketParams,
     the unconstrained lognormal price, and report both shortfall
     distributions together with the price gap.  Both fundings share one
     simulation."""
-    if grid is None:
-        grid = PdeGrid.around_spot(s0, params)
-    sol = solve_dpe(payoff, band, params, grid)
-    v0 = float(greeks(sol, 0.0, s0)[0])
-    bs0 = float(bs_price(payoff, s0, 0.0, params))
-    strategy = StrategySpec.from_dpe(sol)
+    strategy, v0, bs0 = surface_strategy(payoff, band, params, s0, grid)
     run_v, run_bs = _simulate_fundings(source, s0, (v0, bs0), strategy, payoff,
                                        band, params, workers)
     return GapReport(price_gap=v0 - bs0, constrained_price=v0, bs_price=bs0,
