@@ -300,6 +300,8 @@ def _dpe_plan(cfg: RunConfig):
     _fits_in_memory(("sigma", "horizon", "nx"),
                     f"the face lift of a grid {grid.dx:.3g} apart in log price",
                     market.face_lift_bytes(band, grid.nx, grid.dx))
+    if not math.isfinite(p.get("cushion", 0.0)):
+        raise ConfigError(f"key 'cushion': must be finite, got {p['cushion']}", key="cushion")
     spec = None
     if "steps" in p:
         _grid_fits("steps", p["steps"] + 1)
@@ -371,13 +373,20 @@ def _geometric_plan(cfg: RunConfig, rate_fn=None):
 
 
 def _lil_sup_plan(cfg: RunConfig):
-    """The integrand and grid of a lil-sup run, whose pass, one chunk of
-    every path, fits in memory."""
+    """The integrand, grid and finite envelope (1 + eta)^2 / theta of a
+    lil-sup run, whose pass, one chunk of every path, fits in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg, _RATE_KINDS[p["kind"]][0])
     n, d, size = p["paths"], p["d"], grid.size
     _pass_fits("paths", n, n, d, size, 1, lilab.trace_pass_bytes(p["integrand"], d, size, n))
-    return _integrand_plan(cfg), grid
+    try:
+        envelope = (1.0 + p["eta"]) ** 2 / p["theta"]
+    except OverflowError:
+        envelope = math.inf
+    if not math.isfinite(envelope):
+        raise ConfigError("key 'eta' / 'theta': the envelope (1 + eta)^2 / theta is "
+                          "not a finite double", key="eta")
+    return _integrand_plan(cfg), grid, envelope
 
 
 def _ergodic_plan(cfg: RunConfig):
@@ -455,11 +464,10 @@ def _run_tail(cfg: RunConfig, plan):
 
 def _run_lil_sup(cfg: RunConfig, plan):
     p = cfg.params
-    b, grid = plan
+    b, grid, envelope = plan
     bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
     trace = integrate_double(bundle, b, keep="outer")
     est = ratio_sup(trace, kind=p["kind"], absolute=p["absolute"])
-    envelope = (1.0 + p["eta"]) ** 2 / p["theta"]
     viol = float(np.mean(est.per_path_sup > envelope))
     results = {"summary": est.summary, "violation_rate": viol}
     references = {"envelope": envelope}

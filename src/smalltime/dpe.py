@@ -63,8 +63,8 @@ class PdeGrid:
 
     @classmethod
     def around_spot(cls, s0: float, params: MarketParams, nx: int = 400) -> "PdeGrid":
-        """Grid of nx nodes spanning +/- 6 sigma sqrt(T) around log s0, with
-        nt chosen so that dt is at most 0.9 times the stability bound."""
+        """Grid of nx nodes spanning +/- 6 sigma sqrt(T) around log s0, priced to
+        positive finite doubles, with dt at most 0.9 times the stability bound."""
         if not 0.0 < s0 < math.inf:
             raise ValueError("spot s0 must be positive and finite")
         if not 0.0 < params.sigma * params.sigma < math.inf:
@@ -76,6 +76,10 @@ class PdeGrid:
         if not (x0 - half < x0 + half and dt_max > 0.0):
             raise ValueError("the grid's half-width 6 sigma sqrt(horizon) or its "
                              "stability bound vanishes in double precision")
+        with np.errstate(over="ignore"):
+            if not 0.0 < np.exp(x0 - half) <= np.exp(x0 + half) < math.inf:
+                raise ValueError("the grid's end-node prices s0 exp(-+6 sigma sqrt(horizon)) "
+                                 "are not positive finite doubles")
         nt = max(1, int(math.ceil(params.horizon / dt_max)))
         return cls(x_min=x0 - half, x_max=x0 + half, nx=nx, nt=nt)
 

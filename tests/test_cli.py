@@ -146,26 +146,35 @@ def test_out_of_domain_key_is_a_config_error(tmp_path, capsys, experiment,
     ("hedge", "s0", -1),
     ("gap", "strike", 0),
     ("gap", "lower", 1.0),
+    ("hedge", "cushion", "inf"),
+    ("hedge", "cushion", "-inf"),
 ])
 def test_invalid_dpe_family_config_is_a_config_error(tmp_path, capsys, experiment,
                                                      key, value):
     """Values every key's own parser accepts but the market, band, payoff,
-    grid or path objects reject: run and validate-config both exit 2 and
-    name the key, before any work."""
+    grid or path objects reject, or an infinite funding cushion: run and
+    validate-config both exit 2 and name the key, before any work."""
     _assert_plan_rejects(tmp_path, capsys, key,
                          [f"--experiment={experiment}", f"--{key}={value}"])
 
 
 @pytest.mark.parametrize("experiment", ["dpe-price", "hedge", "gap"])
-@pytest.mark.parametrize("key,value", [("sigma", "1e300"), ("sigma", "1e-300"),
-                                       ("horizon", "1e-300")])
+@pytest.mark.parametrize("key,value,named", [
+    ("sigma", "1e300", "sigma"), ("sigma", "1e-300", "sigma"),
+    ("horizon", "1e-300", "horizon"),
+    # end-node prices past the double range name horizon, sigma and s0
+    ("sigma", "1e20", "horizon"), ("horizon", "1e20", "horizon"),
+    ("sigma", "150", "horizon"),
+], ids=["sigma-1e300", "sigma-1e-300", "horizon-1e-300", "sigma-1e20", "horizon-1e20",
+        "sigma-150"])
 def test_dpe_grid_out_of_double_range_is_a_config_error(tmp_path, capsys,
-                                                        experiment, key, value):
-    """A sigma whose square overflows or vanishes, and a grid half-width
-    6 sigma sqrt(horizon) lost beside log s0, are named in the plan; they
-    used to surface as OverflowError, ZeroDivisionError or a complaint
-    about s0."""
-    _assert_plan_rejects(tmp_path, capsys, key,
+                                                        experiment, key, value, named):
+    """A sigma whose square overflows or vanishes, a grid half-width
+    6 sigma sqrt(horizon) lost beside log s0, and a grid whose top node
+    prices to inf (sigma above about 117.5 at the defaults) are named in
+    the plan; they used to surface as OverflowError, ZeroDivisionError, a
+    complaint about s0, a NaN price or surface cells of inf."""
+    _assert_plan_rejects(tmp_path, capsys, named,
                          [f"--experiment={experiment}", f"--{key}={value}"])
 
 
@@ -207,17 +216,20 @@ def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
     ("eta", ["--experiment=tail-bound", "--rule=fixed", "--eta=-0.5"]),
     ("eta", ["--experiment=tail-bound", "--rule=fixed", "--eta=0"]),
     ("delta", ["--experiment=ergodic", "--delta=-1"]),
+    ("eta", ["--experiment=lil-sup", "--eta=1e300"]),
 ], ids=["lil-sup-levels", "lil-sup-t0", "ergodic-levels", "example36-t0",
         "prop39-eps", "moment-lam", "moment-negative-lam", "moment-bound",
         "tail-bound-bound", "prop39-infinite-t0", "tail-bound-infinite-horizon",
         "moment-infinite-horizon", "fixed-eta-minus-two", "fixed-eta-minus-one",
-        "fixed-eta-minus-half", "fixed-eta-zero", "ergodic-negative-delta"])
+        "fixed-eta-minus-half", "fixed-eta-zero", "ergodic-negative-delta",
+        "lil-sup-infinite-envelope"])
 def test_small_time_and_moment_plans_reject_before_sampling(tmp_path, capsys, key,
                                                             args):
     """Grids the grid builders reject (infinite times among them), times
     outside the rate's domain, a drift exponent outside (0, 1], the moment
-    and tail bounds' hypotheses (a fixed-rule eta <= 0 among them) and a
-    delta <= 0 fail in the plan, not after sampling."""
+    and tail bounds' hypotheses (a fixed-rule eta <= 0 among them), a
+    delta <= 0 and a lil-sup envelope (1 + eta)^2 / theta that overflows
+    fail in the plan, not after sampling."""
     _assert_plan_rejects(tmp_path, capsys, key, args)
 
 
