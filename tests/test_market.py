@@ -45,6 +45,20 @@ def test_tabulated_payoff_interp_and_extension():
         tabulated([1.0, 0.5], [1.0, 1.0])
 
 
+@pytest.mark.parametrize("payoff, at_zero, slope", [
+    (piecewise_linear([80.0, 100.0, 120.0], [1.0, -0.5, 0.25], value_at_first=2.0), 2.0, 0.25),
+    (tabulated([1.0, math.e], [2.0, 3.0]), 1.4180232931306735, 0.5819767068693265),
+    # left piece floored at zero; the right piece's slope before flooring
+    (tabulated([1.0, math.e], [0.1, 3.0]), 0.0, 1.6877324499210467),
+    (tabulated([50.0, 100.0], [50.0, 0.0]), 100.0, -1.0),
+    (tabulated([1.0, 2.0], [5.0, 1.0]), 9.0, -4.0),
+], ids=["piecewise", "tabulated", "tabulated-floored-left", "tabulated-floored-right",
+        "tabulated-decreasing"])
+def test_value_at_zero_and_terminal_slope_are_pinned(payoff, at_zero, slope):
+    assert payoff.value_at_zero() == at_zero
+    assert payoff.terminal_slope() == slope
+
+
 def test_market_params_validation():
     with pytest.raises(ValueError):
         MarketParams(sigma=0.0, horizon=1.0)
