@@ -1,5 +1,5 @@
-"""Zero-rate market model: geometric Brownian motion, payoffs, lognormal
-pricing, and payoff face-lifting for the upper gamma bound."""
+"""Zero-rate market model: geometric Brownian motion, payoffs, exact
+lognormal pricing, and payoff face-lifting for the upper gamma bound."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, roots_hermite
+from scipy.special import ndtr
 
 from .matcore import GammaBand
 
@@ -56,13 +56,9 @@ class Payoff:
         if self.kind == "put":
             return np.maximum(self.strike - s, 0.0)
         if self.kind == "piecewise":
-            bp, sl = self.breakpoints, self.slopes
-            vals = np.full(s.shape, self.value_at_first)
-            for i in range(bp.size):
-                right = bp[i + 1] if i + 1 < bp.size else math.inf
-                seg = np.clip(s, bp[i], right) - bp[i]
-                vals = vals + sl[i] * seg
-            return vals
+            lo, _, a, b, _ = self._segments()
+            i = np.maximum(np.searchsorted(lo, s, side="right") - 1, 0)
+            return a[i] + b[i] * s
         x = np.log(s)
         xn = np.log(self.s_nodes)
         inside = np.interp(x, xn, self.values)
@@ -76,26 +72,39 @@ class Payoff:
         return np.maximum(out, 0.0)
 
     def value_at_zero(self) -> float:
-        """Limit of the payoff as s -> 0+."""
-        if self.kind == "call":
-            return 0.0
-        if self.kind == "put":
-            return self.strike
-        if self.kind == "piecewise":
-            return self.value_at_first
-        lo_slope = (self.values[1] - self.values[0]) / (self.s_nodes[1] - self.s_nodes[0])
-        return max(0.0, float(self.values[0] - lo_slope * self.s_nodes[0]))
+        """Limit of the payoff as s -> 0+: its first piece, floored at zero."""
+        return max(0.0, float(self._segments()[2, 0]))
 
     def terminal_slope(self) -> float:
-        """Asymptotic slope in s for large s."""
+        """Slope in s of the last piece, before a tabulated payoff's floor."""
+        return float(self._segments()[3, -1])
+
+    def _segments(self) -> np.ndarray:
+        """Rows lo, hi, a, b, c, a column per segment in increasing s: on
+        lo < s < hi the payoff is a + b s + c log s, outside all segments 0.
+        A tabulated payoff is affine in log s between its nodes; its outer
+        pieces are affine in s and cut where they reach zero."""
+        k, inf = self.strike, math.inf
         if self.kind == "call":
-            return 1.0
+            return np.array([[0.0, k], [k, inf], [0.0, -k], [0.0, 1.0], [0.0, 0.0]])
         if self.kind == "put":
-            return 0.0
+            return np.array([[0.0, k], [k, inf], [k, 0.0], [-1.0, 0.0], [0.0, 0.0]])
         if self.kind == "piecewise":
-            return float(self.slopes[-1])
-        return float((self.values[-1] - self.values[-2])
-                     / (self.s_nodes[-1] - self.s_nodes[-2]))
+            # segment 0 is the constant left of the first breakpoint
+            bp, sl = np.append(0.0, self.breakpoints), np.append(0.0, self.slopes)
+            a = self.value_at_first + np.append(0.0, np.cumsum(sl[:-1] * np.diff(bp))) - sl * bp
+            return np.array([bp, np.append(bp[1:], inf), a, sl, np.zeros(bp.size)])
+        s, v, x = self.s_nodes, self.values, np.log(self.s_nodes)
+        lo_slope = (v[1] - v[0]) / (s[1] - s[0])
+        hi_slope = (v[-1] - v[-2]) / (s[-1] - s[-2])
+        cut_lo = max(0.0, s[0] - v[0] / lo_slope) if lo_slope > 0.0 else 0.0
+        cut_hi = s[-1] - v[-1] / hi_slope if hi_slope < 0.0 else inf
+        c = np.diff(v) / np.diff(x)
+        return np.array([np.append(cut_lo, s), np.append(s, cut_hi),
+                         np.concatenate(([v[0] - lo_slope * s[0]], v[:-1] - c * x[:-1],
+                                         [v[-1] - hi_slope * s[-1]])),
+                         np.concatenate(([lo_slope], np.zeros(c.size), [hi_slope])),
+                         np.concatenate(([0.0], c, [0.0]))])
 
 
 def call(strike: float) -> Payoff:
@@ -159,11 +168,11 @@ def _bs_call(s, k, sig_sqrt_tau):
 def bs_price(payoff: Payoff, s, t: float, params: MarketParams):
     """Zero-rate lognormal price E[g(S(T)) | S(t) = s].
 
-    Calls and puts use the closed form; other payoffs go through
-    Gauss-Hermite quadrature over the lognormal density, with the node
-    count doubled from 64 until two successive levels agree to within
-    1e-8 (1 + |price|).  If they still disagree at 2048 nodes, the
-    2048-node estimate is returned as it is, with no warning.
+    Calls and puts use the closed form and parity; every other payoff sums
+    the closed forms of its segments.  With v = sigma sqrt(T - t),
+    m = log s - v^2 / 2 and z = (log edge - m) / v, segment a + b s + c log s
+    adds a dN(-z) + b s dN(v - z) + c (m dN(-z) + v dphi(z)), d taking the
+    value at its lower edge less the value at its upper edge.
     """
     if not -math.inf < t <= params.horizon:
         raise ValueError("valuation time t must be finite and at most the horizon")
@@ -171,33 +180,24 @@ def bs_price(payoff: Payoff, s, t: float, params: MarketParams):
     if np.any(s_arr <= 0.0):
         raise ValueError("spot s must be positive")
     tau = params.horizon - t
+    v = params.sigma * math.sqrt(tau)
     if tau == 0.0:
         out = payoff(s_arr)
     elif payoff.kind == "call":
-        out = _bs_call(s_arr, payoff.strike, params.sigma * math.sqrt(tau))
+        out = _bs_call(s_arr, payoff.strike, v)
     elif payoff.kind == "put":
         # parity with zero rates: put = call - s + k
-        out = _bs_call(s_arr, payoff.strike, params.sigma * math.sqrt(tau)) - s_arr + payoff.strike
+        out = _bs_call(s_arr, payoff.strike, v) - s_arr + payoff.strike
     else:
-        out = _quad_price(payoff, s_arr, tau, params.sigma)
+        lo, hi, a, b, c = payoff._segments()
+        m = np.log(s_arr)[:, None] - 0.5 * v * v
+        with np.errstate(divide="ignore", over="ignore"):
+            z_lo, z_hi = (np.log(lo) - m) / v, (np.log(hi) - m) / v
+            dphi = np.exp(-0.5 * z_lo * z_lo) - np.exp(-0.5 * z_hi * z_hi)
+        dn = ndtr(-z_lo) - ndtr(-z_hi)
+        out = (a * dn + b * s_arr[:, None] * (ndtr(v - z_lo) - ndtr(v - z_hi))
+               + c * (m * dn + v * dphi / math.sqrt(2.0 * math.pi))).sum(axis=1)
     return float(out[0]) if np.ndim(s) == 0 else out
-
-
-def _quad_price(payoff, s_arr, tau, sigma, rel_tol=1e-8, max_nodes=2048):
-    prev = None
-    n = 64
-    while n <= max_nodes:
-        x, wts = roots_hermite(n)
-        z = math.sqrt(2.0) * x
-        st = s_arr[:, None] * np.exp(sigma * math.sqrt(tau) * z[None, :]
-                                     - 0.5 * sigma ** 2 * tau)
-        vals = payoff(st.ravel()).reshape(st.shape)
-        est = (vals * wts[None, :]).sum(axis=1) / math.sqrt(math.pi)
-        if prev is not None and np.all(np.abs(est - prev) <= rel_tol * (1.0 + np.abs(est))):
-            return est
-        prev = est
-        n *= 2
-    return prev
 
 
 def _upper_hull(points):

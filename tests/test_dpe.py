@@ -136,8 +136,8 @@ def test_terminal_slice_is_lifted_payoff():
 
 def test_linear_growth_rejection():
     bad = tabulated([1.0, 2.0], [5.0, 1.0])
-    # decreasing right tail gives a negative terminal slope after flooring?
-    # terminal_slope is negative here, which the solver refuses
+    # terminal_slope is the last piece's slope before the floor, -4 here,
+    # and the solver refuses a negative one
     with pytest.raises(ValueError):
         solve_dpe(bad, FREE, PARAMS, _grid())
 

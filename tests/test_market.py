@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from smalltime.market import (MarketParams, bs_price, call, face_lift,
                               piecewise_linear, put, simulate_gbm, tabulated)
@@ -123,11 +124,45 @@ def test_bs_price_put_call_parity():
     assert c - p == pytest.approx(10.0, abs=1e-10)
 
 
-def test_bs_price_quadrature_matches_closed_form():
+def test_bs_price_of_tabulated_call_matches_closed_form():
+    # the tabulated call interpolates linearly in log s, which puts it
+    # 9.1e-6 relative above the call's price
     sg = np.exp(np.linspace(math.log(20.0), math.log(500.0), 801))
     tab = tabulated(sg, call(100.0)(sg))
     q = bs_price(tab, 100.0, 0.0, PARAMS)
-    assert q == pytest.approx(bs_price(call(100.0), 100.0, 0.0, PARAMS), rel=1e-3)
+    assert q == pytest.approx(bs_price(call(100.0), 100.0, 0.0, PARAMS), rel=2e-5)
+
+
+def _kink_split_price(payoff, s, t, kinks):
+    """E[g(S(T)) | S(t) = s] by adaptive quadrature over the standard normal
+    on [-40, 40], split wherever S(T) crosses a kink of g."""
+    v = PARAMS.sigma * math.sqrt(PARAMS.horizon - t)
+    m = math.log(s) - 0.5 * v * v
+
+    def integrand(z):
+        return payoff(math.exp(m + v * z)) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    cuts = sorted(z for z in ((math.log(k) - m) / v for k in kinks) if -40.0 < z < 40.0)
+    edges = [-40.0, *cuts, 40.0]
+    return sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges, edges[1:]))
+
+
+@pytest.mark.parametrize("t", [0.0, 0.999, 1.0 - 1e-9], ids=["t0", "t0.999", "t-near-horizon"])
+@pytest.mark.parametrize("payoff, kinks", [
+    (piecewise_linear([80.0, 100.0, 120.0], [1.0, -0.5, 0.25], value_at_first=2.0),
+     [80.0, 100.0, 120.0]),
+    (tabulated([60.0, 90.0, 100.0, 130.0], [10.0, 3.0, 4.0, 30.0]), [60.0, 90.0, 100.0, 130.0]),
+    # the left piece reaches 0 at 1 - 0.1 (e - 1) / 2.9
+    (tabulated([1.0, math.e], [0.1, 3.0]), [1.0 - 0.1 * (math.e - 1.0) / 2.9, 1.0, math.e]),
+    # the right piece reaches 0 at the last node
+    (tabulated([50.0, 100.0], [50.0, 0.0]), [50.0, 100.0]),
+], ids=["piecewise", "tabulated", "tabulated-floored-left", "tabulated-floored-right"])
+def test_bs_price_is_exact_against_kink_split_quadrature(payoff, kinks, t):
+    spots = np.array([0.5, 2.0, 70.0, 100.0, 140.0])
+    prices = bs_price(payoff, spots, t, PARAMS)
+    expected = [_kink_split_price(payoff, s, t, kinks) for s in spots]
+    assert prices == pytest.approx(expected, rel=1e-12)
 
 
 def test_bs_price_monotone_in_payoff():
