@@ -304,6 +304,12 @@ def _dpe_plan(cfg: RunConfig):
         raise ConfigError(f"key 'cushion': must be finite, got {p['cushion']}", key="cushion")
     spec = None
     if "steps" in p:
+        # the hedge step divides the cash gamma by s^2, which must not underflow
+        bottom = math.exp(grid.x_min)
+        if bottom * bottom < sys.float_info.min:
+            raise ConfigError(f"key 's0' / 'sigma' / 'horizon': the grid's bottom price "
+                              f"s0 exp(-6 sigma sqrt(horizon)) = {bottom:.3g} squares below "
+                              f"the smallest normal double", key="s0")
         _grid_fits("steps", p["steps"] + 1)
         with _reading("steps"):
             times = uniform_grid(p["horizon"], p["steps"])

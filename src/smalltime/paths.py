@@ -140,7 +140,7 @@ def geometric_grid(t0: float, theta: float, levels: int) -> TimeGrid:
 
     theta must lie in (0, 1).  Points are generated in log space; the
     generator refuses grids that would dip below 1e-300 rather than letting
-    times flush to zero.
+    times flush to zero, and grids whose Brownian bridge overflows.
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("geometric grid needs theta in (0, 1)")
@@ -155,6 +155,10 @@ def geometric_grid(t0: float, theta: float, levels: int) -> TimeGrid:
                          f"below the 1e-300 time floor at {levels} levels")
     ks = np.arange(levels, -1, -1, dtype=float)
     pts = np.exp(math.log(t0) + ks * math.log(theta))
+    # the sampler's bridge forms t[k] (t[k+1] - t[k]), largest at the top
+    if levels and not math.isfinite(float(pts[-2]) * float(pts[-1] - pts[-2])):
+        raise ValueError("geometric grid's bridge product t0 theta * t0 (1 - theta) "
+                         "at its top level is not a finite double")
     return TimeGrid(pts, kind="geometric",
                     meta={"t0": float(t0), "theta": float(theta), "levels": int(levels)})
 

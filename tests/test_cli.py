@@ -148,12 +148,16 @@ def test_out_of_domain_key_is_a_config_error(tmp_path, capsys, experiment,
     ("gap", "lower", 1.0),
     ("hedge", "cushion", "inf"),
     ("hedge", "cushion", "-inf"),
+    ("hedge", "s0", "1e-300"),
+    ("gap", "s0", "1e-300"),
 ])
 def test_invalid_dpe_family_config_is_a_config_error(tmp_path, capsys, experiment,
                                                      key, value):
     """Values every key's own parser accepts but the market, band, payoff,
-    grid or path objects reject, or an infinite funding cushion: run and
-    validate-config both exit 2 and name the key, before any work."""
+    grid or path objects reject, an infinite funding cushion, or a hedge
+    grid whose bottom price squares below the smallest normal double (s^2
+    in the hedge step's gamma would be 0): run and validate-config both
+    exit 2 and name the key, before any work."""
     _assert_plan_rejects(tmp_path, capsys, key,
                          [f"--experiment={experiment}", f"--{key}={value}"])
 
@@ -217,19 +221,21 @@ def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
     ("eta", ["--experiment=tail-bound", "--rule=fixed", "--eta=0"]),
     ("delta", ["--experiment=ergodic", "--delta=-1"]),
     ("eta", ["--experiment=lil-sup", "--eta=1e300"]),
+    ("t0", ["--experiment=prop39", "--t0=1e300", "--paths=20"]),
 ], ids=["lil-sup-levels", "lil-sup-t0", "ergodic-levels", "example36-t0",
         "prop39-eps", "moment-lam", "moment-negative-lam", "moment-bound",
         "tail-bound-bound", "prop39-infinite-t0", "tail-bound-infinite-horizon",
         "moment-infinite-horizon", "fixed-eta-minus-two", "fixed-eta-minus-one",
         "fixed-eta-minus-half", "fixed-eta-zero", "ergodic-negative-delta",
-        "lil-sup-infinite-envelope"])
+        "lil-sup-infinite-envelope", "prop39-bridge-overflow"])
 def test_small_time_and_moment_plans_reject_before_sampling(tmp_path, capsys, key,
                                                             args):
     """Grids the grid builders reject (infinite times among them), times
     outside the rate's domain, a drift exponent outside (0, 1], the moment
     and tail bounds' hypotheses (a fixed-rule eta <= 0 among them), a
-    delta <= 0 and a lil-sup envelope (1 + eta)^2 / theta that overflows
-    fail in the plan, not after sampling."""
+    delta <= 0, a lil-sup envelope (1 + eta)^2 / theta that overflows and
+    a geometric grid whose bridge product t0 theta * t0 (1 - theta)
+    overflows fail in the plan, not after sampling."""
     _assert_plan_rejects(tmp_path, capsys, key, args)
 
 
