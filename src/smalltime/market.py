@@ -28,20 +28,21 @@ class MarketParams:
 
 @dataclass
 class Payoff:
-    """Nonnegative terminal payoff g(S(T)).
+    """Nonnegative terminal payoff g(S(T)), held as its segment table.
 
-    Variants: call, put, piecewise linear (constant left of the first
-    breakpoint, last slope extends to infinity), and tabulated values that
-    interpolate linearly in log s between nodes and extend linearly in s
-    outside them (floored at zero).
+    table has rows lo, hi, a, b, c and a column per segment in increasing
+    s: on lo < s < hi the payoff is a + b s + c log s, outside all segments
+    0.  Evaluation, value_at_zero, terminal_slope and bs_price read it.
+    Variants: call and put (evaluated and priced by their closed forms at
+    strike), piecewise linear (constant left of the first breakpoint, last
+    slope extends to infinity), and tabulated node values that interpolate
+    linearly in log s between nodes and extend linearly in s outside them
+    (floored at zero).
     """
 
     kind: str
+    table: np.ndarray
     strike: float = 0.0
-    breakpoints: np.ndarray | None = None
-    slopes: np.ndarray | None = None
-    value_at_first: float = 0.0
-    s_nodes: np.ndarray | None = None
     values: np.ndarray | None = None
 
     def __call__(self, s):
@@ -55,68 +56,40 @@ class Payoff:
             return np.maximum(s - self.strike, 0.0)
         if self.kind == "put":
             return np.maximum(self.strike - s, 0.0)
-        if self.kind == "piecewise":
-            lo, _, a, b, _ = self._segments()
-            i = np.maximum(np.searchsorted(lo, s, side="right") - 1, 0)
-            return a[i] + b[i] * s
-        x = np.log(s)
-        xn = np.log(self.s_nodes)
-        inside = np.interp(x, xn, self.values)
-        out = inside
-        lo_slope = (self.values[1] - self.values[0]) / (self.s_nodes[1] - self.s_nodes[0])
-        hi_slope = (self.values[-1] - self.values[-2]) / (self.s_nodes[-1] - self.s_nodes[-2])
-        below = s < self.s_nodes[0]
-        above = s > self.s_nodes[-1]
-        out = np.where(below, self.values[0] + lo_slope * (s - self.s_nodes[0]), out)
-        out = np.where(above, self.values[-1] + hi_slope * (s - self.s_nodes[-1]), out)
+        # c is 0 on every piece this reads outside a tabulated payoff's nodes
+        lo, hi, a, b, _ = self.table
+        i = np.maximum(np.searchsorted(lo, s, side="right") - 1, 0)
+        out = a[i] + b[i] * s
+        if self.values is not None:
+            # np.interp in log s gives the node values exactly
+            nodes = hi[:-1]
+            inside = (s >= nodes[0]) & (s <= nodes[-1])
+            out[inside] = np.interp(np.log(s[inside]), np.log(nodes), self.values)
         return np.maximum(out, 0.0)
 
     def value_at_zero(self) -> float:
         """Limit of the payoff as s -> 0+: its first piece, floored at zero."""
-        return max(0.0, float(self._segments()[2, 0]))
+        return max(0.0, float(self.table[2, 0]))
 
     def terminal_slope(self) -> float:
         """Slope in s of the last piece, before a tabulated payoff's floor."""
-        return float(self._segments()[3, -1])
-
-    def _segments(self) -> np.ndarray:
-        """Rows lo, hi, a, b, c, a column per segment in increasing s: on
-        lo < s < hi the payoff is a + b s + c log s, outside all segments 0.
-        A tabulated payoff is affine in log s between its nodes; its outer
-        pieces are affine in s and cut where they reach zero."""
-        k, inf = self.strike, math.inf
-        if self.kind == "call":
-            return np.array([[0.0, k], [k, inf], [0.0, -k], [0.0, 1.0], [0.0, 0.0]])
-        if self.kind == "put":
-            return np.array([[0.0, k], [k, inf], [k, 0.0], [-1.0, 0.0], [0.0, 0.0]])
-        if self.kind == "piecewise":
-            # segment 0 is the constant left of the first breakpoint
-            bp, sl = np.append(0.0, self.breakpoints), np.append(0.0, self.slopes)
-            a = self.value_at_first + np.append(0.0, np.cumsum(sl[:-1] * np.diff(bp))) - sl * bp
-            return np.array([bp, np.append(bp[1:], inf), a, sl, np.zeros(bp.size)])
-        s, v, x = self.s_nodes, self.values, np.log(self.s_nodes)
-        lo_slope = (v[1] - v[0]) / (s[1] - s[0])
-        hi_slope = (v[-1] - v[-2]) / (s[-1] - s[-2])
-        cut_lo = max(0.0, s[0] - v[0] / lo_slope) if lo_slope > 0.0 else 0.0
-        cut_hi = s[-1] - v[-1] / hi_slope if hi_slope < 0.0 else inf
-        c = np.diff(v) / np.diff(x)
-        return np.array([np.append(cut_lo, s), np.append(s, cut_hi),
-                         np.concatenate(([v[0] - lo_slope * s[0]], v[:-1] - c * x[:-1],
-                                         [v[-1] - hi_slope * s[-1]])),
-                         np.concatenate(([lo_slope], np.zeros(c.size), [hi_slope])),
-                         np.concatenate(([0.0], c, [0.0]))])
+        return float(self.table[3, -1])
 
 
 def call(strike: float) -> Payoff:
     if not 0.0 < strike < math.inf:
         raise ValueError("strike must be positive and finite")
-    return Payoff(kind="call", strike=float(strike))
+    k = float(strike)
+    return Payoff("call", np.array([[0.0, k], [k, math.inf], [0.0, -k], [0.0, 1.0], [0.0, 0.0]]),
+                  strike=k)
 
 
 def put(strike: float) -> Payoff:
     if not 0.0 < strike < math.inf:
         raise ValueError("strike must be positive and finite")
-    return Payoff(kind="put", strike=float(strike))
+    k = float(strike)
+    return Payoff("put", np.array([[0.0, k], [k, math.inf], [k, 0.0], [-1.0, 0.0], [0.0, 0.0]]),
+                  strike=k)
 
 
 def piecewise_linear(breakpoints, slopes, value_at_first: float = 0.0) -> Payoff:
@@ -128,18 +101,19 @@ def piecewise_linear(breakpoints, slopes, value_at_first: float = 0.0) -> Payoff
         raise ValueError("breakpoints must be positive and increasing")
     if not np.all(np.isfinite(sl)):
         raise ValueError("slopes must be finite")
-    if value_at_first < 0.0 or sl[-1] < 0.0:
+    # segment 0 is the constant left of the first breakpoint
+    bp, sl = np.append(0.0, bp), np.append(0.0, sl)
+    a = float(value_at_first) + np.append(0.0, np.cumsum(sl[:-1] * np.diff(bp))) - sl * bp
+    # each piece's level at its left edge, and the last slope, decide the sign
+    if sl[-1] < 0.0 or np.any(a + sl * bp < 0.0):
         raise ValueError("payoff would go negative")
-    level = value_at_first
-    for i in range(bp.size - 1):
-        level += sl[i] * (bp[i + 1] - bp[i])
-        if level < 0.0:
-            raise ValueError("payoff would go negative")
-    return Payoff(kind="piecewise", breakpoints=bp, slopes=sl,
-                  value_at_first=float(value_at_first))
+    return Payoff("piecewise", np.array([bp, np.append(bp[1:], math.inf), a, sl,
+                                         np.zeros(bp.size)]))
 
 
 def tabulated(s_nodes, values) -> Payoff:
+    """One segment per node interval, affine in log s, and two outer pieces
+    affine in s, each cut where it reaches zero."""
     s = np.asarray(s_nodes, dtype=float)
     v = np.asarray(values, dtype=float)
     if s.size != v.size or s.size < 2:
@@ -148,7 +122,18 @@ def tabulated(s_nodes, values) -> Payoff:
         raise ValueError("s nodes must be positive and increasing")
     if np.any(v < 0.0):
         raise ValueError("payoff values must be nonnegative")
-    return Payoff(kind="tabulated", s_nodes=s, values=v)
+    x = np.log(s)
+    lo_slope = (v[1] - v[0]) / (s[1] - s[0])
+    hi_slope = (v[-1] - v[-2]) / (s[-1] - s[-2])
+    cut_lo = max(0.0, s[0] - v[0] / lo_slope) if lo_slope > 0.0 else 0.0
+    cut_hi = s[-1] - v[-1] / hi_slope if hi_slope < 0.0 else math.inf
+    c = np.diff(v) / np.diff(x)
+    table = np.array([np.append(cut_lo, s), np.append(s, cut_hi),
+                      np.concatenate(([v[0] - lo_slope * s[0]], v[:-1] - c * x[:-1],
+                                      [v[-1] - hi_slope * s[-1]])),
+                      np.concatenate(([lo_slope], np.zeros(c.size), [hi_slope])),
+                      np.concatenate(([0.0], c, [0.0]))])
+    return Payoff("tabulated", table, values=v)
 
 
 def simulate_gbm(w, t, s0: float, params: MarketParams) -> np.ndarray:
@@ -189,7 +174,7 @@ def bs_price(payoff: Payoff, s, t: float, params: MarketParams):
         # parity with zero rates: put = call - s + k
         out = _bs_call(s_arr, payoff.strike, v) - s_arr + payoff.strike
     else:
-        lo, hi, a, b, c = payoff._segments()
+        lo, hi, a, b, c = payoff.table
         m = np.log(s_arr)[:, None] - 0.5 * v * v
         with np.errstate(divide="ignore", over="ignore"):
             z_lo, z_hi = (np.log(lo) - m) / v, (np.log(hi) - m) / v

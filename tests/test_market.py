@@ -30,6 +30,11 @@ def test_piecewise_linear_payoff():
     assert np.allclose(g(s), [0.0, 0.0, 10.0, 20.0, 20.0])
     with pytest.raises(ValueError):
         piecewise_linear([90.0, 110.0], [-1.0, 0.0])  # would go negative
+    with pytest.raises(ValueError, match="would go negative"):
+        piecewise_linear([90.0, 110.0], [-0.5, 1.0], value_at_first=9.99)
+    # the same payoff from a level of 10 reaches exactly 0 at 110
+    touching = piecewise_linear([90.0, 110.0], [-0.5, 1.0], value_at_first=10.0)
+    assert touching(np.array([50.0, 100.0, 110.0, 130.0])).tolist() == [10.0, 5.0, 0.0, 20.0]
 
 
 def test_tabulated_payoff_interp_and_extension():
@@ -58,6 +63,32 @@ def test_tabulated_payoff_interp_and_extension():
 def test_value_at_zero_and_terminal_slope_are_pinned(payoff, at_zero, slope):
     assert payoff.value_at_zero() == at_zero
     assert payoff.terminal_slope() == slope
+
+
+@pytest.mark.parametrize("payoff", [
+    piecewise_linear([80.0, 100.0, 120.0], [1.0, -0.5, 0.25], value_at_first=2.0),
+    piecewise_linear([90.0, 110.0], [-0.5, 1.0], value_at_first=10.0),
+    tabulated([50.0, 60.0, 100.0], [10.0, 3.0, 7.0]),
+    tabulated([1.0, math.e], [0.1, 3.0]),
+    tabulated([50.0, 100.0], [50.0, 0.0]),
+], ids=["piecewise", "piecewise-touching-zero", "tabulated", "tabulated-floored-left",
+        "tabulated-floored-right"])
+def test_evaluation_reads_the_pricing_table(payoff):
+    """Outside a tabulated payoff's nodes, the value is its piece of the
+    table bs_price integrates, floored at 0; at and between the nodes it is
+    np.interp in log s, exact at each node."""
+    s = np.concatenate((np.linspace(0.05, 400.0, 10_001), [80.0, 90.0, 110.0, 120.0]))
+    lo, hi, a, b, c = payoff.table
+    j = np.searchsorted(lo, s, side="right") - 1  # the segment with lo <= s < hi
+    on = j >= 0
+    expected = np.zeros(s.size)
+    expected[on] = np.maximum(a[j[on]] + b[j[on]] * s[on] + c[j[on]] * np.log(s[on]), 0.0)
+    if payoff.kind == "tabulated":
+        nodes = hi[:-1]
+        inside = (s >= nodes[0]) & (s <= nodes[-1])
+        expected[inside] = np.interp(np.log(s[inside]), np.log(nodes), payoff.values)
+        assert payoff(nodes).tolist() == payoff.values.tolist()
+    assert payoff(s).tolist() == expected.tolist()
 
 
 def test_market_params_validation():
