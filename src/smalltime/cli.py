@@ -302,14 +302,18 @@ def _dpe_plan(cfg: RunConfig):
                     market.face_lift_bytes(band, grid.nx, grid.dx))
     if not math.isfinite(p.get("cushion", 0.0)):
         raise ConfigError(f"key 'cushion': must be finite, got {p['cushion']}", key="cushion")
+    if p.get("funding") == "bs":
+        # the runner checks x0 = v0 (1 + cushion) after the solve
+        _capital(bs_price(payoff, p["s0"], 0.0, params), p["cushion"])
     spec = None
     if "steps" in p:
-        # the hedge step divides the cash gamma by s^2, which must not underflow
-        bottom = math.exp(grid.x_min)
-        if bottom * bottom < sys.float_info.min:
-            raise ConfigError(f"key 's0' / 'sigma' / 'horizon': the grid's bottom price "
-                              f"s0 exp(-6 sigma sqrt(horizon)) = {bottom:.3g} squares below "
-                              f"the smallest normal double", key="s0")
+        # the hedge step divides the cash gamma by s^2, which must neither
+        # underflow at the grid's bottom price nor overflow at its top
+        bottom, top = math.exp(grid.x_min), math.exp(grid.x_max)
+        if not (bottom * bottom >= sys.float_info.min and top * top <= sys.float_info.max):
+            raise ConfigError(f"key 's0' / 'sigma' / 'horizon': the grid's end prices "
+                              f"s0 exp(-+6 sigma sqrt(horizon)), {bottom:.3g} and {top:.3g}, "
+                              f"must square to normal doubles", key="s0")
         _grid_fits("steps", p["steps"] + 1)
         with _reading("steps"):
             times = uniform_grid(p["horizon"], p["steps"])
@@ -319,6 +323,16 @@ def _dpe_plan(cfg: RunConfig):
                    (0, chunk_bytes, path_bytes), surfaces, after)
         spec = BundleSpec(1, times, p["paths"], cfg.seed, chunk_size=p["chunk"])
     return params, band, payoff, grid, spec
+
+
+def _capital(price: float, cushion: float) -> float:
+    """A hedge run's initial capital x0 = price (1 + cushion), which must be
+    a finite double."""
+    x0 = price * (1.0 + cushion)
+    if not math.isfinite(x0):
+        raise ConfigError(f"key 'cushion': the initial capital price (1 + cushion) = "
+                          f"{price:.3g} (1 + {cushion:.3g}) is not a finite double", key="cushion")
+    return x0
 
 
 def _bs_plan(cfg: RunConfig) -> float:
@@ -553,7 +567,7 @@ def _run_hedge(cfg: RunConfig, plan):
     p = cfg.params
     params, band, payoff, grid, spec = plan
     strategy, v0, bs0 = hedge.surface_strategy(payoff, band, params, p["s0"], grid)
-    x0 = (v0 if p["funding"] == "dpe" else bs0) * (1.0 + p["cushion"])
+    x0 = _capital(v0 if p["funding"] == "dpe" else bs0, p["cushion"])
     rep = simulate_hedge(spec, p["s0"], x0, strategy, payoff, band, params,
                          workers=cfg.workers)
     frac = rep.frac_nonnegative

@@ -2,7 +2,10 @@ import json
 import math
 import os
 import re
+import resource
 import signal
+import sys
+import traceback
 import tracemalloc
 import warnings
 
@@ -150,14 +153,18 @@ def test_out_of_domain_key_is_a_config_error(tmp_path, capsys, experiment,
     ("hedge", "cushion", "-inf"),
     ("hedge", "s0", "1e-300"),
     ("gap", "s0", "1e-300"),
+    ("hedge", "s0", "1e300"),
+    ("gap", "s0", "1e300"),
+    ("hedge", "s0", "1e154"),
 ])
 def test_invalid_dpe_family_config_is_a_config_error(tmp_path, capsys, experiment,
                                                      key, value):
     """Values every key's own parser accepts but the market, band, payoff,
     grid or path objects reject, an infinite funding cushion, or a hedge
     grid whose bottom price squares below the smallest normal double (s^2
-    in the hedge step's gamma would be 0): run and validate-config both
-    exit 2 and name the key, before any work."""
+    in the hedge step's gamma would be 0) or whose top price squares above
+    the largest double (s^2 would be inf, and the gamma 0): run and
+    validate-config both exit 2 and name the key, before any work."""
     _assert_plan_rejects(tmp_path, capsys, key,
                          [f"--experiment={experiment}", f"--{key}={value}"])
 
@@ -193,12 +200,16 @@ def test_dpe_grid_out_of_double_range_is_a_config_error(tmp_path, capsys,
     ("d", ["--experiment=moment", "--d=3000", "--paths=1", "--chunk=1"]),
     ("d", ["--experiment=tail-bound", "--rule=fixed", "--d=1000", "--paths=1",
            "--chunk=1"]),
+    ("s0", ["--experiment=gap", "--s0=1e154", "--strike=1e154"]),
+    ("cushion", ["--experiment=hedge", "--funding=bs", "--cushion=1e308"]),
 ])
 def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
     """bs-price valuations (at an infinite time, or whose sigma^2 tau
     overflows), catalog integrands at a dimension they do not take, prop39
-    windows wider than the grid and moment and tail closed forms that
-    overflow at a large d fail in the plan."""
+    windows wider than the grid, moment and tail closed forms that
+    overflow at a large d, a hedge grid whose top price squares past the
+    double range and a lognormal funding bs0 (1 + cushion) that overflows
+    fail in the plan."""
     _assert_plan_rejects(tmp_path, capsys, key, args)
 
 
@@ -399,6 +410,92 @@ def test_every_key_at_edge_values_is_accepted_or_named(capsys, host_8gib, experi
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert not bad
+
+
+# a tiny run of each experiment in at most a few chunks, so that no
+# workers value starts more than a handful of threads
+_SWEEP_BASES = {
+    "moment": ["--paths=40", "--steps=8", "--chunk=20"],
+    "tail-bound": ["--paths=40", "--steps=8", "--chunk=20"],
+    "lil-sup": ["--paths=20", "--levels=8"],
+    "ergodic": ["--paths=20", "--levels=8"],
+    "example36": ["--paths=20", "--levels=8", "--chunk=10", "--refinements=1"],
+    "prop39": ["--paths=20", "--levels=12", "--window=4"],
+    "dpe-price": ["--nx=32"],
+    "bs-price": [],
+    "hedge": ["--nx=32", "--paths=20", "--steps=20", "--chunk=10"],
+    "gap": ["--nx=32", "--paths=20", "--steps=20", "--chunk=10"],
+}
+
+
+def _run_forked(experiment, args, log):
+    """The exit status of main(["run", ...]) in a forked child, under a
+    3 GiB address-space limit and a 20 s alarm, and the CSV names its
+    runner returned.  The child writes its output, and the traceback of
+    anything it raises, to log."""
+    names = log.with_suffix(".names")
+    pid = os.fork()
+    if pid == 0:  # the child never returns into pytest
+        status = 3
+        try:
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.alarm(20)
+            sys.stdout = sys.stderr = open(log, "w")
+            planner, runner = cli._EXPERIMENTS[experiment]
+
+            def recording(cfg, plan):
+                result = runner(cfg, plan)
+                names.write_text(json.dumps(sorted(result[3])))
+                return result
+
+            cli._EXPERIMENTS[experiment] = (planner, recording)
+            status = main(["run", f"--experiment={experiment}", *args])
+        except BaseException:
+            traceback.print_exc()
+        finally:
+            sys.stdout.flush()
+            os._exit(status)
+    _, wait = os.waitpid(pid, 0)
+    status = os.waitstatus_to_exitcode(wait)
+    return status, json.loads(names.read_text()) if names.exists() else None
+
+
+@pytest.mark.parametrize("experiment", sorted(_SCHEMAS))
+def test_every_accepted_edge_config_runs_to_its_artifacts(tmp_path, capsys, host_8gib,
+                                                          experiment):
+    """Each config that validate-config accepts, with one key of a tiny run
+    at each edge value, runs in a forked child: it exits 0 or 1, raises
+    nothing, stays within 3 GiB and 20 s, and writes summary.json and every
+    CSV its runner names."""
+    bad = []
+    for key in [*_SCHEMAS[experiment], "seed", "workers"]:
+        for i, value in enumerate(_EDGE_VALUES):
+            args = [*_SWEEP_BASES[experiment], f"--{key}={value}"]
+            accepted = main(["validate-config", f"--experiment={experiment}", *args]) == 0
+            capsys.readouterr()
+            if not accepted:
+                continue
+            out = tmp_path / f"{key}-{i}"
+            status, names = _run_forked(experiment, [*args, f"--out={out}"],
+                                        tmp_path / f"{key}-{i}.log")
+            written = [n for n in ["summary.json", *(names or [])] if (out / n).exists()]
+            if status not in (0, 1) or names is None or len(written) != len(names) + 1:
+                log = (tmp_path / f"{key}-{i}.log").read_text()
+                bad.append((key, value, status, names, written, log[-500:]))
+    assert not bad
+
+
+def test_hedge_capital_that_overflows_is_a_config_error(tmp_path, capsys):
+    """x0 = v0 (1 + cushion) is known only after the solve: a cushion that
+    makes it overflow exits 2 from run, naming cushion, before any path is
+    drawn or artifact written."""
+    out = tmp_path / "never"
+    args = ["run", "--experiment=hedge", "--cushion=1e308", "--nx=32", "--paths=20",
+            "--steps=20", f"--out={out}"]
+    assert main(args) == 2
+    assert "config error: key 'cushion'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_zero_dimension_is_a_config_error(tmp_path, capsys):
