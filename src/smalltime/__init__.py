@@ -17,7 +17,7 @@ from .lilab import (ErgodicReport, Example36Report, GridMismatchError,
                     WindowMedians, conditional_moment_fn, ergodic_liminf,
                     example36_diag, moment_dominance, moment_identity,
                     optimal_tail_lambda, ratio_sup, tail_bound_check,
-                    tail_bound_value, window_medians)
+                    tail_bound_value, window_maxima, window_medians)
 from .market import (MarketParams, Payoff, bs_price, call, face_lift,
                      piecewise_linear, put, simulate_gbm, tabulated)
 from .dpe import (DpeSolution, OutOfGridError, PdeGrid, StabilityError,

@@ -23,10 +23,10 @@ import numpy as np
 from . import __version__, dpe, hedge, lilab, market, paths
 from .dpe import PdeGrid, greeks, solve_dpe
 from .hedge import STRATEGY_CATALOG, replication_gap, simulate_hedge
-from .lilab import (_RATE_KINDS, ergodic_liminf, ergodic_reference,
+from .lilab import (_RATE_KINDS, LilEstimate, ergodic_liminf, ergodic_reference,
                     example36_diag, example36_rate_fn, moment_dominance,
                     moment_identity, ratio_sup, tail_bound_check, tail_bounds,
-                    window_medians)
+                    window_maxima, window_medians)
 from .market import MarketParams, bs_price, call, put
 from .matcore import GammaBand, SymMatrix
 from .paths import (BundleSpec, ergodic_grid, geometric_grid, sample_bundle,
@@ -293,6 +293,11 @@ def _dpe_plan(cfg: RunConfig):
         band = GammaBand(p["lower"], p["upper"])
     with _reading("horizon", "sigma", "s0"):
         grid = PdeGrid.around_spot(p["s0"], params, nx=p["nx"])
+    if grid.dx > 2.0:
+        # the explicit step's upper-neighbour weight c/dx^2 - c/(2 dx) is then negative
+        raise ConfigError(f"key 'nx' / 'sigma' / 'horizon': the grid's log-price step "
+                          f"12 sigma sqrt(horizon) / (nx - 1) = {grid.dx:.3g} exceeds 2, "
+                          f"where the explicit DPE step is not monotone", key="nx")
     surfaces = dpe.solve_bytes(grid)
     _fits_in_memory("nx", f"a DPE run on {grid.nx} x {grid.nt + 1} nodes", surfaces)
     # the face lift runs, and frees its grid, before the surfaces exist;
@@ -392,13 +397,33 @@ def _geometric_plan(cfg: RunConfig, rate_fn=None):
     return grid
 
 
+def _budget_spec(cfg: RunConfig, grid, key, nbytes) -> BundleSpec:
+    """The spec of a lil-sup, ergodic or prop39 pass on grid, in chunks of
+    lilab.budget_chunk paths walked in turn, once the pass's counts
+    nbytes(chunk) fit in memory (a chunk too large names key)."""
+    p = cfg.params
+    d, n = p.get("d", 1), p["paths"]
+    chunk = min(lilab.budget_chunk(d, grid.size), n)
+    *counts, after = nbytes(chunk)
+    _pass_fits(key, n, chunk, d, grid.size, 1, counts, after=after)
+    return BundleSpec(d, grid, n, cfg.seed, chunk_size=chunk)
+
+
+def _sampled(fn, spec: BundleSpec) -> list:
+    """fn of each chunk of a geometric spec, sampled in path order on the
+    calling thread."""
+    return [fn(sample_bundle(spec.dim, spec.grid, min(spec.chunk_size, spec.path_count - first),
+                             spec.seed, first))
+            for first in range(0, spec.path_count, spec.chunk_size)]
+
+
 def _lil_sup_plan(cfg: RunConfig):
-    """The integrand, grid and finite envelope (1 + eta)^2 / theta of a
-    lil-sup run, whose pass, one chunk of every path, fits in memory."""
+    """The integrand, spec and finite envelope (1 + eta)^2 / theta of a
+    lil-sup run, whose pass fits in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg, _RATE_KINDS[p["kind"]][0])
-    n, d, size = p["paths"], p["d"], grid.size
-    _pass_fits("paths", n, n, d, size, 1, lilab.trace_pass_bytes(p["integrand"], d, size, n))
+    spec = _budget_spec(cfg, grid, ("levels", "d"), lambda chunk: lilab.trace_pass_bytes(
+        p["integrand"], p["d"], grid.size, chunk))
     try:
         envelope = (1.0 + p["eta"]) ** 2 / p["theta"]
     except OverflowError:
@@ -406,23 +431,23 @@ def _lil_sup_plan(cfg: RunConfig):
     if not math.isfinite(envelope):
         raise ConfigError("key 'eta' / 'theta': the envelope (1 + eta)^2 / theta is "
                           "not a finite double", key="eta")
-    return _integrand_plan(cfg), grid, envelope
+    return _integrand_plan(cfg), spec, envelope
 
 
 def _ergodic_plan(cfg: RunConfig):
-    """The e^-n grid and the matrix beta * I of an ergodic run, a valid
-    delta, and (d, d) matrices and a pass that fit in memory."""
+    """The spec on the e^-n grid and the matrix beta * I of an ergodic run,
+    a valid delta, and (d, d) matrices and a pass that fit in memory."""
     p = cfg.params
     _grid_fits("levels", p["levels"])
     with _reading("levels"):
         grid = ergodic_grid(p["levels"])
-    n, d = p["paths"], p["d"]
-    _pass_fits("paths", n, n, d, grid.size, 1, lilab.ergodic_bytes(d, grid.size, n))
+    spec = _budget_spec(cfg, grid, ("levels", "d"),
+                        lambda chunk: lilab.ergodic_bytes(p["d"], grid.size, chunk))
     with _reading("beta"):
-        beta = SymMatrix(p["beta"] * np.eye(d))
+        beta = SymMatrix(p["beta"] * np.eye(p["d"]))
     with _reading("delta"):
         ergodic_reference(beta.entries, p["delta"])
-    return grid, beta
+    return spec, beta
 
 
 def _example36_plan(cfg: RunConfig):
@@ -438,8 +463,8 @@ def _example36_plan(cfg: RunConfig):
 
 
 def _prop39_plan(cfg: RunConfig):
-    """The geometric grid of a prop39 run, with room for one window, a
-    valid exponent eps and a pass that fits in memory."""
+    """The spec of a prop39 run, on a geometric grid with room for one
+    window, a valid exponent eps and a pass that fits in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg)
     if not 1 <= p["window"] <= grid.size:
@@ -448,10 +473,8 @@ def _prop39_plan(cfg: RunConfig):
                           key="window")
     with _reading("eps"):
         drift_scale(grid.points, p["eps"])
-    n = p["paths"]
-    _pass_fits("paths", n, n, 1, grid.size, 1,
-               lilab.trace_pass_bytes("identity", 1, grid.size, n, p["window"]))
-    return grid
+    return _budget_spec(cfg, grid, "levels", lambda chunk: lilab.trace_pass_bytes(
+        "identity", 1, grid.size, chunk, p["window"]))
 
 
 def _check(passed, **fields) -> dict:
@@ -484,10 +507,10 @@ def _run_tail(cfg: RunConfig, plan):
 
 def _run_lil_sup(cfg: RunConfig, plan):
     p = cfg.params
-    b, grid, envelope = plan
-    bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
-    trace = integrate_double(bundle, b, keep="outer")
-    est = ratio_sup(trace, kind=p["kind"], absolute=p["absolute"])
+    b, spec, envelope = plan
+    est = LilEstimate(np.concatenate(_sampled(lambda bundle: ratio_sup(
+        integrate_double(bundle, b, keep="outer"), kind=p["kind"],
+        absolute=p["absolute"]).per_path_sup, spec)))
     viol = float(np.mean(est.per_path_sup > envelope))
     results = {"summary": est.summary, "violation_rate": viol}
     references = {"envelope": envelope}
@@ -500,9 +523,8 @@ def _run_lil_sup(cfg: RunConfig, plan):
 
 def _run_ergodic(cfg: RunConfig, plan):
     p = cfg.params
-    grid, beta = plan
-    bundle = sample_bundle(p["d"], grid, p["paths"], cfg.seed)
-    rep = ergodic_liminf(bundle, beta, p["delta"])
+    spec, beta = plan
+    rep = ergodic_liminf(spec, beta, p["delta"])
     err = abs(rep.final_freq - rep.reference)
     results = {"final_freq": rep.final_freq, "freq_error": err,
                "min_quantiles": {"q50": float(np.median(rep.per_path_min)),
@@ -526,12 +548,12 @@ def _run_example36(cfg: RunConfig, spec):
     return results, {}, checks, {"example36.csv": rep.csv_table()}
 
 
-def _run_prop39(cfg: RunConfig, grid):
+def _run_prop39(cfg: RunConfig, spec):
     p = cfg.params
-    bundle = sample_bundle(1, grid, p["paths"], cfg.seed)
-    dtr = drift_integral(bundle, VectorSpec.constant([1.0]), catalog_integrand("identity", 1),
-                         eps=p["eps"])
-    rep = window_medians(dtr, p["window"])
+    a, m = VectorSpec.constant([1.0]), catalog_integrand("identity", 1)
+    maxima = np.concatenate(_sampled(lambda bundle: window_maxima(
+        drift_integral(bundle, a, m, eps=p["eps"]), p["window"]), spec), axis=1)
+    rep = window_medians(spec.grid.points, p["window"], maxima)
     first_med, last_med = rep.medians[0], rep.medians[-1]
     results = {"window_medians": [{"t_hi": t, "median": med}
                                   for t, med in zip(rep.t_hi, rep.medians)]}

@@ -16,7 +16,8 @@ import numpy as np
 from scipy.special import chdtr
 
 from .matcore import DomainError, lil_normalizer
-from .paths import BrownianBundle, BundleSpec, as_chunks, bundle_bytes, map_chunks_ordered
+from .paths import (BundleSpec, as_chunks, bundle_bytes, map_chunks_ordered,
+                    refine_bytes, sample_bytes)
 from .stochint import (EXP_MINUS_E, DoubleIntegralTrace, DriftIntegralTrace,
                        IntegrandSpec, _lll_inverse, catalog_integrand,
                        integrate_double, kernel_bytes)
@@ -51,7 +52,10 @@ class LilEstimate:
     """Per-path sup of the normalized outer integral plus summary stats."""
 
     per_path_sup: np.ndarray
-    summary: dict
+
+    @property
+    def summary(self) -> dict:
+        return _summarize(self.per_path_sup)
 
     def csv_table(self):
         return ["path", "sup"], np.arange(self.per_path_sup.size), self.per_path_sup
@@ -67,17 +71,32 @@ def _summarize(values: np.ndarray) -> dict:
     }
 
 
-def trace_pass_bytes(name: str, dim: int, size: int, paths: int,
+# a chunk of the lil-sup, ergodic and prop39 passes spans about this many
+# path values (paths x dimension x times): a memory budget, not a config
+# key, so that it enters neither params nor config_hash
+_CHUNK_VALUES = 1 << 17
+
+
+def budget_chunk(dim: int, size: int) -> int:
+    """Paths of a chunk of _CHUNK_VALUES path values on size times (one at
+    least)."""
+    return max(1, _CHUNK_VALUES // (dim * size))
+
+
+def trace_pass_bytes(name: str, dim: int, size: int, chunk: int,
                      window: int = 0) -> tuple:
-    """(matrices, pass, 0) bytes of a lil-sup or prop39 run, one chunk of
-    every path: a bundle of paths on size times beside the larger of a
-    kernel keeping one series, V or drift_integral's x, and what follows
-    its return: the series with the ratios of ratio_sup, or x with
-    drift_integral's scaled x and the |scaled| of one window of
-    window_medians; then a sup a path and its sorted copy for a median."""
-    mats, arrays = kernel_bytes(name, dim, size, paths, "outer")
-    after = 8 * paths * (2 * size + window + 2)
-    return mats, mats + bundle_bytes(dim, size, paths) + max(arrays, after), 0
+    """(matrices, chunk, path, after) bytes of a lil-sup (window 0) or
+    prop39 pass: kernel_bytes's matrices; a bundle of chunk paths on size
+    times beside the largest of its sampling's scratch, a kernel keeping
+    one series, V or drift_integral's x, and what follows its return, the
+    series with the ratios of ratio_sup, or x with drift_integral's scaled
+    x and the |scaled| of one window of window_maxima; per path its
+    results, a sup or a max in each window, kept per chunk; and after the
+    pass their concatenation beside them."""
+    mats, arrays = kernel_bytes(name, dim, size, chunk, "outer")
+    stage = max(sample_bytes(dim, size, chunk), arrays, 8 * chunk * (2 * size + window))
+    results = 8 * (size // window if window else 1)
+    return mats, mats + bundle_bytes(dim, size, chunk) + stage, results, results
 
 
 def ratio_sup(trace: DoubleIntegralTrace, kind: str, absolute: bool = False) -> LilEstimate:
@@ -106,7 +125,7 @@ def ratio_sup(trace: DoubleIntegralTrace, kind: str, absolute: bool = False) -> 
     sup = ratios.max(axis=1)
     if not np.all(np.isfinite(sup)):
         raise ValueError("non-finite ratio sup; check grid and integrand domains")
-    return LilEstimate(per_path_sup=sup, summary=_summarize(sup))
+    return LilEstimate(per_path_sup=sup)
 
 
 def moment_identity(lam: float, horizon: float, dim: int) -> float:
@@ -364,17 +383,17 @@ def ergodic_reference(mat: np.ndarray, delta: float) -> float:
     return float(np.mean(sample <= delta))
 
 
-# a row block of the ergodic pass spans about this many path values
-# (paths x dimension x levels): few enough that its scratch stays in cache
-# and adds little to peak memory
-_ERGODIC_VALUES = 1 << 13
+# a row block of the ergodic pass and of example36's proxy spans about this
+# many values (paths x dimension x levels, or paths x times): few enough
+# that its scratch stays in cache and adds little to peak memory
+_ROW_VALUES = 1 << 13
 
 
 def _ergodic_levels(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """Y(n) = e^n |W(e^-n)^T mat W(e^-n)| of the e^-n grid's paths w, of
     shape (P, d, levels), one column per n = 1..levels.
 
-    One pass over row blocks of paths (about _ERGODIC_VALUES values each)
+    One pass over row blocks of paths (about _ROW_VALUES values each)
     forms every level of a block at once: W(e^-n) is scaled by e^(n/2), and
     the quadratic form adds the terms (x_i mat_ij) x_j with i outer and j
     inner, the order and bits of a per-level einsum("pi,ij,pj->p").  The
@@ -383,7 +402,7 @@ def _ergodic_levels(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
     p, d, levels = w.shape
     # grid column k holds W(e^-n) for n = levels - k: the levels run backwards
     scale = np.array([math.exp(0.5 * (levels - k)) for k in range(levels)])
-    rows = max(1, _ERGODIC_VALUES // (d * levels))
+    rows = max(1, _ROW_VALUES // (d * levels))
     x = np.empty((d, min(rows, p), levels))
     term = np.empty((min(rows, p), levels))
     y = np.empty((p, levels))
@@ -404,43 +423,58 @@ def _ergodic_levels(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return y
 
 
-def ergodic_bytes(dim: int, size: int, paths: int) -> tuple:
-    """(matrices, pass, 0) bytes of an ergodic run, one chunk of every path:
-    beta I with SymMatrix's copy and sum of it (eigvalsh's symmetric part
-    and LAPACK's copy of it take no more), and a bundle of paths on size
-    times with Y and the running frequency of its hits (16 bytes a value),
-    and the per-path minima."""
+def ergodic_bytes(dim: int, size: int, chunk: int) -> tuple:
+    """(matrices, chunk, path, 0) bytes of an ergodic pass: beta I with
+    SymMatrix's copy and sum of it (eigvalsh's symmetric part and LAPACK's
+    copy of it take no more); a bundle of chunk paths on size times beside
+    the larger of its sampling's scratch and its Y; and per path the
+    running frequency of its hits and its minimum."""
     mats = 24 * dim * dim
-    return mats, mats + bundle_bytes(dim, size, paths) + paths * (16 * size + 24), 0
+    stage = max(sample_bytes(dim, size, chunk), bundle_bytes(1, size, chunk))
+    return mats, mats + bundle_bytes(dim, size, chunk) + stage, 8 * size + 8, 0
 
 
-def ergodic_liminf(bundle: BrownianBundle, beta, delta: float) -> ErgodicReport:
+def ergodic_liminf(source, beta, delta: float) -> ErgodicReport:
     """Running frequency of Y(n) <= delta for Y(n) = e^n |W(e^-n)^T beta W(e^-n)|.
 
-    Needs the e^-n grid.  The bundle-average frequency should approach
-    ergodic_reference(beta, delta).  Y is formed in one blocked pass over
-    the paths (_ergodic_levels), with the bits of one einsum per level.
+    source is a BrownianBundle or a BundleSpec on the e^-n grid, checked
+    before any chunk is sampled; a spec's chunks are walked in turn.  The
+    path-average frequency should approach ergodic_reference(beta, delta).
+    Y is formed in one blocked pass over a chunk's paths (_ergodic_levels),
+    with the bits of one einsum per level.  Each path's running frequency
+    is kept, and averaged over the paths once.
     """
-    meta = bundle.grid.meta
-    if (bundle.grid.kind != "geometric"
-            or abs(meta.get("theta", 0.0) - math.exp(-1.0)) > 1e-9
-            or abs(meta.get("t0", 0.0) - math.exp(-1.0)) > 1e-9):
+    grid = source.grid
+    if (grid.kind != "geometric"
+            or abs(grid.meta.get("theta", 0.0) - math.exp(-1.0)) > 1e-9
+            or abs(grid.meta.get("t0", 0.0) - math.exp(-1.0)) > 1e-9):
         raise GridMismatchError("ergodic diagnostics need the e^-n grid (ergodic_grid)")
     mat = np.atleast_2d(np.asarray(beta.entries if hasattr(beta, "entries") else beta,
                                    dtype=float))
-    d = bundle.dim
+    d = source.dim
     if mat.shape != (d, d):
         raise ValueError("beta shape must match the bundle dimension")
     reference = ergodic_reference(mat, delta)
-    levels = int(meta["levels"]) + 1
-    y = _ergodic_levels(bundle.paths, mat)
-    # the running frequency of the hits, in place in one float array
-    freq = np.less_equal(y, delta, out=np.empty_like(y))
-    np.cumsum(freq, axis=1, out=freq)
-    freq /= np.arange(1, levels + 1)
+    freq = np.empty((source.path_count, grid.size))
+    per_path_min = np.empty(source.path_count)
+
+    def one(chunk, first):
+        """Fill the chunk's rows from first on; return the row after them."""
+        y = _ergodic_levels(chunk.paths, mat)
+        rows = slice(first, first + len(y))
+        # the running frequency of the hits, in place in the chunk's rows
+        hits = np.less_equal(y, delta, out=freq[rows])
+        np.cumsum(hits, axis=1, out=hits)
+        hits /= np.arange(1, grid.size + 1)
+        y.min(axis=1, out=per_path_min[rows])
+        return rows.stop
+
+    first = 0
+    for realise in as_chunks(source):
+        first = one(realise(), first)
     freq_by_n = freq.mean(axis=0)
     return ErgodicReport(reference=reference, freq_by_n=freq_by_n,
-                         final_freq=float(freq_by_n[-1]), per_path_min=y.min(axis=1))
+                         final_freq=float(freq_by_n[-1]), per_path_min=per_path_min)
 
 
 @dataclass
@@ -468,13 +502,36 @@ class Example36Report:
 
 def example36_bytes(size: int, chunk: int, refinements: int) -> tuple:
     """(matrices, chunk, path) bytes of example36_diag: kernel_bytes's
-    matrices; a chunk on size times, its refinement and the kernel over
-    that (the proxy then takes no more); per path the two sups, per chunk
-    and concatenated, and their gap.  Past 2^64 refined times every count
-    is as far out of reach."""
+    matrices; a chunk on size times beside the larger of its last
+    refinement, with the refinement before it (the chunk itself at one
+    refinement), and the refined chunk with the kernel keeping the running
+    sup of V / rate (the proxy's row blocks then take no more); per path
+    the two sups, per chunk and concatenated, and their gap.  Past 2^64
+    refined times every count is as far out of reach."""
     n = size << min(refinements, 64)
-    mats, arrays = kernel_bytes("example36", 1, n, chunk, "outer")
-    return mats, mats + bundle_bytes(1, size + n, chunk) + arrays, 48
+    mats, arrays = kernel_bytes("example36", 1, n, chunk, "last")
+    last = 0
+    if refinements:
+        last = bundle_bytes(1, n // 2 if refinements > 1 else 0, chunk) + refine_bytes(
+            1, n // 2, chunk)
+    kernel = bundle_bytes(1, n if refinements else 0, chunk) + arrays
+    return mats, mats + bundle_bytes(1, size, chunk) + max(last, kernel), 48
+
+
+def _proxy_sup(w: np.ndarray, bvals: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """Per-path max over the grid of 0.5 * W^2 * b / rate, w of shape
+    (P, N): formed in place in one row block (about _ROW_VALUES values) at
+    a time, in the order of the operations (the same bits)."""
+    p, n = w.shape
+    rows = max(1, _ROW_VALUES // n)
+    buf, sup = np.empty((min(rows, p), n)), np.empty(p)
+    for r0 in range(0, p, rows):
+        blk = np.square(w[r0:r0 + rows], out=buf[:min(rows, p - r0)])
+        blk *= 0.5
+        blk *= bvals
+        blk /= rate
+        blk.max(axis=1, out=sup[r0:r0 + len(blk)])
+    return sup
 
 
 def example36_diag(source, refinements: int = 4) -> Example36Report:
@@ -501,23 +558,16 @@ def example36_diag(source, refinements: int = 4) -> Example36Report:
         for _ in range(refinements):
             refined = refine_bisect(refined)
         t = refined.grid.points
-        trace = integrate_double(refined, b, keep="outer")
         rate = example36_rate_fn(t)
+        full = integrate_double(refined, b, keep="last", rate=rate).outer_sup
         bvals = np.array([_lll_inverse(tk) for tk in t])
-        # in place, in the order of 0.5 * W^2 * b / rate and V / rate (the
-        # same bits): one (P, N) array instead of one per operation
-        proxy = np.square(refined.paths[:, 0, :])
-        proxy *= 0.5
-        proxy *= bvals
-        proxy /= rate
-        trace.outer /= rate
-        return trace.outer.max(axis=1), proxy.max(axis=1), refined.grid
+        return full, _proxy_sup(refined.paths[:, 0, :], bvals, rate), refined.grid
 
     sups_full, sups_proxy, grids = zip(*(one(realise()) for realise in as_chunks(source)))
     grid = grids[0]  # every chunk has the same refined grid
     full_sup = np.concatenate(sups_full)
     proxy_sup = np.concatenate(sups_proxy)
-    full = LilEstimate(per_path_sup=full_sup, summary=_summarize(full_sup))
+    full = LilEstimate(per_path_sup=full_sup)
     rel = np.abs(full_sup - proxy_sup) / np.maximum(proxy_sup, 1e-300)
     return Example36Report(full=full, proxy_sup=proxy_sup,
                            proxy_summary=_summarize(proxy_sup),
@@ -537,15 +587,27 @@ class WindowMedians:
         return ["t_hi", "median"], self.t_hi, self.medians
 
 
-def window_medians(trace: DriftIntegralTrace, window: int) -> WindowMedians:
-    """Disjoint windows of `window` grid times from the smallest time up (a
-    last partial window is dropped).  "The scaled statistic tends to zero"
+def _window_ends(times: np.ndarray, window: int) -> range:
+    """The end index of each disjoint window of `window` grid times from the
+    smallest time up (a last partial window is dropped)."""
+    if not 1 <= window <= times.size:
+        raise ValueError(f"window must lie in [1, {times.size}] (the grid size)")
+    return range(window, times.size + 1, window)
+
+
+def window_maxima(trace: DriftIntegralTrace, window: int) -> np.ndarray:
+    """The per-path max of |scaled| within each window of _window_ends, one
+    row per window: (windows, paths)."""
+    ends = _window_ends(trace.times, window)
+    out = np.empty((len(ends), trace.scaled.shape[0]))
+    for row, hi in zip(out, ends):
+        np.abs(trace.scaled[:, hi - window:hi]).max(axis=1, out=row)
+    return out
+
+
+def window_medians(times: np.ndarray, window: int, maxima: np.ndarray) -> WindowMedians:
+    """The median over paths of each window's row of window_maxima (of every
+    path, its chunks' rows joined).  "The scaled statistic tends to zero"
     shows as medians that shrink toward the smallest times."""
-    t = trace.times
-    if not 1 <= window <= t.size:
-        raise ValueError(f"window must lie in [1, {t.size}] (the grid size)")
-    ends = range(window, t.size + 1, window)
-    return WindowMedians(
-        t_hi=[float(t[hi - 1]) for hi in ends],
-        medians=[float(np.median(np.abs(trace.scaled[:, hi - window:hi]).max(axis=1)))
-                 for hi in ends])
+    return WindowMedians(t_hi=[float(times[hi - 1]) for hi in _window_ends(times, window)],
+                         medians=[float(np.median(row)) for row in maxima])

@@ -358,6 +358,27 @@ def refine_bisect(bundle: BrownianBundle) -> BrownianBundle:
                           first_path=bundle.first_path)
 
 
+def _block_rows(dim: int, size: int, paths: int) -> int:
+    """Paths of a row block of the geometric and bisection samplers."""
+    return min(paths, max(1, _SAMPLE_VALUES // (dim * size)))
+
+
+def sample_bytes(dim: int, size: int, paths: int) -> int:
+    """Bytes sample_bundle holds on a geometric grid of size times beside
+    its bundle of paths paths: _normals' words (draw_bytes) for a row
+    block of paths."""
+    return draw_bytes(dim, size, _block_rows(dim, size, paths))[1]
+
+
+def refine_bytes(dim: int, size: int, paths: int) -> int:
+    """Bytes refine_bisect holds beside its input, paths paths on size times
+    without the origin: the refined bundle on 2 size times, and a row
+    block's midpoint means beside the words sample_bytes counts."""
+    rows = _block_rows(dim, size, paths)
+    return (bundle_bytes(dim, 2 * size, paths) + bundle_bytes(dim, size, rows)
+            + sample_bytes(dim, size, paths))
+
+
 @dataclass
 class BundleSpec:
     """Lazy description of a bundle, realized chunk by chunk.

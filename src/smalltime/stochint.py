@@ -206,7 +206,8 @@ class DoubleIntegralTrace:
     sum_l b_jl^2 dt; qv_outer tracks |Y|^2 dt.  Traces integrated with
     keep="outer" hold V only; the other fields have no columns.  Traces
     integrated with keep="last" hold V(T) in one column, have times [T],
-    and carry outer_sup, the per-path max of V over the grid.
+    and carry outer_sup, the per-path max of V (or of V / rate) over the
+    grid.
     """
 
     times: np.ndarray
@@ -298,7 +299,7 @@ def _running(carry, incs):
     return s
 
 
-def _left_point(source, block, n_sums: int, keep: str = "trace"):
+def _left_point(source, block, n_sums: int, keep: str = "trace", rate=None):
     """The left-point stepping kernel behind every integral in this module.
 
     It reads the path values of a BrownianBundle or ForwardChunk only
@@ -315,7 +316,8 @@ def _left_point(source, block, n_sums: int, keep: str = "trace"):
     what is returned as (sums, sup), sums of shape (kept, P, columns):
     "trace" every sum at every grid time, "outer" the first sum at every
     grid time, "last" the first sum at T (one column) and its running max
-    over the grid.
+    over the grid, of the sum divided by rate (one value a grid time) when
+    a rate is given.
     """
     if keep not in ("trace", "outer", "last"):
         raise ValueError(f"keep must be 'trace', 'outer' or 'last', got {keep!r}")
@@ -353,13 +355,16 @@ def _left_point(source, block, n_sums: int, keep: str = "trace"):
         if sup is None:
             series[:, :, cols] = rec[1:n + 1, :n_series].transpose(1, 2, 0)
         else:
-            np.maximum(sup, rec[1:n + 1, 0].max(axis=0), out=sup)
+            sums = rec[1:n + 1, 0]
+            if rate is not None:
+                sums = sums / rate[cols, None]
+            np.maximum(sup, sums.max(axis=0), out=sup)
         rec[0] = rec[n]
     return series if n_series else rec[0, :1, :, None].copy(), sup
 
 
 def integrate_double(bundle: BrownianBundle | ForwardChunk, b: IntegrandSpec,
-                     keep: str = "trace") -> DoubleIntegralTrace:
+                     keep: str = "trace", rate=None) -> DoubleIntegralTrace:
     """Left-point double integral V(t) of (integral of b dW)^T dW, over a
     bundle or a chunk the kernel draws block by block.
 
@@ -367,11 +372,15 @@ def integrate_double(bundle: BrownianBundle | ForwardChunk, b: IntegrandSpec,
     Y(0) = V(0) = 0; output arrays align with the bundle's grid points.
     keep="trace" stores every field at every grid time; "outer" stores V
     at every grid time; "last" stores V(T) and the per-path max of V over
-    the grid (outer_sup).  Fields not stored have no columns, and stored
-    values are the same bits in every mode.
+    the grid (outer_sup), or with a rate (one value a grid time) the
+    per-path max of V / rate, the bits of (outer / rate).max(axis=1) from
+    keep="outer" without the (paths, times) array.  Fields not stored have
+    no columns, and stored values are the same bits in every mode.
     """
     if b.dim != bundle.dim:
         raise ValueError("integrand dimension does not match the bundle")
+    if rate is not None and (keep != "last" or np.shape(rate) != (bundle.grid.size,)):
+        raise ValueError("a rate needs keep='last' and one value a grid time")
     p, d = bundle.path_count, bundle.dim
     full = keep == "trace"
     shape = (p, bundle.grid.size if full else 0, d)
@@ -391,7 +400,7 @@ def integrate_double(bundle: BrownianBundle | ForwardChunk, b: IntegrandSpec,
             inner[:, cols] = ys[1:].transpose(1, 0, 2)
             qv_in[:, cols] = qs[1:].transpose(1, 0, 2)
 
-    sums, sup = _left_point(bundle, block, 2 if full else 1, keep)
+    sums, sup = _left_point(bundle, block, 2 if full else 1, keep, rate)
     outer, qv_out = sums if full else (sums[0], np.empty((p, 0)))
     times = bundle.grid.points[-1:] if keep == "last" else bundle.grid.points
     meta = {"kind": bundle.grid.kind, **bundle.grid.meta}

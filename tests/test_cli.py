@@ -12,13 +12,14 @@ import warnings
 import numpy as np
 import pytest
 
-from smalltime import cli
+from smalltime import cli, lilab
 from smalltime.cli import (_SCHEMAS, ConfigError, RunConfig, list_catalog,
                            load_config, main, run)
 from smalltime.dpe import PdeGrid, greeks, solve_dpe
 from smalltime.hedge import StrategySpec, replication_gap, simulate_hedge
 from smalltime.lilab import (ergodic_liminf, example36_diag, moment_dominance,
-                             ratio_sup, tail_bound_check, window_medians)
+                             ratio_sup, tail_bound_check, window_maxima,
+                             window_medians)
 from smalltime.market import MarketParams, call
 from smalltime.matcore import GammaBand, SymMatrix
 from smalltime.paths import (BundleSpec, ergodic_grid, geometric_grid,
@@ -189,6 +190,23 @@ def test_dpe_grid_out_of_double_range_is_a_config_error(tmp_path, capsys,
                          [f"--experiment={experiment}", f"--{key}={value}"])
 
 
+@pytest.mark.parametrize("experiment", ["dpe-price", "hedge", "gap"])
+def test_dpe_grid_whose_step_is_not_monotone_is_a_config_error(tmp_path, capsys,
+                                                               experiment):
+    """Above a log-price step dx of 2 the explicit DPE step gives the upper
+    neighbour a negative weight and its prices are meaningless (the call
+    at sigma 3, horizon 4 and nx 16, dx 4.8, priced to about 2.4e6): the
+    plan names nx, sigma and horizon.  At nx 36 dx is 72/35, at nx 38
+    72/37, which is accepted."""
+    args = [f"--experiment={experiment}", "--sigma=3", "--horizon=4"]
+    for nx in (16, 36):
+        _assert_plan_rejects(tmp_path, capsys, "nx", args + [f"--nx={nx}"])
+        assert main(["validate-config", *args, f"--nx={nx}"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "config error: key 'nx' / 'sigma' / 'horizon': the grid's log-price step ")
+    assert main(["validate-config", *args, "--nx=38"]) == 0
+
+
 @pytest.mark.parametrize("key,args", [
     ("sigma", ["--experiment=bs-price", "--sigma=0"]),
     ("sigma", ["--experiment=bs-price", "--sigma=1e300"]),
@@ -255,14 +273,10 @@ def test_small_time_and_moment_plans_reject_before_sampling(tmp_path, capsys, ke
     ("chunk", ["--experiment=tail-bound", "--steps=1000"]),
     ("chunk", ["--experiment=hedge"]),
     ("chunk", ["--experiment=gap"]),
-    ("paths", ["--experiment=ergodic", "--d=3"]),
-    ("paths", ["--experiment=lil-sup", "--d=3"]),
-    ("paths", ["--experiment=prop39"]),
 ])
 def test_bundle_larger_than_memory_is_a_config_error(capsys, host_8gib, key, args):
-    """10^12 paths in one chunk (or one bundle) ask for at least 8 TB of
-    float64 path values; checked by validate-config alone, so nothing is
-    sampled."""
+    """10^12 paths in one chunk ask for at least 8 TB of float64 path
+    values; checked by validate-config alone, so nothing is sampled."""
     sizes = [f"--paths={10 ** 12}"] + ([f"--chunk={10 ** 12}"] if key == "chunk" else [])
     assert main(["validate-config"] + args + sizes) == 2
     err = capsys.readouterr().err
@@ -299,11 +313,12 @@ def test_geometric_time_floor_is_checked_before_the_grid_is_built(capsys, experi
 
 
 @pytest.mark.parametrize("experiment", ["moment", "tail-bound", "hedge", "gap",
-                                        "example36"])
+                                        "example36", "lil-sup", "ergodic", "prop39"])
 def test_per_path_results_larger_than_memory_are_a_config_error(capsys, host_8gib,
                                                                 experiment):
-    """10^12 paths in default chunks keep at least two float64 results per
-    path (16 TB); checked by validate-config alone, so nothing is sampled."""
+    """10^12 paths in default chunks (the budget's chunks for lil-sup,
+    ergodic and prop39) keep at least one float64 result per path (8 TB);
+    checked by validate-config alone, so nothing is sampled."""
     assert main(["validate-config", f"--experiment={experiment}",
                  f"--paths={10 ** 12}"]) == 2
     err = capsys.readouterr().err
@@ -636,6 +651,41 @@ def test_rerun_artifacts_byte_identical_across_workers(tmp_path, base):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+# (args, path values of a chunk path: dimension x grid times)
+_BUDGET_CASES = {
+    "lil-sup": (["--experiment=lil-sup", "--d=2", "--levels=12"], 2 * 13),
+    "ergodic": (["--experiment=ergodic", "--d=2", "--levels=12"], 2 * 12),
+    # one level: the mean over paths of one column sums pairwise
+    "ergodic-levels-1": (["--experiment=ergodic", "--levels=1"], 1),
+    "prop39": (["--experiment=prop39", "--levels=30", "--window=7"], 31),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BUDGET_CASES))
+def test_budget_chunks_leave_the_small_time_artifacts_byte_identical(tmp_path, monkeypatch,
+                                                                     case):
+    """lil-sup, ergodic and prop39 walk chunks of about lilab._CHUNK_VALUES
+    path values: chunks of 1 path, of 7 (the last one of 6) and of all 300
+    paths write the bytes of the default budget's run."""
+    args, values = _BUDGET_CASES[case]
+    args = args + ["--paths=300"]
+    planner = cli._EXPERIMENTS[args[0].split("=")[1]][0]
+
+    def artifacts(name):
+        out = tmp_path / name
+        assert main(["run", *args, f"--out={out}"]) in (0, 1)
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    default = artifacts("default")
+    for paths in (1, 7, 300):
+        monkeypatch.setattr(lilab, "_CHUNK_VALUES", paths * values)
+        plan = planner(load_config(None, args))
+        spec, = [x for x in (plan if isinstance(plan, tuple) else (plan,))
+                 if isinstance(x, BundleSpec)]
+        assert spec.chunk_size == paths
+        assert artifacts(f"chunk-{paths}") == default, paths
+
+
 def test_dpe_price_run_matches_bs(tmp_path):
     cfg = load_config(None, ["--experiment=dpe-price", f"--out={tmp_path}/d",
                              "--nx=200"])
@@ -741,7 +791,7 @@ def test_run_csvs_are_the_reports_own_rows(tmp_path):
     out = cli("prop39", "--paths=100", "--levels=30", "--window=7")
     bundle = sample_bundle(1, geometric_grid(1e-4, 0.5, 30), 100, seed)
     dtr = drift_integral(bundle, VectorSpec.constant([1.0]), identity, eps=0.5)
-    same(out, "prop39.csv", window_medians(dtr, 7).csv_table())
+    same(out, "prop39.csv", window_medians(dtr.times, 7, window_maxima(dtr, 7)).csv_table())
 
     out = cli("dpe-price", "--nx=64", "--lower=-0.5", "--upper=0.5")
     grid = PdeGrid.around_spot(100.0, market, nx=64)

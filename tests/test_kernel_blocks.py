@@ -267,6 +267,46 @@ def test_streamed_forward_pass_equals_the_kernel_over_sampled_chunks(d, chunk_si
         assert np.array_equal(_int64(sup), _int64(np.concatenate(ref_sup))), b.name
 
 
+@pytest.mark.parametrize("steps", [1, 7, None], ids=["block-1", "block-7", "block-grid"])
+@pytest.mark.parametrize("d", [1, 2])
+def test_rate_normalised_sup_is_the_max_of_the_outer_series_over_the_rate(d, steps,
+                                                                         monkeypatch):
+    """keep="last" with a rate gives, by repr, (outer / rate).max(axis=1) of
+    keep="outer", at blocks of 1 and 7 steps and of the whole grid.  Paths
+    that hold NaN or +-inf values, and a rate of 0 and a negative rate at
+    two times, put NaN and +-inf into the rows."""
+    grid = geometric_grid(1e-2, 0.5, 30)
+    p = 12
+    bundle = sample_bundle(d, grid, p, seed=4500 + d)
+    bundle.paths[0, :, 5] = np.nan
+    bundle.paths[1, :, 9:] = np.inf
+    bundle.paths[2, :, 12] = -np.inf
+    rate = lilab.example36_rate_fn(grid.points)
+    rate[17], rate[20] = 0.0, -rate[20]
+    refs = {}
+    for name in ("identity", "example36", "tanh_w"):
+        b = catalog_integrand(name, d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            refs[name] = integrate_double(bundle, b, keep="outer").outer / rate
+        assert np.isnan(refs[name]).any() and np.isposinf(refs[name]).any(), name
+        assert np.isneginf(refs[name]).any(), name
+    monkeypatch.setattr(stochint, "_BLOCK_VALUES", p * d * (steps or grid.size))
+    for name, ref in refs.items():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            got = integrate_double(bundle, catalog_integrand(name, d), keep="last",
+                                   rate=rate).outer_sup
+        assert list(map(repr, got)) == list(map(repr, ref.max(axis=1))), name
+
+
+def test_a_rate_needs_keep_last_and_one_value_a_time():
+    bundle = sample_bundle(1, geometric_grid(1e-2, 0.5, 10), 3, seed=4600)
+    b = catalog_integrand("identity", 1)
+    rate = np.ones(bundle.grid.size)
+    for keep, r in (("outer", rate), ("trace", rate), ("last", rate[1:])):
+        with pytest.raises(ValueError, match="rate"):
+            integrate_double(bundle, b, keep=keep, rate=r)
+
+
 # ------------------------------------------------- the ergodic statistic
 
 def _ref_ergodic(bundle, mat, delta):
@@ -299,7 +339,7 @@ def test_blocked_ergodic_statistic_matches_per_level_einsum(d, budget, monkeypat
     bundle = sample_bundle(d, ergodic_grid(30), 1500, seed=4100 + d)
     refs = {name: _ref_ergodic(bundle, beta, 0.5) for name, beta in _betas(d).items()}
     if budget is not None:
-        monkeypatch.setattr(lilab, "_ERGODIC_VALUES", budget)
+        monkeypatch.setattr(lilab, "_ROW_VALUES", budget)
     for name, beta in _betas(d).items():
         rep = ergodic_liminf(bundle, beta, 0.5)
         freq_by_n, per_path_min = refs[name]

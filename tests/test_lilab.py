@@ -12,7 +12,7 @@ from smalltime.lilab import (GridMismatchError, conditional_moment_fn,
                              example36_rate_fn, moment_dominance,
                              moment_identity, optimal_tail_lambda, ratio_sup,
                              tail_bound_check, tail_bound_value, tail_bounds,
-                             window_medians)
+                             window_maxima, window_medians)
 from smalltime.matcore import DomainError, lil_normalizer
 from smalltime.paths import (BundleSpec, ergodic_grid, geometric_grid,
                              refine_bisect, sample_bundle, uniform_grid)
@@ -352,7 +352,7 @@ def test_window_medians_are_disjoint_window_medians():
                         catalog_integrand("identity", 1), eps=0.5)
     stat = np.abs(tr.scaled)
     for w in (1, 4, 5, 13):
-        rep = window_medians(tr, w)
+        rep = window_medians(tr.times, w, window_maxima(tr, w))
         # a plain loop over the disjoint windows, a last partial one dropped
         t_hi, medians, lo = [], [], 0
         while lo + w <= tr.times.size:
@@ -362,4 +362,4 @@ def test_window_medians_are_disjoint_window_medians():
         assert rep.csv_table() == (["t_hi", "median"], t_hi, medians)
     for w in (0, 14):
         with pytest.raises(ValueError, match="window"):
-            window_medians(tr, w)
+            window_maxima(tr, w)

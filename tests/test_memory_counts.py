@@ -45,8 +45,8 @@ def _peak_and_count(tmp_path, monkeypatch, args):
 
 
 # (experiment and fixed keys, size keys a, size keys b): chunked passes run
-# two chunks at each size, whole-bundle passes vary the paths, the DPE the
-# nx, and the "d" cases the (d, d) matrices
+# two chunks at each size, budget-chunked passes vary the paths, the DPE
+# the nx, and the "d" cases the (d, d) matrices
 _CHUNKED = {
     "moment": ("--experiment=moment --d=16 --steps=50",
                "--paths=16000 --chunk=8000", "--paths=32000 --chunk=16000"),
@@ -62,9 +62,15 @@ _CHUNKED = {
             "--paths=80000 --chunk=40000", "--paths=160000 --chunk=80000"),
 }
 _SIZED = {
+    # the small-time passes' per-path results beside chunks of the budget
+    # (lil-sup, ergodic), and prop39's joined window maxima after its pass
     "lil-sup": ("--experiment=lil-sup --d=2", "--paths=8000", "--paths=16000"),
     "ergodic": ("--experiment=ergodic --d=2", "--paths=4000", "--paths=8000"),
-    "prop39": ("--experiment=prop39", "--paths=8000", "--paths=16000"),
+    "prop39": ("--experiment=prop39", "--paths=160000", "--paths=320000"),
+    # one chunk of every path, below the budget: its sampling or kernel
+    "lil-sup-chunk": ("--experiment=lil-sup --d=2", "--paths=800", "--paths=1600"),
+    "ergodic-chunk": ("--experiment=ergodic --d=2", "--paths=500", "--paths=1000"),
+    "prop39-chunk": ("--experiment=prop39", "--paths=1000", "--paths=2000"),
     "dpe-price": ("--experiment=dpe-price", "--nx=300", "--nx=600"),
     "hedge-nx": ("--experiment=hedge --paths=50 --chunk=50 --steps=20",
                  "--nx=300", "--nx=600"),

@@ -4,6 +4,7 @@ source change that renames or moves one of those names breaks only traced
 benchmark runs, so the install and its undo are run here as well."""
 
 import sys
+import threading
 from pathlib import Path
 
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -42,3 +43,49 @@ def test_a_traced_hedge_run_times_its_layers_and_leaves_its_artifacts(tmp_path):
     assert artifacts() == untraced
     self_s = trace.self_times()
     assert self_s["market.gbm"] > 0.0 and self_s["hedge.simulate"] > 0.0
+
+
+# (args, spans that must take time) of a tiny run of each small-time
+# experiment on 21 times, in three chunks of 7 paths (example36's
+# configured chunk, the others' budget of lilab._CHUNK_VALUES path values)
+_SMALL_TIME = {
+    "example36": (["--levels=20", "--chunk=7", "--refinements=2"],
+                  {"paths.sample", "paths.refine", "stochint.integrate", "lilab.reduce"}),
+    "lil-sup": (["--levels=20"], {"paths.sample", "stochint.integrate", "lilab.reduce"}),
+    "ergodic": (["--levels=21"], {"paths.sample", "lilab.reduce"}),
+    "prop39": (["--levels=20", "--window=5"], {"paths.sample", "stochint.drift"}),
+}
+
+
+def test_traced_small_time_runs_time_their_layers_and_leave_their_artifacts(tmp_path,
+                                                                             monkeypatch):
+    """The small-time wrap points stay in use: a traced run of each of the
+    four experiments writes the untraced run's bytes, its spans take time,
+    and its chunks are sampled one by one on the calling thread, one
+    paths.sample span a chunk, with no paths.map_chunks wait."""
+    from smalltime import lilab
+
+    monkeypatch.setattr(lilab, "_CHUNK_VALUES", 7 * 21)
+    caller = threading.get_ident()
+    for experiment, (args, spans) in _SMALL_TIME.items():
+        out = tmp_path / experiment
+        argv = ["run", f"--experiment={experiment}", "--paths=21", f"--out={out}", *args]
+
+        def artifacts():
+            return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+        assert cli.main(argv) in (0, 1)
+        untraced = artifacts()
+        trace = tracer.Tracer()
+        undo = tracer.install(trace)
+        try:
+            assert cli.main(argv) in (0, 1)
+        finally:
+            undo()
+        assert artifacts() == untraced, experiment
+        self_s = trace.self_times()
+        assert all(self_s[name] > 0.0 for name in spans), (experiment, dict(self_s))
+        names = [s[1] for s in trace.spans]
+        assert "paths.map_chunks" not in names, experiment
+        assert names.count("paths.sample") == 3, experiment
+        assert {s[5] for s in trace.spans} == {caller}, experiment
