@@ -2,11 +2,10 @@
 stochastic integrals and for pricing and hedging under gamma constraints."""
 
 from .matcore import (DomainError, GammaBand, SymMatrix, dpe_operator_f,
-                      dpe_operator_fhat, lil_normalizer, operator_norm,
-                      support_function)
+                      dpe_operator_fhat, lil_normalizer, operator_norm)
 from .paths import (BrownianBundle, BundleSpec, TimeGrid, ergodic_grid,
-                    geometric_grid, refine_bisect, rotate_bundle,
-                    sample_bundle, uniform_grid)
+                    geometric_grid, refine_bisect, sample_bundle,
+                    uniform_grid)
 from .stochint import (INTEGRAND_CATALOG, DoubleIntegralTrace, IntegrandSpec,
                        MartingaleDecomposition, VectorSpec, catalog_integrand,
                        closed_form_constant, closed_form_trace, drift_integral,
@@ -14,10 +13,10 @@ from .stochint import (INTEGRAND_CATALOG, DoubleIntegralTrace, IntegrandSpec,
                        unit_bound_names)
 from .lilab import (ErgodicReport, Example36Report, GridMismatchError,
                     LilEstimate, MomentReport, TailBoundReport,
-                    WindowMedians, conditional_moment_fn, ergodic_liminf,
-                    example36_diag, moment_dominance, moment_identity,
-                    optimal_tail_lambda, ratio_sup, tail_bound_check,
-                    tail_bound_value, window_maxima, window_medians)
+                    WindowMedians, ergodic_liminf, example36_diag,
+                    moment_dominance, moment_identity, optimal_tail_lambda,
+                    ratio_sup, tail_bound_check, tail_bound_value,
+                    window_maxima, window_medians)
 from .market import (MarketParams, Payoff, bs_price, call, face_lift,
                      piecewise_linear, put, simulate_gbm, tabulated)
 from .dpe import (DpeSolution, OutOfGridError, PdeGrid, StabilityError,

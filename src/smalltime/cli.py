@@ -409,12 +409,18 @@ def _budget_spec(cfg: RunConfig, grid, key, nbytes) -> BundleSpec:
     return BundleSpec(d, grid, n, cfg.seed, chunk_size=chunk)
 
 
-def _sampled(fn, spec: BundleSpec) -> list:
+def _sampled(fn, spec: BundleSpec) -> np.ndarray:
     """fn of each chunk of a geometric spec, sampled in path order on the
-    calling thread."""
-    return [fn(sample_bundle(spec.dim, spec.grid, min(spec.chunk_size, spec.path_count - first),
-                             spec.seed, first))
-            for first in range(0, spec.path_count, spec.chunk_size)]
+    calling thread: arrays with the chunk's paths on their last axis,
+    written into one array of every path made at the first chunk."""
+    out = None
+    for first in range(0, spec.path_count, spec.chunk_size):
+        take = min(spec.chunk_size, spec.path_count - first)
+        part = fn(sample_bundle(spec.dim, spec.grid, take, spec.seed, first))
+        if out is None:
+            out = np.empty(part.shape[:-1] + (spec.path_count,))
+        out[..., first:first + take] = part
+    return out
 
 
 def _lil_sup_plan(cfg: RunConfig):
@@ -508,9 +514,9 @@ def _run_tail(cfg: RunConfig, plan):
 def _run_lil_sup(cfg: RunConfig, plan):
     p = cfg.params
     b, spec, envelope = plan
-    est = LilEstimate(np.concatenate(_sampled(lambda bundle: ratio_sup(
+    est = LilEstimate(_sampled(lambda bundle: ratio_sup(
         integrate_double(bundle, b, keep="outer"), kind=p["kind"],
-        absolute=p["absolute"]).per_path_sup, spec)))
+        absolute=p["absolute"]).per_path_sup, spec))
     viol = float(np.mean(est.per_path_sup > envelope))
     results = {"summary": est.summary, "violation_rate": viol}
     references = {"envelope": envelope}
@@ -551,8 +557,8 @@ def _run_example36(cfg: RunConfig, spec):
 def _run_prop39(cfg: RunConfig, spec):
     p = cfg.params
     a, m = VectorSpec.constant([1.0]), catalog_integrand("identity", 1)
-    maxima = np.concatenate(_sampled(lambda bundle: window_maxima(
-        drift_integral(bundle, a, m, eps=p["eps"]), p["window"]), spec), axis=1)
+    maxima = _sampled(lambda bundle: window_maxima(
+        drift_integral(bundle, a, m, eps=p["eps"]), p["window"]), spec)
     rep = window_medians(spec.grid.points, p["window"], maxima)
     first_med, last_med = rep.medians[0], rep.medians[-1]
     results = {"window_medians": [{"t_hi": t, "median": med}

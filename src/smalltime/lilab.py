@@ -90,13 +90,15 @@ def trace_pass_bytes(name: str, dim: int, size: int, chunk: int,
     times beside the largest of its sampling's scratch, a kernel keeping
     one series, V or drift_integral's x, and what follows its return, the
     series with the ratios of ratio_sup, or x with drift_integral's scaled
-    x and the |scaled| of one window of window_maxima; per path its
-    results, a sup or a max in each window, kept per chunk; and after the
-    pass their concatenation beside them."""
+    x and the |scaled| of one window of window_maxima, with the chunk's
+    results; per path its results, a sup or a max in each window, in one
+    array of every path from the first chunk on; and after the pass a copy
+    of one row of them (a median's, or the CSV's path column)."""
     mats, arrays = kernel_bytes(name, dim, size, chunk, "outer")
-    stage = max(sample_bytes(dim, size, chunk), arrays, 8 * chunk * (2 * size + window))
-    results = 8 * (size // window if window else 1)
-    return mats, mats + bundle_bytes(dim, size, chunk) + stage, results, results
+    results = size // window if window else 1
+    stage = max(sample_bytes(dim, size, chunk), arrays,
+                8 * chunk * (2 * size + window + results))
+    return mats, mats + bundle_bytes(dim, size, chunk) + stage, 8 * results, 8
 
 
 def ratio_sup(trace: DoubleIntegralTrace, kind: str, absolute: bool = False) -> LilEstimate:
@@ -143,26 +145,6 @@ def moment_identity(lam: float, horizon: float, dim: int) -> float:
     except OverflowError:
         raise ValueError(f"moment closed form overflows the double range at dimension "
                          f"{dim}") from None
-
-
-def conditional_moment_fn(t, y, z, lam: float, horizon: float):
-    """The conditional expectation function f(t, y, z).
-
-    f(t,y,z) = mu^(d/2) exp[2 lam z - d lam (T-t) + 2 mu lam^2 (T-t) |y|^2]
-    with mu = 1/(1 - 2 lam (T-t)); its composition with the inner and outer
-    integrals of the identity integrand is a martingale.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    z = np.asarray(z, dtype=float)
-    tau = horizon - t
-    if tau < 0.0 or 2.0 * lam * tau >= 1.0:
-        raise ValueError("need 0 <= T - t and 2*lam*(T-t) < 1")
-    d = y.shape[-1]
-    mu = 1.0 / (1.0 - 2.0 * lam * tau)
-    ysq = (y * y).sum(axis=-1)
-    out = mu ** (d / 2.0) * np.exp(2.0 * lam * z - d * lam * tau
-                                   + 2.0 * mu * lam * lam * tau * ysq)
-    return float(out[0]) if out.size == 1 and np.ndim(z) == 0 else out
 
 
 @dataclass
@@ -424,14 +406,15 @@ def _ergodic_levels(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def ergodic_bytes(dim: int, size: int, chunk: int) -> tuple:
-    """(matrices, chunk, path, 0) bytes of an ergodic pass: beta I with
+    """(matrices, chunk, path, after) bytes of an ergodic pass: beta I with
     SymMatrix's copy and sum of it (eigvalsh's symmetric part and LAPACK's
     copy of it take no more); a bundle of chunk paths on size times beside
-    the larger of its sampling's scratch and its Y; and per path the
-    running frequency of its hits and its minimum."""
+    the larger of its sampling's scratch and its Y, whose rows become the
+    running frequencies of the hits; per path its minimum; and after the
+    pass a copy of the minima (a quantile's, or the CSV's path column)."""
     mats = 24 * dim * dim
     stage = max(sample_bytes(dim, size, chunk), bundle_bytes(1, size, chunk))
-    return mats, mats + bundle_bytes(dim, size, chunk) + stage, 8 * size + 8, 0
+    return mats, mats + bundle_bytes(dim, size, chunk) + stage, 8, 8
 
 
 def ergodic_liminf(source, beta, delta: float) -> ErgodicReport:
@@ -441,8 +424,9 @@ def ergodic_liminf(source, beta, delta: float) -> ErgodicReport:
     before any chunk is sampled; a spec's chunks are walked in turn.  The
     path-average frequency should approach ergodic_reference(beta, delta).
     Y is formed in one blocked pass over a chunk's paths (_ergodic_levels),
-    with the bits of one einsum per level.  Each path's running frequency
-    is kept, and averaged over the paths once.
+    with the bits of one einsum per level.  The paths' running frequencies
+    are summed in path order into one column sum, with the bits of a mean
+    over all of them at once.
     """
     grid = source.grid
     if (grid.kind != "geometric"
@@ -455,24 +439,29 @@ def ergodic_liminf(source, beta, delta: float) -> ErgodicReport:
     if mat.shape != (d, d):
         raise ValueError("beta shape must match the bundle dimension")
     reference = ergodic_reference(mat, delta)
-    freq = np.empty((source.path_count, grid.size))
+    freq_sum = np.zeros(grid.size)
     per_path_min = np.empty(source.path_count)
 
     def one(chunk, first):
-        """Fill the chunk's rows from first on; return the row after them."""
+        """Fill the chunk's minima from first on; return the path after them."""
         y = _ergodic_levels(chunk.paths, mat)
         rows = slice(first, first + len(y))
-        # the running frequency of the hits, in place in the chunk's rows
-        hits = np.less_equal(y, delta, out=freq[rows])
+        y.min(axis=1, out=per_path_min[rows])
+        # the running frequency of the hits, in place of Y
+        hits = np.less_equal(y, delta, out=y)
         np.cumsum(hits, axis=1, out=hits)
         hits /= np.arange(1, grid.size + 1)
-        y.min(axis=1, out=per_path_min[rows])
+        # added in path order, as a mean over every path's rows adds them:
+        # the first row takes the sum so far (a + b is b + a, bit for bit)
+        # and the rows reduce into it in order
+        hits[0] += freq_sum
+        np.add.reduce(hits, axis=0, out=freq_sum)
         return rows.stop
 
     first = 0
     for realise in as_chunks(source):
         first = one(realise(), first)
-    freq_by_n = freq.mean(axis=0)
+    freq_by_n = freq_sum / source.path_count
     return ErgodicReport(reference=reference, freq_by_n=freq_by_n,
                          final_freq=float(freq_by_n[-1]), per_path_min=per_path_min)
 

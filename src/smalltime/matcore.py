@@ -102,26 +102,11 @@ class GammaBand:
         return np.minimum(self.upper, np.maximum(self.lower, x))
 
 
-def support_function(u: float, band: GammaBand) -> float:
-    """sup of u*c over c in the band: u*upper for u >= 0, u*lower for u < 0.
-
-    u = 0 returns 0 regardless of the band; otherwise the needed bound must
-    be finite.
-    """
-    if u == 0.0:
-        return 0.0
-    if u > 0.0:
-        if not band.has_upper:
-            raise ValueError("support_function needs a finite upper bound for u > 0")
-        return u * band.upper
-    if not band.has_lower:
-        raise ValueError("support_function needs a finite lower bound for u < 0")
-    return u * band.lower
-
-
 def dpe_operator_f(p, a, sigma: float, band: GammaBand):
     """min(-p - sigma^2/2 * a, upper - a, a - lower); disabled bounds drop out.
 
+    F and F-hat are the pricing operator of the paper's gamma-constrained
+    super-replication problem, the reference for the DPE solver's step.
     Accepts scalars or arrays; scalar arguments give a float.
     """
     if sigma <= 0.0:

@@ -15,8 +15,6 @@ from functools import partial
 import numpy as np
 from scipy.special import ndtri
 
-from .matcore import DomainError
-
 _T_FLOOR = 1e-300
 
 # stream tags keep the draw spaces of the three sampling schemes disjoint
@@ -283,7 +281,7 @@ def _sample_geometric(dim, t, pids, seed):
     # bridge from t[idx+1] toward zero: W(t[idx]) = ratio W(t[idx+1]) + std z
     ratio = t[:-1] / t[1:]
     std = np.sqrt(t[:-1] * (t[1:] - t[:-1]) / t[1:])
-    rows = max(1, _SAMPLE_VALUES // (dim * n))
+    rows = _block_rows(dim, n, pids.size)
     for i in range(0, pids.size, rows):
         # every level of a block of paths in one draw, then the recurrence
         # coarsest level first, in place
@@ -296,19 +294,6 @@ def _sample_geometric(dim, t, pids, seed):
             z *= std[idx]
             z += ratio[idx] * blk[:, :, idx + 1]
     return w
-
-
-def rotate_bundle(bundle: BrownianBundle, u) -> BrownianBundle:
-    """Apply an orthogonal rotation W -> U W to every path value."""
-    mat = np.asarray(u, dtype=float)
-    d = bundle.dim
-    if mat.shape != (d, d):
-        raise ValueError("rotation matrix shape must match the bundle dimension")
-    if np.abs(mat @ mat.T - np.eye(d)).max() > 1e-12:
-        raise ValueError("rotation matrix must be orthogonal within 1e-12")
-    rotated = np.einsum("ij,pjk->pik", mat, bundle.paths)
-    return BrownianBundle(dim=d, grid=bundle.grid, paths=rotated, seed=bundle.seed,
-                          first_path=bundle.first_path)
 
 
 def refine_bisect(bundle: BrownianBundle) -> BrownianBundle:
@@ -337,8 +322,8 @@ def refine_bisect(bundle: BrownianBundle) -> BrownianBundle:
     steps = np.arange(n_int, dtype=np.uint64)[None, None, :]
     coords = np.arange(dim, dtype=np.uint64)[None, :, None]
     mid_std = 0.5 * np.sqrt(np.diff(t_full))
-    rows = max(1, _SAMPLE_VALUES // (dim * n_int))
-    mean = np.empty((min(rows, p), dim, n_int))
+    rows = _block_rows(dim, n_int, p)
+    mean = np.empty((rows, dim, n_int))
     for i in range(0, p, rows):
         blk = new_w[i:i + rows]
         mid, m = blk[:, :, 1::2], mean[:len(blk)]

@@ -462,7 +462,8 @@ class MartingaleDecomposition:
 
 def integrate_double_martingale(bundle: BrownianBundle, b: IntegrandSpec,
                                 m: IntegrandSpec) -> MartingaleDecomposition:
-    """Martingale-driven double integral and its residual decomposition.
+    """Martingale-driven double integral and its residual decomposition:
+    the generalisation from dW to dM = m dW in the paper's introduction.
 
     With c(t) = m(0)^T b(t) m(0), X splits into the c-driven double
     integral plus R1 (inner integrand b (m - m(0)), outer m(0) dW) and R2

@@ -23,6 +23,9 @@ from smalltime import reports
 from smalltime.cli import _SCHEMAS, main
 from smalltime.reports import format_value, write_csv
 
+import contract_host
+from contract_host import CONTRACT, host_difference
+
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
 from workloads import config_text, slots  # noqa: E402
@@ -145,12 +148,10 @@ ARTIFACT_DIGESTS = {
 def test_artifact_bytes_are_pinned(tmp_path, case):
     (experiment, *args), name, digest = ARTIFACT_DIGESTS[case]
     assert run_digests(tmp_path / case, f"--experiment={experiment}", "--seed=11",
-                       *args)[name] == digest
+                       *args)[name] == digest, host_difference()
 
 
 # ---------------------------------------------------------- the byte contract
-
-CONTRACT = Path(__file__).with_name("byte_contract.json")
 
 # check branches no workload reaches, at small sizes and seed 11
 _BRANCHES = {
@@ -204,7 +205,21 @@ def contract_digests(group: str, tmp: Path) -> dict:
 
 @pytest.mark.parametrize("group", CONTRACT_GROUPS)
 def test_byte_contract(tmp_path, group):
-    assert contract_digests(group, tmp_path) == json.loads(CONTRACT.read_text())[group]
+    assert contract_digests(group, tmp_path) == json.loads(CONTRACT.read_text())[group], \
+        host_difference()
+
+
+def test_a_pin_on_another_host_names_the_difference(monkeypatch):
+    """The contract records the numpy version and SIMD targets its digests
+    were computed under, and a failing pin's message names each that
+    differs here."""
+    recorded = json.loads(CONTRACT.read_text())["host"]
+    assert set(recorded) == set(contract_host.fingerprint())
+    monkeypatch.setattr(contract_host, "fingerprint",
+                        lambda: {"numpy": "0.0", "simd": recorded["simd"][:1]})
+    message = host_difference()
+    assert "0.0 here" in message
+    assert all(t in message for t in recorded["simd"][1:])
 
 
 # -------------------------------------------------- the column-wise writer

@@ -16,6 +16,8 @@ from smalltime.stochint import (INTEGRAND_CATALOG, IntegrandSpec, VectorSpec,
                                 catalog_integrand, drift_integral,
                                 integrate_double, integrate_double_martingale)
 
+from contract_host import host_difference
+
 
 # ------------------------------------------------- the per-step reference
 
@@ -335,17 +337,20 @@ def _betas(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_blocked_ergodic_statistic_matches_per_level_einsum(d, budget, monkeypatch):
     """More paths than one row block holds at the default budget, and row
-    blocks of one path and of a few paths."""
+    blocks of one path and of a few paths; the paths in one bundle, and in
+    uneven chunks whose running frequencies are summed chunk by chunk."""
     bundle = sample_bundle(d, ergodic_grid(30), 1500, seed=4100 + d)
+    spec = BundleSpec(d, bundle.grid, 1500, seed=4100 + d, chunk_size=400)
     refs = {name: _ref_ergodic(bundle, beta, 0.5) for name, beta in _betas(d).items()}
     if budget is not None:
         monkeypatch.setattr(lilab, "_ROW_VALUES", budget)
     for name, beta in _betas(d).items():
-        rep = ergodic_liminf(bundle, beta, 0.5)
         freq_by_n, per_path_min = refs[name]
-        assert _same_bytes(rep.freq_by_n, freq_by_n), name
-        assert _same_bytes(rep.per_path_min, per_path_min), name
-        assert rep.final_freq == float(freq_by_n[-1]), name
+        for source in (bundle, spec):
+            rep = ergodic_liminf(source, beta, 0.5)
+            assert _same_bytes(rep.freq_by_n, freq_by_n), name
+            assert _same_bytes(rep.per_path_min, per_path_min), name
+            assert rep.final_freq == float(freq_by_n[-1]), name
 
 
 # --------------------------------------------------------------- sampling
@@ -412,7 +417,7 @@ DIGEST_CASES = {
 
 @pytest.mark.parametrize("case", sorted(BUNDLE_DIGESTS))
 def test_sample_bundle_bytes_are_pinned(case):
-    assert _digest(DIGEST_CASES[case]().paths) == BUNDLE_DIGESTS[case]
+    assert _digest(DIGEST_CASES[case]().paths) == BUNDLE_DIGESTS[case], host_difference()
 
 
 def _small_time_bundles():

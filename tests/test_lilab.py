@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from scipy.special import chdtr
 from scipy.stats import chi2
 
-from smalltime.lilab import (GridMismatchError, conditional_moment_fn,
-                             ergodic_liminf, example36_diag,
+from smalltime.lilab import (GridMismatchError, ergodic_liminf, example36_diag,
                              example36_rate_fn, moment_dominance,
                              moment_identity, optimal_tail_lambda, ratio_sup,
                              tail_bound_check, tail_bound_value, tail_bounds,
@@ -95,27 +94,6 @@ def test_moment_identity_values():
     assert val == pytest.approx(1.10136, abs=5e-5)
     with pytest.raises(ValueError):
         moment_identity(1.0, 0.5, 1)
-
-
-def test_conditional_moment_fn_at_horizon():
-    # the mu-dependent factor vanishes at t = T
-    for z in (-1.0, 0.0, 2.0):
-        got = conditional_moment_fn(0.5, [3.0], z, lam=0.4, horizon=0.5)
-        assert got == pytest.approx(math.exp(0.8 * z), rel=1e-14)
-
-
-def test_conditional_moment_is_martingale_along_grid():
-    lam, horizon = 0.5, 0.5
-    b = sample_bundle(1, uniform_grid(horizon, 50), 40_000, seed=8)
-    tr = integrate_double(b, catalog_integrand("identity", 1))
-    t = tr.times
-    ref = moment_identity(lam, horizon, 1)
-    for k in (0, 10, 25, 40, 50):
-        y = b.paths[:, :, k]
-        z = tr.outer[:, k]
-        vals = conditional_moment_fn(t[k], y, z, lam, horizon)
-        se = float(np.std(vals, ddof=1)) / math.sqrt(vals.size)
-        assert abs(float(np.mean(vals)) - ref) < 3.0 * se + 5e-3 * ref
 
 
 def test_moment_dominance_identity_matches_closed_form():

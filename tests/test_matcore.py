@@ -2,13 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hst
 
 from smalltime.matcore import (DomainError, GammaBand, SymMatrix,
                                dpe_operator_f, dpe_operator_fhat,
-                               lil_normalizer, operator_norm,
-                               support_function)
+                               lil_normalizer, operator_norm)
 
 
 # ---------------------------------------------------------------- normalizer
@@ -60,30 +57,6 @@ def test_operator_norm_nonsymmetric_vs_mesh():
     ref = np.linalg.norm(m @ y, axis=0).max()
     assert operator_norm(m) == pytest.approx(2.0, abs=1e-12)
     assert operator_norm(m) == pytest.approx(ref, abs=1e-8)
-
-
-# ----------------------------------------------------------- support function
-
-def test_support_function_examples():
-    band = GammaBand(-1.0, 3.0)
-    assert support_function(2.0, band) == 6.0
-    assert support_function(-2.0, band) == 2.0
-    assert support_function(0.0, GammaBand.unbounded()) == 0.0
-
-
-def test_support_function_infinite_bound_errors():
-    with pytest.raises(ValueError):
-        support_function(1.0, GammaBand.lower_only(0.0))
-    with pytest.raises(ValueError):
-        support_function(-1.0, GammaBand.upper_only(0.0))
-
-
-@given(u=hst.floats(min_value=-10, max_value=10, allow_nan=False),
-       a=hst.floats(min_value=0, max_value=10, allow_nan=False))
-@settings(max_examples=50, deadline=None)
-def test_support_function_positive_homogeneity(u, a):
-    band = GammaBand(-1.5, 2.5)
-    assert support_function(a * u, band) == pytest.approx(a * support_function(u, band), abs=1e-9)
 
 
 def test_gamma_band_validation():

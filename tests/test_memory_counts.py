@@ -62,11 +62,12 @@ _CHUNKED = {
             "--paths=80000 --chunk=40000", "--paths=160000 --chunk=80000"),
 }
 _SIZED = {
-    # the small-time passes' per-path results beside chunks of the budget
-    # (lil-sup, ergodic), and prop39's joined window maxima after its pass
+    # the small-time passes' per-path results beside chunks of the budget,
+    # which divide neither count; an ergodic path keeps 8 bytes, so that
+    # its counts are large enough to resolve the growth
     "lil-sup": ("--experiment=lil-sup --d=2", "--paths=8000", "--paths=16000"),
-    "ergodic": ("--experiment=ergodic --d=2", "--paths=4000", "--paths=8000"),
-    "prop39": ("--experiment=prop39", "--paths=160000", "--paths=320000"),
+    "ergodic": ("--experiment=ergodic --d=2", "--paths=100000", "--paths=200000"),
+    "prop39": ("--experiment=prop39", "--paths=8000", "--paths=16000"),
     # one chunk of every path, below the budget: its sampling or kernel
     "lil-sup-chunk": ("--experiment=lil-sup --d=2", "--paths=800", "--paths=1600"),
     "ergodic-chunk": ("--experiment=ergodic --d=2", "--paths=500", "--paths=1000"),

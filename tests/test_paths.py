@@ -5,7 +5,7 @@ import pytest
 
 from smalltime.paths import (BrownianBundle, BundleSpec, ForwardChunk, TimeGrid,
                              ergodic_grid, geometric_grid, refine_bisect,
-                             rotate_bundle, sample_bundle, time_blocks, uniform_grid)
+                             sample_bundle, time_blocks, uniform_grid)
 
 
 def _increment_variance_zscore(bundle: BrownianBundle) -> float:
@@ -137,35 +137,6 @@ def test_self_similarity_spot_check():
         x = math.exp(0.5 * n) * b.paths[:, 0, idx]
         s2 = x.var(ddof=1)
         assert abs(s2 - 1.0) < 5.0 * math.sqrt(2.0 / x.size)
-
-
-# ------------------------------------------------------------------ rotation
-
-def test_rotate_identity_is_noop():
-    b = sample_bundle(2, uniform_grid(1.0, 5), 3, seed=1)
-    r = rotate_bundle(b, np.eye(2))
-    assert np.array_equal(b.paths, r.paths)
-
-
-def test_rotate_twice_by_quarter_turn_negates():
-    b = sample_bundle(2, uniform_grid(1.0, 5), 3, seed=1)
-    u = np.array([[0.0, -1.0], [1.0, 0.0]])
-    r = rotate_bundle(rotate_bundle(b, u), u)
-    assert np.allclose(r.paths, -b.paths, atol=0)
-
-
-def test_rotate_rejects_non_orthogonal():
-    b = sample_bundle(2, uniform_grid(1.0, 5), 3, seed=1)
-    with pytest.raises(ValueError):
-        rotate_bundle(b, np.array([[1.0, 0.1], [0.0, 1.0]]))
-
-
-def test_rotated_bundle_keeps_increment_statistics():
-    b = sample_bundle(2, uniform_grid(1.0, 50), 2000, seed=23)
-    ang = 0.7
-    u = np.array([[math.cos(ang), -math.sin(ang)], [math.sin(ang), math.cos(ang)]])
-    r = rotate_bundle(b, u)
-    assert abs(_increment_variance_zscore(r)) < 5.0
 
 
 # ---------------------------------------------------------------- refinement

@@ -16,6 +16,8 @@ from smalltime.stochint import (INTEGRAND_CATALOG, IntegrandSpec, VectorSpec,
                                 integrate_double, integrate_double_martingale,
                                 unit_bound_names)
 
+from contract_host import host_difference
+
 
 def _hand_bundle():
     """Single path W = (0, 1, 0) on times (0, 0.5, 1)."""
@@ -378,8 +380,9 @@ def test_catalog_specs_keep_their_bits():
     assert set(_CATALOG_PINS) == {(n, d) for n in INTEGRAND_CATALOG for d in (1, 2, 3)
                                   if not (n == "rotation" and d < 2)}
     for (name, d), digest in _CATALOG_PINS.items():
-        assert _spec_digest(name, d) == digest, (name, d)
-    assert hashlib.sha256(list_catalog().encode()).hexdigest() == _LIST_CATALOG_PIN
+        assert _spec_digest(name, d) == digest, (name, d, host_difference())
+    assert hashlib.sha256(list_catalog().encode()).hexdigest() == _LIST_CATALOG_PIN, \
+        host_difference()
 
 
 # ------------------------------------------------------------ keep= modes
