@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from smalltime import cli, lilab
-from smalltime.cli import (_SCHEMAS, ConfigError, RunConfig, list_catalog,
+from smalltime.cli import (_SCHEMAS, ConfigError, list_catalog,
                            load_config, main, run)
 from smalltime.dpe import PdeGrid, greeks, solve_dpe
 from smalltime.hedge import StrategySpec, replication_gap, simulate_hedge

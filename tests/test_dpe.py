@@ -1,13 +1,12 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
 
 from smalltime.dpe import (ACTIVE_LOWER, ACTIVE_UPPER, OutOfGridError, PdeGrid,
-                           StabilityError, DpeSolution, _space_operators, greeks,
+                           StabilityError, _space_operators, greeks,
                            solve_dpe)
-from smalltime.market import MarketParams, bs_price, call, face_lift, put, tabulated
+from smalltime.market import MarketParams, bs_price, call, face_lift, tabulated
 from smalltime.matcore import GammaBand, dpe_operator_fhat
 from smalltime.market import piecewise_linear
 from smalltime.reports import write_csv

@@ -353,6 +353,23 @@ def test_blocked_ergodic_statistic_matches_per_level_einsum(d, budget, monkeypat
             assert rep.final_freq == float(freq_by_n[-1]), name
 
 
+@pytest.mark.parametrize("levels", [1, 2, 3, 60])
+def test_ergodic_column_sum_has_the_bits_of_the_mean_over_paths(levels):
+    """The running frequencies summed chunk by chunk, in chunks of one path
+    and in chunks that do not divide the paths, have the bits of the mean
+    over a (paths, levels) array: at one level every partial sum is a whole
+    number, and at more the mean adds the rows in path order."""
+    d, paths, beta = 2, 600, _betas(2)["symmetric"]
+    bundle = sample_bundle(d, ergodic_grid(levels), paths, seed=4200 + levels)
+    freq_by_n, per_path_min = _ref_ergodic(bundle, beta, 0.5)
+    assert 0.0 < freq_by_n[-1] < 1.0
+    for chunk in (1, 7, 250):
+        spec = BundleSpec(d, bundle.grid, paths, seed=4200 + levels, chunk_size=chunk)
+        rep = ergodic_liminf(spec, beta, 0.5)
+        assert _same_bytes(rep.freq_by_n, freq_by_n), chunk
+        assert _same_bytes(rep.per_path_min, per_path_min), chunk
+
+
 # --------------------------------------------------------------- sampling
 
 def test_normals_into_row_blocks_equal_the_one_shot_call():
