@@ -408,13 +408,13 @@ def _ergodic_levels(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
 def ergodic_bytes(dim: int, size: int, chunk: int) -> tuple:
     """(matrices, chunk, path, after) bytes of an ergodic pass: beta I with
     SymMatrix's copy and sum of it (eigvalsh's symmetric part and LAPACK's
-    copy of it take no more); a bundle of chunk paths on size times beside
-    the larger of its sampling's scratch and its Y, whose rows become the
-    running frequencies of the hits; per path its minimum; and after the
-    pass a copy of the minima (a quantile's, or the CSV's path column)."""
-    mats = 24 * dim * dim
+    copy of it take no more); beta's entries, with a bundle of chunk paths
+    on size times beside the larger of its sampling's scratch and its Y,
+    whose rows become the running frequencies of the hits; per path its
+    minimum; and after the pass a copy of the minima (a quantile's, or the
+    CSV's path column)."""
     stage = max(sample_bytes(dim, size, chunk), bundle_bytes(1, size, chunk))
-    return mats, mats + bundle_bytes(dim, size, chunk) + stage, 8, 8
+    return 24 * dim * dim, 8 * dim * dim + bundle_bytes(dim, size, chunk) + stage, 8, 8
 
 
 def ergodic_liminf(source, beta, delta: float) -> ErgodicReport:

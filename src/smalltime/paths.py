@@ -65,15 +65,22 @@ def _normals(key, step_idx, coord_idx, out=None):
 
     The component arrays broadcast against each other; the result has the
     broadcast shape and is written into `out` (float64, any strides) when
-    given.  Uniform bits go through the inverse normal CDF, which is
-    deterministic for a fixed math library.
+    given.  The hash runs with the axes along which the coordinate varies
+    outermost, so that each of its steps loops over the paths and steps in
+    one long contiguous run, and the inverse normal CDF writes the normals
+    through that view of `out`; without an `out` they stay in the hash's
+    scratch, in its layout.  The CDF is deterministic for a fixed math
+    library.
     """
-    words = [np.asarray(c, dtype=np.uint64) for c in (step_idx, coord_idx)]
-    shape = np.broadcast_shapes(key.shape, *[w.shape for w in words])
-    if out is None:
-        out = np.empty(shape)
+    parts = [np.asarray(c, dtype=np.uint64) for c in (key, step_idx, coord_idx)]
+    shape = np.broadcast_shapes(*[a.shape for a in parts])
+    parts = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in parts]
+    order = sorted(range(len(shape)), key=lambda ax: parts[2].shape[ax] == 1)
+    h, *words = [a.transpose(order) for a in parts]
+    # a list, not a generator expression: with one here, a hedge pass left
+    # blocks live under tracemalloc, a few a chunk
+    shape = tuple([shape[ax] for ax in order])
     full, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
-    h = key
     with np.errstate(over="ignore"):
         for word in words:
             # the hash grows to the broadcast shape one component at a time
@@ -85,9 +92,26 @@ def _normals(key, step_idx, coord_idx, out=None):
             _mix64(h, tmp if h is full else np.empty_like(h))
         _mix64(np.add(h, _GOLD, out=full), tmp)
     np.right_shift(full, _SHIFT11, out=full)
-    np.add(full, 0.5, out=out)
-    out *= 2.0 ** -53
-    return ndtri(out, out=out)
+    # the uniforms in tmp's place, in the hash's layout
+    u = np.add(full, 0.5, out=tmp.view(np.float64))
+    u *= 2.0 ** -53
+    if out is None:
+        out = u.transpose(np.argsort(order))
+    ndtri(u, out=out.transpose(order))
+    return out
+
+
+def _accumulate(a):
+    """np.add.accumulate(a, axis=0, out=a), by the same adds in the same
+    order.  A block with no more rows than values a row adds its rows
+    whole, so that the inner loop runs along a row and not down the time
+    axis, one row apart; a block of narrower rows keeps numpy's
+    accumulate, which then costs less than a Python loop over them."""
+    if len(a) <= a[0].size:
+        for prev, row in zip(a[:-1], a[1:]):
+            np.add(prev, row, out=row)
+    else:
+        np.add.accumulate(a, axis=0, out=a)
 
 
 @dataclass
@@ -235,7 +259,7 @@ def time_blocks(source, size: int):
             # the steps' normals, scaled by sqrt(dt) and summed on from row 0
             _normals(key, steps[k0:k1], coords, rows[1:])
             rows[1:] *= sqrt_dt[k0:k1]
-            np.add.accumulate(rows, axis=0, out=rows)  # cumsum, less its Python wrapper
+            _accumulate(rows)
         else:
             rows[1:] = source.paths[:, :, k0 + 1 - start:k1 + 1 - start].transpose(2, 0, 1)
         yield rows
@@ -276,23 +300,24 @@ def _sample_geometric(dim, t, pids, seed):
     # level k corresponds to time t0 * theta^k, i.e. array index n-1-k
     n = t.size
     w = np.empty((pids.size, dim, n))
-    levels = np.arange(n - 1, -1, -1, dtype=np.uint64)[None, None, :]
+    levels = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None, None]
     coords = np.arange(dim, dtype=np.uint64)[None, :, None]
     # bridge from t[idx+1] toward zero: W(t[idx]) = ratio W(t[idx+1]) + std z
     ratio = t[:-1] / t[1:]
     std = np.sqrt(t[:-1] * (t[1:] - t[:-1]) / t[1:])
     rows = _block_rows(dim, n, pids.size)
     for i in range(0, pids.size, rows):
-        # every level of a block of paths in one draw, then the recurrence
-        # coarsest level first, in place
+        # every level of a block of paths in one draw, (times, dim, paths)
+        # with the paths innermost, then the recurrence coarsest level
+        # first, in place along rows of paths, and one copy into the bundle
         blk = w[i:i + rows]
-        key = _path_key(seed, np.uint64(_TAG_GEOMETRIC), pids[i:i + rows, None, None])
-        _normals(key, levels, coords, blk)
-        blk[:, :, n - 1] *= math.sqrt(t[n - 1])
+        key = _path_key(seed, np.uint64(_TAG_GEOMETRIC), pids[i:i + rows])
+        z = _normals(key, levels, coords)
+        z[n - 1] *= math.sqrt(t[n - 1])
         for idx in range(n - 2, -1, -1):
-            z = blk[:, :, idx]
-            z *= std[idx]
-            z += ratio[idx] * blk[:, :, idx + 1]
+            z[idx] *= std[idx]
+            z[idx] += ratio[idx] * z[idx + 1]
+        blk[...] = z.transpose(2, 1, 0)
     return w
 
 
@@ -351,7 +376,8 @@ def _block_rows(dim: int, size: int, paths: int) -> int:
 def sample_bytes(dim: int, size: int, paths: int) -> int:
     """Bytes sample_bundle holds on a geometric grid of size times beside
     its bundle of paths paths: _normals' words (draw_bytes) for a row
-    block of paths."""
+    block of paths, the second of which then holds the block's values for
+    the bridge."""
     return draw_bytes(dim, size, _block_rows(dim, size, paths))[1]
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .matcore import DomainError, SymMatrix, operator_norm
-from .paths import BrownianBundle, ForwardChunk, draw_bytes, time_blocks
+from .paths import BrownianBundle, ForwardChunk, _accumulate, draw_bytes, time_blocks
 
 EXP_MINUS_E = math.exp(-math.e)
 
@@ -294,7 +294,7 @@ def _running(carry, incs):
     s = np.empty((len(incs) + 1,) + carry.shape)
     s[0] = carry
     s[1:] = incs
-    np.add.accumulate(s, axis=0, out=s)  # cumsum, less its Python wrapper
+    _accumulate(s)
     carry[...] = s[-1]
     return s
 

@@ -160,6 +160,14 @@ def test_a_positional_normals_wrapper_sees_every_draw(monkeypatch):
     drawn.clear()
     refine_bisect(geo)
     assert sum(drawn) == p * d * 31
+    # a d = 3 chunk drawn block by block: one draw a block of steps
+    drawn.clear()
+    chunk = paths.ForwardChunk(3, uniform_grid(1.0, 250), p, seed=3)
+    blocks = [rows.copy() for rows in paths.time_blocks(chunk, 60)]
+    assert drawn == [p * 3 * (len(rows) - 1) for rows in blocks]
+    assert sum(drawn) == p * 3 * 250 and len(drawn) == 5
     monkeypatch.setattr(paths, "_normals", orig)
+    assert np.array_equal(np.concatenate([rows[1:] for rows in blocks]).transpose(1, 2, 0),
+                          sample_bundle(3, uniform_grid(1.0, 250), p, seed=3).paths[:, :, 1:])
     assert np.array_equal(sample_bundle(d, uniform_grid(1.0, 250), p, seed=1).paths,
                           fwd.paths)

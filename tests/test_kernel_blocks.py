@@ -7,6 +7,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from smalltime import lilab, paths, stochint
 from smalltime.lilab import ergodic_liminf, example36_diag
@@ -386,6 +387,78 @@ def test_normals_into_row_blocks_equal_the_one_shot_call():
         assert got is out[i:j, :, 1:] or np.shares_memory(got, out)
     assert _same_bytes(np.ascontiguousarray(out[:, :, 1:]), whole)
     assert np.all(np.isnan(out[:, :, 0]))
+
+
+_MASK = (1 << 64) - 1
+
+
+def _ref_mix(z):
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
+    return z ^ (z >> 31)
+
+
+def _ref_normal(seed, tag, path, step, coord):
+    """One normal of the counter-based generator, from Python integers:
+    splitmix64 over (seed, tag, path, step, coord), then the top 53 bits
+    as a uniform on (0, 1) through the inverse normal CDF."""
+    h = _ref_mix((seed + 0x9E3779B97F4A7C15) & _MASK)
+    for word in (tag, path, step, coord):
+        h = _ref_mix(h ^ ((word * 0x9E3779B97F4A7C15 + 0x94D049BB133111EB) & _MASK))
+    h = _ref_mix((h + 0x9E3779B97F4A7C15) & _MASK)
+    return float(ndtri(((h >> 11) + 0.5) * 2.0 ** -53))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_forward_normals_match_the_per_element_hash(d):
+    """A forward block, (steps, paths, d) as time_blocks draws it, against
+    the hash of each (path, step, coord) on its own."""
+    seed, first, p, steps = 31, 5, 6, np.arange(3, 10, dtype=np.uint64)
+    key = paths._path_key(seed, np.uint64(paths._TAG_FORWARD),
+                          np.arange(first, first + p, dtype=np.uint64)[:, None])
+    out = np.full((steps.size + 1, p, d), np.nan)
+    got = paths._normals(key, steps[:, None, None], np.arange(d, dtype=np.uint64), out[1:])
+    ref = [[[_ref_normal(seed, paths._TAG_FORWARD, first + i, int(k), c) for c in range(d)]
+            for i in range(p)] for k in steps]
+    assert np.shares_memory(got, out)
+    assert _same_bytes(out[1:], np.array(ref))
+    assert np.all(np.isnan(out[0]))
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("rows", [1, 7, 12])
+def test_geometric_row_blocks_match_the_per_element_hash(d, rows):
+    """The geometric sampler's draw of a block of rows paths, (levels, d,
+    rows): one path, seven, and every path of the bundle."""
+    seed, n, total = 8, 5, 12
+    pids = np.arange(100, 100 + total, dtype=np.uint64)[:rows]
+    key = paths._path_key(seed, np.uint64(paths._TAG_GEOMETRIC), pids)
+    levels = np.arange(n - 1, -1, -1, dtype=np.uint64)[:, None, None]
+    got = paths._normals(key, levels, np.arange(d, dtype=np.uint64)[None, :, None])
+    ref = [[[_ref_normal(seed, paths._TAG_GEOMETRIC, int(pid), n - 1 - j, c) for pid in pids]
+            for c in range(d)] for j in range(n)]
+    assert _same_bytes(np.ascontiguousarray(got), np.array(ref))
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (5, 5), (6, 5), (9, 4, 3), (13, 4, 3),
+                                   (40, 1000), (1001, 1000), (1, 7)])
+def test_row_running_sums_have_the_bits_of_numpy_accumulate(shape):
+    """paths._accumulate on either side of its switch (rows no more than
+    values a row, or more), with NaN, +-inf and -0.0 among the rows."""
+    rng = np.random.default_rng(sum(shape))
+    a = rng.standard_normal(shape)
+    flat = a.reshape(len(a), -1)
+    specials = [np.nan, np.inf, -np.inf, -0.0, -np.nan]
+    for j, value in enumerate(specials):
+        flat[j % len(a), (3 * j) % flat.shape[1]] = value
+    flat[:, -1] = -0.0
+    got, carry = a.copy(), a[0].copy()
+    with np.errstate(invalid="ignore"):
+        paths._accumulate(got)
+        ref = np.add.accumulate(a, axis=0)
+        running = stochint._running(carry, a[1:])
+    assert _same_bytes(got, ref)
+    assert _same_bytes(running, ref) and _same_bytes(carry, ref[-1])
 
 
 def _digest(arr) -> str:
