@@ -625,12 +625,8 @@ def _run_gap(cfg: RunConfig, plan):
         checks["bs_funding_fails"] = _check(run_bs.frac_negative >= p["bs_frac_neg_min"],
                                             frac_negative=run_bs.frac_negative,
                                             min=p["bs_frac_neg_min"])
-    # the tables share the path and S_T columns, which run's one pass over
-    # both then formats once
-    header, path, s_t, *own = run_v.csv_table()
-    return results, references, checks, {
-        "shortfall_constrained.csv": (header, path, s_t, *own),
-        "shortfall_bs_funded.csv": (header, path, s_t, *run_bs.csv_table()[3:])}
+    return results, references, checks, {"shortfall_constrained.csv": run_v.csv_table(),
+                                         "shortfall_bs_funded.csv": run_bs.csv_table()}
 
 
 # experiment -> (planner, runner)
@@ -666,13 +662,8 @@ def run(cfg: RunConfig) -> int:
     }
     out = Path(cfg.out)
     write_json(out / "summary.json", summary)
-    # tables of one length are written in one pass, which formats a column
-    # object they share once
-    passes = {}
     for name, table in csvs.items():
-        passes.setdefault(len(table[1]), []).append((out / name, *table))
-    for first, *rest in passes.values():
-        write_csv(*first, also=rest)
+        write_csv(out / name, *table)
     return 0 if all_pass else 1
 
 

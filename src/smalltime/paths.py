@@ -73,13 +73,11 @@ def _normals(key, step_idx, coord_idx, out=None):
     library.
     """
     parts = [np.asarray(c, dtype=np.uint64) for c in (key, step_idx, coord_idx)]
-    shape = np.broadcast_shapes(*[a.shape for a in parts])
-    parts = [a.reshape((1,) * (len(shape) - a.ndim) + a.shape) for a in parts]
-    order = sorted(range(len(shape)), key=lambda ax: parts[2].shape[ax] == 1)
+    ndim = max([a.ndim for a in parts])
+    parts = [a.reshape((1,) * (ndim - a.ndim) + a.shape) for a in parts]
+    order = sorted(range(ndim), key=lambda ax: parts[2].shape[ax] == 1)
     h, *words = [a.transpose(order) for a in parts]
-    # a list, not a generator expression: with one here, a hedge pass left
-    # blocks live under tracemalloc, a few a chunk
-    shape = tuple([shape[ax] for ax in order])
+    shape = np.broadcast_shapes(h.shape, *[w.shape for w in words])
     full, tmp = np.empty(shape, dtype=np.uint64), np.empty(shape, dtype=np.uint64)
     with np.errstate(over="ignore"):
         for word in words:
@@ -103,10 +101,13 @@ def _normals(key, step_idx, coord_idx, out=None):
 
 def _accumulate(a):
     """np.add.accumulate(a, axis=0, out=a), by the same adds in the same
-    order.  A block with no more rows than values a row adds its rows
-    whole, so that the inner loop runs along a row and not down the time
-    axis, one row apart; a block of narrower rows keeps numpy's
-    accumulate, which then costs less than a Python loop over them."""
+    order.  numpy's accumulate runs its inner loop down the time axis, one
+    row apart; adding whole rows runs it along a row, but pays one Python
+    call a row.  Rows are added whole when a block has no more rows than
+    values a row, which holds the loop to the square root of the block's
+    values.  The accumulate keeps blocks of one path and d = 1, where a
+    row is one value and a row loop would cost some 200 times more (a
+    one-path forward block can be 2^17 rows)."""
     if len(a) <= a[0].size:
         for prev, row in zip(a[:-1], a[1:]):
             np.add(prev, row, out=row)
@@ -318,6 +319,7 @@ def _sample_geometric(dim, t, pids, seed):
             z[idx] *= std[idx]
             z[idx] += ratio[idx] * z[idx + 1]
         blk[...] = z.transpose(2, 1, 0)
+        del z  # the block's scratch goes before the next block's is made
     return w
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -52,36 +51,22 @@ def _cells(col) -> list:
 _BLOCK_ROWS = 2048
 
 
-def write_csv(path, header, *columns, also=()) -> None:
+def write_csv(path, header, *columns) -> None:
     """A table is its header and its columns (arrays or lists, one per
     header name, all of one length).  Each block of rows is formatted one
-    column at a time and written as one piece.  also holds more tables,
-    (path, header, *columns) each, of the same length, written in the same
-    pass: a column object that several tables hold is formatted once a
-    block."""
-    tables = [(path, header, columns)] + [(p, h, cols) for p, h, *cols in also]
-    for _, names, cols in tables:
-        if len(cols) != len(names):
-            raise ValueError(f"{len(names)} header names for {len(cols)} columns")
+    column at a time and written as one piece."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header names for {len(columns)} columns")
     n = len(columns[0]) if columns else 0
-    lengths = [len(col) for _, _, cols in tables for col in cols]
-    if any(length != n for length in lengths):
-        raise ValueError(f"columns of unequal length {lengths}")
-    with ExitStack() as stack:
-        files = []
-        for target, names, _ in tables:
-            target = Path(target)
-            target.parent.mkdir(parents=True, exist_ok=True)
-            files.append(stack.enter_context(target.open("w", newline="\n")))
-            files[-1].write(",".join(names) + "\n")
+    if any(len(col) != n for col in columns):
+        raise ValueError(f"columns of unequal length {[len(col) for col in columns]}")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
         for i in range(0, n, _BLOCK_ROWS):
-            texts = {}
-            for fh, (_, _, cols) in zip(files, tables):
-                for col in cols:
-                    if id(col) not in texts:
-                        texts[id(col)] = _cells(col[i:i + _BLOCK_ROWS])
-                rows = zip(*[texts[id(col)] for col in cols])
-                fh.write("\n".join(map(",".join, rows)) + "\n")
+            cells = [_cells(col[i:i + _BLOCK_ROWS]) for col in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def _reject_nan(value, where: str) -> None:

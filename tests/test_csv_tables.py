@@ -303,34 +303,3 @@ def test_columns_of_unequal_length_are_rejected(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", ["a", "b", "c"], [1], [2.0])
 
-
-def test_tables_written_in_one_pass_format_a_shared_column_once(tmp_path, monkeypatch):
-    """Tables of one length written in one pass (write_csv's also) keep the
-    bytes each gets alone, and a column object that two of them hold is
-    formatted once a block: gap's two shortfall tables share path and S_T."""
-    rng = np.random.default_rng(8)
-    n = 2 * reports._BLOCK_ROWS + 5
-    path, s_t = range(n), rng.lognormal(size=n)
-    own = [rng.standard_normal(n) for _ in range(4)]
-    header = ["path", "S_T", "X_T", "shortfall"]
-    tables = [(tmp_path / "a.csv", header, path, s_t, *own[:2]),
-              (tmp_path / "b.csv", header, path, s_t, *own[2:])]
-    alone = []
-    for target, *table in tables:
-        write_csv(tmp_path / "alone.csv", *table)
-        alone.append((tmp_path / "alone.csv").read_bytes())
-    formatted = []
-    cells = reports._cells
-
-    def counting(col):
-        formatted.append(len(col))
-        return cells(col)
-
-    monkeypatch.setattr(reports, "_cells", counting)
-    write_csv(*tables[0], also=tables[1:])
-    assert [target.read_bytes() for target, *_ in tables] == alone
-    assert formatted == [reports._BLOCK_ROWS] * 12 + [5] * 6
-    with pytest.raises(ValueError):
-        write_csv(*tables[0], also=[(tmp_path / "c.csv", ["x"], np.zeros(n - 1))])
-    with pytest.raises(ValueError):
-        write_csv(*tables[0], also=[(tmp_path / "c.csv", ["x", "y"], np.zeros(n))])
