@@ -260,28 +260,33 @@ def _grid_fits(key: str, size: int) -> None:
     _fits_in_memory(key, f"a grid of {size} times", paths.bundle_bytes(1, size, 1))
 
 
-def _pass_fits(key: str, n_paths: int, chunk: int, dim: int, size: int, workers: int,
-               nbytes: tuple, held: int = 0, after: int = 0) -> None:
-    """_fits_in_memory for a pass over n_paths paths on size times in chunks
-    of chunk paths, one in work per worker, before any of it is built.
-    nbytes is (matrices, chunk, path) bytes as the layers that allocate
-    count them: the (d, d) matrices with one path's values, naming d; the
-    chunks in work beside held bytes, naming key; and the per-path results
-    beside them, naming paths, then beside held bytes alone with after
-    bytes more a path once the pass is over."""
-    matrices, chunk_bytes, path_bytes = nbytes
-    _fits_in_memory("d", f"holding the {dim} x {dim} matrices of the pass with one "
-                    f"path's {dim} x {size} values",
-                    matrices + paths.bundle_bytes(dim, size, 1))
-    in_work = min(workers, -(-n_paths // chunk))
+def _pass_spec(cfg: RunConfig, grid, counts, key="chunk", workers: int = 1,
+               held: int = 0) -> BundleSpec:
+    """The spec of a pass over the run's paths on grid in chunks of the
+    configured chunk paths (lilab.budget_chunk's where the schema has no
+    chunk), one in work per worker, once it fits in memory, checked before
+    any of it is built.  counts(chunk) is (matrices, chunk, path, after)
+    bytes as the layers that allocate count them: the (d, d) matrices with
+    one path's values, naming d; the chunks in work beside held bytes,
+    naming key; and the per-path results beside them, naming paths, then
+    beside held bytes alone with after bytes more a path once the pass is
+    over."""
+    p = cfg.params
+    d, n, size = p.get("d", 1), p["paths"], grid.size
+    chunk = min(p["chunk"] if "chunk" in p else lilab.budget_chunk(d, size), n)
+    matrices, chunk_bytes, path_bytes, after = counts(chunk)
+    _fits_in_memory("d", f"holding the {d} x {d} matrices of the pass with one "
+                    f"path's {d} x {size} values", matrices + paths.bundle_bytes(d, size, 1))
+    in_work = min(workers, -(-n // chunk))
     total = held + in_work * chunk_bytes
-    _fits_in_memory(key, f"a bundle of {chunk} paths x {dim} x {size} times with its "
+    _fits_in_memory(key, f"a bundle of {chunk} paths x {d} x {size} times with its "
                     f"pass's arrays, {in_work} at once,", total)
-    _fits_in_memory("paths", f"keeping the results of {n_paths} paths beside them",
-                    total + n_paths * path_bytes)
+    _fits_in_memory("paths", f"keeping the results of {n} paths beside them",
+                    total + n * path_bytes)
     if after:
-        _fits_in_memory("paths", f"the results of {n_paths} paths after the pass",
-                        held + n_paths * (path_bytes + after))
+        _fits_in_memory("paths", f"the results of {n} paths after the pass",
+                        held + n * (path_bytes + after))
+    return BundleSpec(d, grid, n, cfg.seed, chunk_size=chunk)
 
 
 def _dpe_plan(cfg: RunConfig):
@@ -322,11 +327,9 @@ def _dpe_plan(cfg: RunConfig):
         _grid_fits("steps", p["steps"] + 1)
         with _reading("steps"):
             times = uniform_grid(p["horizon"], p["steps"])
-        chunk, fundings = min(p["chunk"], p["paths"]), 1 + (cfg.experiment == "gap")
-        chunk_bytes, path_bytes, after = hedge.simulate_bytes(times.size, chunk, fundings, grid)
-        _pass_fits("chunk", p["paths"], chunk, 1, times.size, cfg.workers,
-                   (0, chunk_bytes, path_bytes), surfaces, after)
-        spec = BundleSpec(1, times, p["paths"], cfg.seed, chunk_size=p["chunk"])
+        fundings = 1 + (cfg.experiment == "gap")
+        spec = _pass_spec(cfg, times, lambda chunk: hedge.simulate_bytes(
+            times.size, chunk, fundings, grid), workers=cfg.workers, held=surfaces)
     return params, band, payoff, grid, spec
 
 
@@ -363,10 +366,11 @@ def _forward_plan(cfg: RunConfig):
     in memory; the moment one needs 2 lam horizon < 1, and the tail one the
     lambdas and bounds of tail_bounds."""
     p = cfg.params
-    chunk, d, size = min(p["chunk"], p["paths"]), p["d"], p["steps"] + 1
-    _grid_fits("steps", size)
-    *nbytes, after = lilab.forward_bytes(p["integrand"], d, size, chunk, "lam" in p)
-    _pass_fits("chunk", p["paths"], chunk, d, size, cfg.workers, nbytes, after=after)
+    _grid_fits("steps", p["steps"] + 1)
+    with _reading("horizon", "steps"):
+        grid = uniform_grid(p["horizon"], p["steps"])
+    spec = _pass_spec(cfg, grid, lambda chunk: lilab.forward_bytes(
+        p["integrand"], p["d"], grid.size, chunk, "lam" in p), workers=cfg.workers)
     b = _integrand_plan(cfg)
     if not b.unit_bounded:
         raise ConfigError(f"key 'integrand': {cfg.experiment} needs an integrand "
@@ -375,12 +379,10 @@ def _forward_plan(cfg: RunConfig):
     if "lam" in p:
         with _reading("d", "lam", "horizon"):
             moment_identity(p["lam"], p["horizon"], p["d"])
-    with _reading("horizon", "steps"):
-        grid = uniform_grid(p["horizon"], p["steps"])
     if "alphas" in p:
         with _reading("d", "eta", "horizon"):
             tail_bounds(p["alphas"], p["horizon"], p["d"], p["rule"], p["eta"])
-    return b, BundleSpec(p["d"], grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
+    return b, spec
 
 
 def _geometric_plan(cfg: RunConfig, rate_fn=None):
@@ -395,18 +397,6 @@ def _geometric_plan(cfg: RunConfig, rate_fn=None):
         with _reading("t0"):
             rate_fn(grid.points)
     return grid
-
-
-def _budget_spec(cfg: RunConfig, grid, key, nbytes) -> BundleSpec:
-    """The spec of a lil-sup, ergodic or prop39 pass on grid, in chunks of
-    lilab.budget_chunk paths walked in turn, once the pass's counts
-    nbytes(chunk) fit in memory (a chunk too large names key)."""
-    p = cfg.params
-    d, n = p.get("d", 1), p["paths"]
-    chunk = min(lilab.budget_chunk(d, grid.size), n)
-    *counts, after = nbytes(chunk)
-    _pass_fits(key, n, chunk, d, grid.size, 1, counts, after=after)
-    return BundleSpec(d, grid, n, cfg.seed, chunk_size=chunk)
 
 
 def _sampled(fn, spec: BundleSpec) -> np.ndarray:
@@ -428,8 +418,8 @@ def _lil_sup_plan(cfg: RunConfig):
     lil-sup run, whose pass fits in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg, _RATE_KINDS[p["kind"]][0])
-    spec = _budget_spec(cfg, grid, ("levels", "d"), lambda chunk: lilab.trace_pass_bytes(
-        p["integrand"], p["d"], grid.size, chunk))
+    spec = _pass_spec(cfg, grid, lambda chunk: lilab.trace_pass_bytes(
+        p["integrand"], p["d"], grid.size, chunk), key=("levels", "d"))
     try:
         envelope = (1.0 + p["eta"]) ** 2 / p["theta"]
     except OverflowError:
@@ -447,8 +437,8 @@ def _ergodic_plan(cfg: RunConfig):
     _grid_fits("levels", p["levels"])
     with _reading("levels"):
         grid = ergodic_grid(p["levels"])
-    spec = _budget_spec(cfg, grid, ("levels", "d"),
-                        lambda chunk: lilab.ergodic_bytes(p["d"], grid.size, chunk))
+    spec = _pass_spec(cfg, grid, lambda chunk: lilab.ergodic_bytes(p["d"], grid.size, chunk),
+                      key=("levels", "d"))
     with _reading("beta"):
         beta = SymMatrix(p["beta"] * np.eye(p["d"]))
     with _reading("delta"):
@@ -462,10 +452,8 @@ def _example36_plan(cfg: RunConfig):
     results that fit in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg, example36_rate_fn)
-    chunk = min(p["chunk"], p["paths"])
-    _pass_fits("refinements", p["paths"], chunk, 1, grid.size, 1,
-               lilab.example36_bytes(grid.size, chunk, p["refinements"]))
-    return BundleSpec(1, grid, p["paths"], cfg.seed, chunk_size=p["chunk"])
+    return _pass_spec(cfg, grid, lambda chunk: lilab.example36_bytes(
+        grid.size, chunk, p["refinements"]), key="refinements")
 
 
 def _prop39_plan(cfg: RunConfig):
@@ -479,8 +467,8 @@ def _prop39_plan(cfg: RunConfig):
                           key="window")
     with _reading("eps"):
         drift_scale(grid.points, p["eps"])
-    return _budget_spec(cfg, grid, "levels", lambda chunk: lilab.trace_pass_bytes(
-        "identity", 1, grid.size, chunk, p["window"]))
+    return _pass_spec(cfg, grid, lambda chunk: lilab.trace_pass_bytes(
+        "identity", 1, grid.size, chunk, p["window"]), key="levels")
 
 
 def _check(passed, **fields) -> dict:

@@ -190,12 +190,13 @@ _BLOCK_VALUES = 1 << 14
 
 
 def simulate_bytes(size: int, chunk: int, fundings: int, grid: PdeGrid) -> tuple:
-    """(chunk, path, after) bytes of _simulate_fundings with the surface
-    strategy on size times and a surface on grid: a chunk's draw prefix
-    (paths.draw_bytes), Y, wealths and terminal prices, the values a chunk
-    before returned, a block at its largest and the drift window
-    (window_bytes); per path the terminal price and the values the pass
-    fills in, and after it the copy of a shortfall each quantile takes."""
+    """(matrices, chunk, path, after) bytes of _simulate_fundings with the
+    surface strategy on size times and a surface on grid: no (d, d)
+    matrices; a chunk's draw prefix (paths.draw_bytes), Y, wealths and
+    terminal prices, the values a chunk before returned, a block at its
+    largest and the drift window (window_bytes); per path the terminal
+    price and the values the pass fills in, and after it the copy of a
+    shortfall each quantile takes."""
     steps = min(max(1, _BLOCK_VALUES // chunk), size - 1)
     prefix, _ = draw_bytes(1, steps, chunk)
     path = 8 * (2 * fundings + 1)
@@ -205,7 +206,7 @@ def simulate_bytes(size: int, chunk: int, fundings: int, grid: PdeGrid) -> tuple
     # funding); the surface lookup before them holds dS, the clipped
     # prices, 5 arrays of scratch and its 2 fields
     rows = fundings + 2 + 2 * (steps + 1) + 9 * steps + 1 + fundings * (steps + 1)
-    return prefix + 8 * chunk * rows + window_bytes(grid) + chunk * path, path, 8
+    return 0, prefix + 8 * chunk * rows + window_bytes(grid) + chunk * path, path, 8
 
 
 def _simulate_fundings(source, s0, x0s, strategy, payoff, band, params,

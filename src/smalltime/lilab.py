@@ -490,13 +490,14 @@ class Example36Report:
 
 
 def example36_bytes(size: int, chunk: int, refinements: int) -> tuple:
-    """(matrices, chunk, path) bytes of example36_diag: kernel_bytes's
-    matrices; a chunk on size times beside the larger of its last
-    refinement, with the refinement before it (the chunk itself at one
+    """(matrices, chunk, path, after) bytes of example36_diag:
+    kernel_bytes's matrices; a chunk on size times beside the larger of its
+    last refinement, with the refinement before it (the chunk itself at one
     refinement), and the refined chunk with the kernel keeping the running
     sup of V / rate (the proxy's row blocks then take no more); per path
-    the two sups, per chunk and concatenated, and their gap.  Past 2^64
-    refined times every count is as far out of reach."""
+    the two sups, per chunk and concatenated, and their gap; and nothing
+    more after the pass.  Past 2^64 refined times every count is as far
+    out of reach."""
     n = size << min(refinements, 64)
     mats, arrays = kernel_bytes("example36", 1, n, chunk, "last")
     last = 0
@@ -504,7 +505,7 @@ def example36_bytes(size: int, chunk: int, refinements: int) -> tuple:
         last = bundle_bytes(1, n // 2 if refinements > 1 else 0, chunk) + refine_bytes(
             1, n // 2, chunk)
     kernel = bundle_bytes(1, n if refinements else 0, chunk) + arrays
-    return mats, mats + bundle_bytes(1, size, chunk) + max(last, kernel), 48
+    return mats, mats + bundle_bytes(1, size, chunk) + max(last, kernel), 48, 0
 
 
 def _proxy_sup(w: np.ndarray, bvals: np.ndarray, rate: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from smalltime.dpe import PdeGrid, greeks, solve_dpe
 from smalltime.hedge import (STRATEGY_CATALOG, StrategySpec, replication_gap,
                              simulate_hedge)
-from smalltime.market import MarketParams, bs_price, call, simulate_gbm
+from smalltime.market import MarketParams, call, simulate_gbm
 from smalltime.matcore import GammaBand
 from smalltime.reports import write_csv
 from smalltime.paths import BundleSpec, sample_bundle, uniform_grid

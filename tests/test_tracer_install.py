@@ -7,6 +7,8 @@ import sys
 import threading
 from pathlib import Path
 
+import pytest
+
 sys.path.append(str(Path(__file__).resolve().parents[1] / "bench"))
 
 import tracer  # noqa: E402
@@ -43,6 +45,43 @@ def test_a_traced_hedge_run_times_its_layers_and_leaves_its_artifacts(tmp_path):
     assert artifacts() == untraced
     self_s = trace.self_times()
     assert self_s["market.gbm"] > 0.0 and self_s["hedge.simulate"] > 0.0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("experiment,args", [
+    ("moment", ["--d=2"]),
+    ("tail-bound", ["--d=2", "--integrand=tanh_w"]),
+])
+def test_traced_forward_runs_time_their_layers_and_leave_their_artifacts(tmp_path, experiment,
+                                                                         args, workers):
+    """The forward wrap points stay in use: a traced moment or tail-bound
+    run of three chunks writes the untraced run's bytes and its
+    stochint.integrate and lilab.reduce spans take time.  Each chunk is
+    integrated in one lilab.reduce span, on the calling thread at one
+    worker and on the pool's threads at two."""
+    argv = ["run", f"--experiment={experiment}", "--paths=21", "--chunk=7", "--steps=20",
+            f"--workers={workers}", f"--out={tmp_path}", *args]
+
+    def artifacts():
+        return {f.name: f.read_bytes() for f in sorted(tmp_path.iterdir())}
+
+    assert cli.main(argv) in (0, 1)
+    untraced = artifacts()
+    trace = tracer.Tracer()
+    undo = tracer.install(trace)
+    try:
+        assert cli.main(argv) in (0, 1)
+    finally:
+        undo()
+    assert artifacts() == untraced
+    self_s = trace.self_times()
+    assert self_s["stochint.integrate"] > 0.0 and self_s["lilab.reduce"] > 0.0
+    caller = threading.get_ident()
+    off = [s[1] for s in trace.spans if s[5] != caller]
+    if workers == 1:
+        assert off == []
+    else:
+        assert sorted(off) == ["lilab.reduce"] * 3 + ["stochint.integrate"] * 3, off
 
 
 # (args, spans that must take time) of a tiny run of each small-time
