@@ -219,14 +219,16 @@ def load_config(path: str | None, overrides) -> RunConfig:
 
 @contextmanager
 def _reading(*keys):
-    """A ValueError raised by a constructor that reads these keys becomes a
-    ConfigError naming the keys its message names as whole words (all of
-    them if it names none); the first named is the error's key."""
+    """A ValueError or ArithmeticError (an overflow, a division by zero)
+    raised by plan code that reads these keys becomes a ConfigError naming
+    the keys its message names as whole words (all of them if it names
+    none); the first named is the error's key."""
     try:
         yield
-    except ValueError as err:
-        named = [k for k in keys if re.search(rf"\b{k}\b", str(err))] or list(keys)
-        raise ConfigError(f"key {' / '.join(map(repr, named))}: {err}",
+    except (ValueError, ArithmeticError) as err:
+        text = str(err) if isinstance(err, ValueError) else f"{type(err).__name__}: {err}"
+        named = [k for k in keys if re.search(rf"\b{k}\b", text)] or list(keys)
+        raise ConfigError(f"key {' / '.join(map(repr, named))}: {text}",
                           key=named[0]) from None
 
 
@@ -347,11 +349,8 @@ def _bs_plan(cfg: RunConfig) -> float:
     """The bs-price run's whole work: the lognormal price."""
     p = cfg.params
     params, payoff = _market(p)
-    try:
-        with _reading("s", "t"):
-            return float(bs_price(payoff, p["s"], p["t"], params))
-    except OverflowError:
-        raise ConfigError("key 'sigma': sigma^2 (horizon - t) overflows", key="sigma") from None
+    with _reading("sigma", "s", "t"):
+        return float(bs_price(payoff, p["s"], p["t"], params))
 
 
 def _integrand_plan(cfg: RunConfig):
@@ -380,7 +379,9 @@ def _forward_plan(cfg: RunConfig):
         with _reading("d", "lam", "horizon"):
             moment_identity(p["lam"], p["horizon"], p["d"])
     if "alphas" in p:
-        with _reading("d", "eta", "horizon"):
+        # a bound past the double range overflows in exp(-lam alpha), whose
+        # lam grows as 1 / horizon, or in the moment closed form, which names d
+        with _reading("horizon", "alphas", "d", "eta"):
             tail_bounds(p["alphas"], p["horizon"], p["d"], p["rule"], p["eta"])
     return b, spec
 
@@ -420,13 +421,10 @@ def _lil_sup_plan(cfg: RunConfig):
     grid = _geometric_plan(cfg, _RATE_KINDS[p["kind"]][0])
     spec = _pass_spec(cfg, grid, lambda chunk: lilab.trace_pass_bytes(
         p["integrand"], p["d"], grid.size, chunk), key=("levels", "d"))
-    try:
+    with _reading("eta", "theta"):
         envelope = (1.0 + p["eta"]) ** 2 / p["theta"]
-    except OverflowError:
-        envelope = math.inf
-    if not math.isfinite(envelope):
-        raise ConfigError("key 'eta' / 'theta': the envelope (1 + eta)^2 / theta is "
-                          "not a finite double", key="eta")
+        if not math.isfinite(envelope):
+            raise ValueError("the envelope (1 + eta)^2 / theta is not a finite double")
     return _integrand_plan(cfg), spec, envelope
 
 
@@ -440,7 +438,8 @@ def _ergodic_plan(cfg: RunConfig):
     spec = _pass_spec(cfg, grid, lambda chunk: lilab.ergodic_bytes(p["d"], grid.size, chunk),
                       key=("levels", "d"))
     with _reading("beta"):
-        beta = SymMatrix(p["beta"] * np.eye(p["d"]))
+        # beta * 0 off the diagonal in Python floats: NaN, unwarned, at beta = +-inf
+        beta = SymMatrix(np.where(np.eye(p["d"], dtype=bool), p["beta"], p["beta"] * 0.0))
     with _reading("delta"):
         ergodic_reference(beta.entries, p["delta"])
     return spec, beta
@@ -461,10 +460,8 @@ def _prop39_plan(cfg: RunConfig):
     window, a valid exponent eps and a pass that fits in memory."""
     p = cfg.params
     grid = _geometric_plan(cfg)
-    if not 1 <= p["window"] <= grid.size:
-        raise ConfigError(f"key 'window' / 'levels': window must lie in [1, levels + 1] "
-                          f"= [1, {grid.size}] (the grid size), got {p['window']}",
-                          key="window")
+    with _reading("window", "levels"):
+        lilab._window_ends(grid.points, p["window"])
     with _reading("eps"):
         drift_scale(grid.points, p["eps"])
     return _pass_spec(cfg, grid, lambda chunk: lilab.trace_pass_bytes(

@@ -144,7 +144,7 @@ def moment_identity(lam: float, horizon: float, dim: int) -> float:
         return math.exp(-lam * dim * horizon) * (1.0 - 2.0 * lam * horizon) ** (-dim / 2.0)
     except OverflowError:
         raise ValueError(f"moment closed form overflows the double range at dimension "
-                         f"{dim}") from None
+                         f"d = {dim}") from None
 
 
 @dataclass
@@ -295,12 +295,12 @@ def tail_bounds(alphas, horizon: float, dim: int, rule: str, eta: float):
     """(lams, bounds): the lam of each alpha under the rule and its analytic
     tail bound.  rule "optimized" minimizes the bound over lam per alpha
     (golden section); rule "fixed" uses lam = 1/(2T(1+eta)) for every
-    alpha, which needs eta > 0."""
+    alpha, which needs a finite eta > 0."""
     if rule == "optimized":
         lams = [optimal_tail_lambda(a, horizon, dim) for a in alphas]
     elif rule == "fixed":
-        if not eta > 0.0:
-            raise ValueError("fixed lambda rule needs eta > 0")
+        if not 0.0 < eta < math.inf:
+            raise ValueError("fixed lambda rule needs a finite eta > 0")
         lams = [1.0 / (2.0 * horizon * (1.0 + eta))] * len(alphas)
     else:
         raise ValueError(f"unknown lambda rule {rule!r}")
@@ -581,7 +581,8 @@ def _window_ends(times: np.ndarray, window: int) -> range:
     """The end index of each disjoint window of `window` grid times from the
     smallest time up (a last partial window is dropped)."""
     if not 1 <= window <= times.size:
-        raise ValueError(f"window must lie in [1, {times.size}] (the grid size)")
+        raise ValueError(f"window must lie in [1, levels + 1] = [1, {times.size}] "
+                         f"(the grid size), got {window}")
     return range(window, times.size + 1, window)
 
 

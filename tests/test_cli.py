@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -218,6 +219,7 @@ def test_dpe_grid_whose_step_is_not_monotone_is_a_config_error(tmp_path, capsys,
     ("d", ["--experiment=moment", "--d=3000", "--paths=1", "--chunk=1"]),
     ("d", ["--experiment=tail-bound", "--rule=fixed", "--d=1000", "--paths=1",
            "--chunk=1"]),
+    ("horizon", ["--experiment=tail-bound", "--horizon=1e-300", "--alphas=-1"]),
     ("s0", ["--experiment=gap", "--s0=1e154", "--strike=1e154"]),
     ("cushion", ["--experiment=hedge", "--funding=bs", "--cushion=1e308"]),
 ])
@@ -225,10 +227,20 @@ def test_config_the_plan_rejects_is_a_config_error(tmp_path, capsys, key, args):
     """bs-price valuations (at an infinite time, or whose sigma^2 tau
     overflows), catalog integrands at a dimension they do not take, prop39
     windows wider than the grid, moment and tail closed forms that
-    overflow at a large d, a hedge grid whose top price squares past the
-    double range and a lognormal funding bs0 (1 + cushion) that overflows
-    fail in the plan."""
+    overflow at a large d, a tail bound whose exp(-lam alpha) overflows at a
+    tiny horizon, a hedge grid whose top price squares past the double
+    range and a lognormal funding bs0 (1 + cushion) that overflows fail in
+    the plan."""
     _assert_plan_rejects(tmp_path, capsys, key, args)
+
+
+def test_infinite_beta_is_named_without_a_warning(tmp_path, capsys):
+    """beta I at d = 3 and beta = inf holds inf * 0 off its diagonal, which
+    numpy's product warned of; the plan names beta and warns of nothing."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_plan_rejects(tmp_path, capsys, "beta",
+                             ["--experiment=ergodic", "--d=3", "--beta=inf"])
 
 
 @pytest.mark.parametrize("key,args", [
@@ -394,20 +406,19 @@ _EDGE_KEYS = [(experiment, key) for experiment in sorted(_SCHEMAS)
               for key in [*_SCHEMAS[experiment], "seed", "workers"]]
 
 
-@pytest.mark.parametrize("experiment,key", _EDGE_KEYS,
-                         ids=[f"{e}-{k}" for e, k in _EDGE_KEYS])
-def test_every_key_at_edge_values_is_accepted_or_named(capsys, host_8gib, experiment, key):
-    """validate-config with one key at each edge value exits 0, or 2 with
-    that key among the keys its message names; it raises nothing, warns
-    nothing and returns within a second."""
+def _edge_failures(capsys, experiment, settings):
+    """The settings (each a dict of keys to values) with which validate-config
+    raises, warns, runs past a second, exits other than 0 or 2, or exits 2
+    naming none of the keys it set among the keys its message names."""
     def too_slow(signum, frame):
         raise TimeoutError("validate-config still runs after 1 s")
 
     previous = signal.signal(signal.SIGALRM, too_slow)
     bad = []
     try:
-        for value in _EDGE_VALUES:
-            args = ["validate-config", f"--experiment={experiment}", f"--{key}={value}"]
+        for setting in settings:
+            args = ["validate-config", f"--experiment={experiment}",
+                    *(f"--{key}={value}" for key, value in setting.items())]
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 signal.setitimer(signal.ITIMER_REAL, 1.0)
@@ -420,11 +431,42 @@ def test_every_key_at_edge_values_is_accepted_or_named(capsys, host_8gib, experi
             err = capsys.readouterr().err.strip()
             named = re.match(r"config error: key ('\w+'(?: / '\w+')*)", err)
             keys = named.group(1).split(" / ") if named else []
-            if caught or code not in (0, 2) or (code == 2 and repr(key) not in keys):
-                bad.append((value, code, err, [str(w.message) for w in caught]))
+            unnamed = code == 2 and not {repr(key) for key in setting} & set(keys)
+            if caught or code not in (0, 2) or unnamed:
+                bad.append((setting, code, err, [str(w.message) for w in caught]))
     finally:
         signal.signal(signal.SIGALRM, previous)
-    assert not bad
+    return bad
+
+
+@pytest.mark.parametrize("experiment,key", _EDGE_KEYS,
+                         ids=[f"{e}-{k}" for e, k in _EDGE_KEYS])
+def test_every_key_at_edge_values_is_accepted_or_named(capsys, host_8gib, experiment, key):
+    """validate-config with one key at each edge value exits 0, or 2 with
+    that key among the keys its message names; it raises nothing, warns
+    nothing and returns within a second."""
+    assert not _edge_failures(capsys, experiment, [{key: value} for value in _EDGE_VALUES])
+
+
+_PAIR_VALUES = ["3", "-1", "1e-300", "1e300", "inf"]
+_SAMPLED = ["moment", "tail-bound", "lil-sup", "ergodic", "example36", "prop39", "hedge",
+            "gap"]
+
+
+@pytest.mark.parametrize("experiment", _SAMPLED)
+def test_every_pair_of_numeric_keys_at_edge_values_is_accepted_or_named(capsys, host_8gib,
+                                                                         experiment):
+    """validate-config with each pair of a sampled experiment's numeric keys
+    at each pair of bad values exits 0, or 2 naming one of the two keys; it
+    raises nothing, warns nothing and returns within a second.  One key at
+    a time misses a failure two keys make together: a tail bound whose
+    exp(-lam alpha) overflows at a tiny horizon and a negative alpha, or an
+    infinite beta times the zeros of a 3 x 3 identity."""
+    numeric = [key for key, (kind, _) in _SCHEMAS[experiment].items()
+               if kind in ("int", "float", "floats")]
+    assert not _edge_failures(capsys, experiment, [
+        {a: u, b: v} for a, b in itertools.combinations(numeric, 2)
+        for u in _PAIR_VALUES for v in _PAIR_VALUES])
 
 
 # a tiny run of each experiment in at most a few chunks, so that no
